@@ -346,10 +346,10 @@ BENCHMARK(BM_PlanCacheSweep)->Arg(64)->Arg(256);
 void BM_ShardedSweep(benchmark::State& state) {
   // The cold process-sharded batch point: 16 jobs over 4 instances (random
   // 4-regular, n = 256) shipped to `edsim worker` subprocesses over the
-  // NDJSON pipes, with pooling OFF so every batch forks, warms and tears
-  // down its own fleet — the spawn/exec/plan-compile cost a one-shot sweep
-  // pays, and the baseline BM_WarmShardedSweep amortizes.  EDSIM_BIN
-  // overrides the compiled-in binary path.
+  // NDJSON pipes, with a drain() after every batch so each one forks, warms
+  // and tears down its own fleet — the spawn/exec/plan-compile cost a
+  // one-shot sweep pays, and the baseline BM_WarmShardedSweep amortizes.
+  // EDSIM_BIN overrides the compiled-in binary path.
   const auto shards = static_cast<unsigned>(state.range(0));
   const std::string bin = eds::test::edsim_binary();
   if (bin.empty()) {
@@ -379,13 +379,11 @@ void BM_ShardedSweep(benchmark::State& state) {
     for (int r = 0; r < 4; ++r) jobs.push_back(job);
   }
 
-  eds::runtime::ProcessShardExecutor::Options options;
-  options.pooled = false;
-  const eds::runtime::ProcessShardExecutor executor({bin, "worker"}, shards,
-                                                    options);
+  const eds::runtime::ProcessShardExecutor executor({bin, "worker"}, shards);
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     auto results = executor.run(jobs);
+    executor.drain();  // timed: the teardown is part of the cold cost
     rounds = results.back().stats.rounds;
     benchmark::DoNotOptimize(results.size());
   }

@@ -1,14 +1,19 @@
 #include "cli/cli.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #if defined(__linux__)
@@ -40,21 +45,60 @@ namespace eds::cli {
 
 namespace {
 
-/// Minimal argument cracker: positional args plus --key [value] options.
+/// A malformed command line: an unknown flag, a flag missing its value, or
+/// a number that does not parse.  run_cli reports it and exits 2.  Not an
+/// eds::Error on purpose, so no command's own error handling swallows it.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses `text` as a base-10 integer in [0, max of T]; anything else
+/// (a sign, a fraction, trailing bytes, overflow) is a UsageError naming
+/// `what`.
+template <class T>
+[[nodiscard]] T parse_number(const std::string& text, const std::string& what) {
+  T value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw UsageError(what + " must be an integer in [0, " +
+                     std::to_string(std::numeric_limits<T>::max()) +
+                     "], got '" + text + "'");
+  }
+  return value;
+}
+
+/// The flags one command accepts: `options` take a value, `switches` none.
+struct FlagSpec {
+  std::vector<std::string> options;
+  std::vector<std::string> switches;
+};
+
+/// Positional args plus the --key [value] flags of one FlagSpec.
 class Args {
  public:
-  explicit Args(const std::vector<std::string>& raw) {
+  /// Throws UsageError on a flag outside `spec` or an option missing its
+  /// value.
+  Args(const std::vector<std::string>& raw, const FlagSpec& spec) {
+    const auto accepts = [](const std::vector<std::string>& keys,
+                            const std::string& key) {
+      return std::find(keys.begin(), keys.end(), key) != keys.end();
+    };
     for (std::size_t i = 0; i < raw.size(); ++i) {
-      if (raw[i].rfind("--", 0) == 0) {
-        const auto key = raw[i].substr(2);
-        if (i + 1 < raw.size() && raw[i + 1].rfind("--", 0) != 0) {
-          options_[key] = raw[i + 1];
-          ++i;
-        } else {
-          options_[key] = "";
-        }
-      } else {
+      if (raw[i].rfind("--", 0) != 0) {
         positional_.push_back(raw[i]);
+        continue;
+      }
+      const auto key = raw[i].substr(2);
+      if (accepts(spec.switches, key)) {
+        options_[key] = "";
+      } else if (!accepts(spec.options, key)) {
+        throw UsageError("unknown flag " + raw[i]);
+      } else if (i + 1 < raw.size() && raw[i + 1].rfind("--", 0) != 0) {
+        options_[key] = raw[++i];
+      } else {
+        throw UsageError(raw[i] + " needs a value");
       }
     }
   }
@@ -70,11 +114,11 @@ class Args {
     const auto it = options_.find(key);
     return it == options_.end() ? fallback : it->second;
   }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
+  template <class T>
+  [[nodiscard]] T number(const std::string& key, T fallback) const {
     const auto it = options_.find(key);
     if (it == options_.end()) return fallback;
-    return std::stoull(it->second);
+    return parse_number<T>(it->second, "--" + key);
   }
 
  private:
@@ -86,6 +130,7 @@ void usage(std::ostream& out) {
   out << "edsim — distributed edge dominating sets (Suomela, PODC 2010)\n"
          "\n"
          "usage: edsim <command> [options]\n"
+         "(an unknown flag or a malformed number exits 2)\n"
          "\n"
          "commands:\n"
          "  generate <family> [args] [--seed S]\n"
@@ -103,7 +148,7 @@ void usage(std::ostream& out) {
          "      --threads N runs the engine's parallel policy (same result)\n"
          "  sweep <family> [--min N] [--max N] [--step S] [--d D]\n"
          "        [--algorithm A] [--param P] [--seed S] [--threads N]\n"
-         "        [--shards N] [--no-pool] [--repeat R] [--ndjson]\n"
+         "        [--shards N] [--repeat R] [--ndjson]\n"
          "        [--retries K] [--retry-backoff-ms B] [--job-timeout-ms T]\n"
          "        [--batch-timeout-ms T] [--breaker-deaths D]\n"
          "        [--fallback-inprocess] [--chaos SPEC]\n"
@@ -131,8 +176,7 @@ void usage(std::ostream& out) {
          "      subprocesses instead of threads (0 = one per hardware\n"
          "      thread; output is byte-identical either way; workers are\n"
          "      pooled — they stay warm between batches with per-shard\n"
-         "      plan caches, summed in the summary — and --no-pool\n"
-         "      restores the fork-per-batch behaviour); sharded sweeps are\n"
+         "      plan caches, summed in the summary); sharded sweeps are\n"
          "      resilient: a job orphaned by a worker death is retried up\n"
          "      to --retries K times (default 2, 0 = strict fail-fast) with\n"
          "      exponential backoff from --retry-backoff-ms B (default 10),\n"
@@ -212,14 +256,15 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
     err << "generate: missing family\n";
     return 2;
   }
-  Rng rng(args.get_u64("seed", 1));
+  Rng rng(args.number<std::uint64_t>("seed", 1));
   const auto& family = pos[1];
   auto num = [&pos, &err](std::size_t index) -> std::optional<std::size_t> {
     if (index >= pos.size()) {
       err << "generate: missing numeric argument\n";
       return std::nullopt;
     }
-    return std::stoull(pos[index]);
+    return parse_number<std::size_t>(pos[index],
+                                     "argument " + std::to_string(index));
   };
 
   graph::SimpleGraph g;
@@ -289,7 +334,7 @@ int cmd_solve(const Args& args, std::istream& in, std::ostream& out,
     return 1;
   }
 
-  Rng rng(args.get_u64("seed", 1));
+  Rng rng(args.number<std::uint64_t>("seed", 1));
   const auto ports_kind = args.get("ports", "random");
   std::optional<port::PortedGraph> pg;
   try {
@@ -322,11 +367,11 @@ int cmd_solve(const Args& args, std::istream& in, std::ostream& out,
       return 2;
     }
     algorithm = *parsed;
-    param = static_cast<port::Port>(args.get_u64("param", 0));
+    param = args.number<port::Port>("param", 0);
   }
 
   runtime::ExecOptions exec;
-  exec.threads = static_cast<unsigned>(args.get_u64("threads", 1));
+  exec.threads = args.number<unsigned>("threads", 1);
 
   try {
     const auto outcome = algo::run_algorithm(*pg, algorithm, param, exec);
@@ -365,7 +410,7 @@ int cmd_lower_bound(const Args& args, std::ostream& out, std::ostream& err) {
     err << "lower-bound: missing degree\n";
     return 2;
   }
-  const auto d = static_cast<port::Port>(std::stoul(pos[1]));
+  const auto d = parse_number<port::Port>(pos[1], "degree");
   try {
     const auto inst =
         d % 2 == 0 ? lb::even_lower_bound(d) : lb::odd_lower_bound(d);
@@ -390,7 +435,7 @@ int cmd_run_portgraph(const Args& args, std::istream& in, std::ostream& out,
   }
   try {
     const auto g = port::read_port_graph(in);
-    auto param = static_cast<port::Port>(args.get_u64("param", 0));
+    auto param = args.number<port::Port>("param", 0);
     if (param == 0) {
       for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
         param = std::max(param, g.degree(v));
@@ -400,7 +445,7 @@ int cmd_run_portgraph(const Args& args, std::istream& in, std::ostream& out,
     const auto factory = algo::make_factory(*parsed, param);
     runtime::RunOptions options;
     options.collect_messages = args.has("trace");
-    options.exec.threads = static_cast<unsigned>(args.get_u64("threads", 1));
+    options.exec.threads = args.number<unsigned>("threads", 1);
     const auto result = runtime::run_synchronous(g, *factory, options);
     const auto selected = runtime::validated_selection_size(g, result);
     if (args.has("trace")) out << runtime::format_transcript(result);
@@ -517,12 +562,14 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   const auto& family = pos[1];
-  const auto min_n = static_cast<std::size_t>(args.get_u64("min", 8));
-  const auto max_n = static_cast<std::size_t>(args.get_u64("max", 128));
-  const auto step = static_cast<std::size_t>(args.get_u64("step", 0));
-  const auto d = static_cast<std::size_t>(args.get_u64("d", 3));
-  const auto threads = static_cast<unsigned>(args.get_u64("threads", 0));
-  const auto repeat = static_cast<std::size_t>(args.get_u64("repeat", 1));
+  const auto min_n = args.number<std::size_t>("min", 8);
+  const auto max_n = args.number<std::size_t>("max", 128);
+  const auto step = args.number<std::size_t>("step", 0);
+  const auto d = args.number<std::size_t>("d", 3);
+  const auto threads = args.number<unsigned>("threads", 0);
+  const auto repeat = args.number<std::size_t>("repeat", 1);
+  const auto seed = args.number<std::uint64_t>("seed", 1);
+  const auto param = args.number<port::Port>("param", 0);
   const bool ndjson = args.has("ndjson");
   if (min_n == 0 || max_n < min_n) {
     err << "sweep: need 0 < --min <= --max\n";
@@ -581,8 +628,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
       err << "sweep: --loss/--dup must be numbers in [0, 1]\n";
       return 2;
     }
-    crash_k = static_cast<std::size_t>(args.get_u64("crash", 0));
-    async_base.round_timeout = args.get_u64("timeout", 0);
+    crash_k = args.number<std::size_t>("crash", 0);
+    async_base.round_timeout = args.number<std::uint64_t>("timeout", 0);
     if (args.has("adversary")) {
       adversary = runtime::adversary_from_token(args.get("adversary"));
       if (!adversary) {
@@ -590,7 +637,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
             << "' (random|pct|delay|climb)\n";
         return 2;
       }
-      budget = static_cast<std::size_t>(args.get_u64("budget", 32));
+      budget = args.number<std::size_t>("budget", 32);
       if (budget == 0) {
         err << "sweep: need --budget >= 1\n";
         return 2;
@@ -630,10 +677,6 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   // schema 2 async jobs cross the wire too; adversarial searches stay
   // in-process (their schedules are a search artifact, not wire payload).
   std::unique_ptr<runtime::ProcessShardExecutor> shard_exec;
-  if (args.has("no-pool") && !args.has("shards")) {
-    err << "sweep: --no-pool only makes sense with --shards\n";
-    return 2;
-  }
   for (const char* flag :
        {"retries", "retry-backoff-ms", "job-timeout-ms", "batch-timeout-ms",
         "breaker-deaths", "fallback-inprocess", "chaos"}) {
@@ -655,13 +698,15 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
       return 2;
     }
     runtime::ProcessShardExecutor::Options pool_options;
-    pool_options.pooled = !args.has("no-pool");
-    pool_options.max_retries =
-        static_cast<unsigned>(args.get_u64("retries", 2));
-    pool_options.retry_backoff_ms = args.get_u64("retry-backoff-ms", 10);
-    pool_options.job_timeout_ms = args.get_u64("job-timeout-ms", 0);
-    pool_options.batch_timeout_ms = args.get_u64("batch-timeout-ms", 0);
-    pool_options.breaker_deaths = args.get_u64("breaker-deaths", 8);
+    pool_options.max_retries = args.number<unsigned>("retries", 2);
+    pool_options.retry_backoff_ms =
+        args.number<std::uint64_t>("retry-backoff-ms", 10);
+    pool_options.job_timeout_ms =
+        args.number<std::uint64_t>("job-timeout-ms", 0);
+    pool_options.batch_timeout_ms =
+        args.number<std::uint64_t>("batch-timeout-ms", 0);
+    pool_options.breaker_deaths =
+        args.number<std::uint64_t>("breaker-deaths", 8);
     pool_options.fallback_inprocess = args.has("fallback-inprocess");
     std::vector<std::string> worker_command{bin, "worker"};
     if (args.has("chaos")) {
@@ -677,8 +722,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     }
     try {
       shard_exec = std::make_unique<runtime::ProcessShardExecutor>(
-          std::move(worker_command),
-          static_cast<unsigned>(args.get_u64("shards", 0)), pool_options);
+          std::move(worker_command), args.number<unsigned>("shards", 0),
+          pool_options);
     } catch (const Error& e) {
       err << "sweep: " << e.what() << '\n';
       return 2;
@@ -703,8 +748,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
       return 2;
     }
   }
-  const auto param = static_cast<port::Port>(args.get_u64("param", 0));
-  Rng rng(args.get_u64("seed", 1));
+  Rng rng(seed);
 
   // Every job in the sweep shares one plan cache, so --repeat compiles one
   // ExecutionPlan per instance regardless of R; the summary counters below
@@ -814,8 +858,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   const auto async_for_job = [&](std::size_t job_index,
                                  std::size_t num_nodes) {
     runtime::AsyncOptions a = async_base;
-    std::uint64_t state =
-        args.get_u64("seed", 1) ^ (0xA51DC0DEULL + job_index);
+    std::uint64_t state = seed ^ (0xA51DC0DEULL + job_index);
     a.seed = splitmix64(state);
     a.faults.loss = loss;
     a.faults.duplicate = dup;
@@ -841,8 +884,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
           std::optional<std::size_t> optimum, TextTable& table) -> int {
     const std::size_t job_index = adversary_jobs++;
     const auto base = async_for_job(job_index, ports.num_nodes());
-    std::uint64_t state =
-        args.get_u64("seed", 1) ^ (0xBADC0FFEULL + job_index);
+    std::uint64_t state = seed ^ (0xBADC0FFEULL + job_index);
     const auto search_seed = splitmix64(state);
     runtime::RunOptions run_opts;
     run_opts.exec.plan_cache = &plan_cache;
@@ -1278,30 +1320,22 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
 /// *process*, not the batch — that persistence is the whole point of the
 /// warm pool.  Stdin EOF between batches ends the worker cleanly.
 ///
-/// Back-compat: when the *first* stdin line is a job line (schema 1 or an
-/// unframed schema-2 line) the worker runs the legacy single-batch
-/// protocol instead — jobs until EOF, then one summary in the first
-/// line's schema.  A job that fails its run produces an error line and
-/// the worker carries on: draining the batch is the parent's prefix-rule
-/// contract.  Malformed or out-of-frame lines are protocol failures:
-/// exit 2, loudly.
+/// A job that fails its run produces an error line and the worker carries
+/// on: draining the batch is the parent's prefix-rule contract.  Malformed
+/// or out-of-frame lines (including a job line before any batch_begin)
+/// are protocol failures: exit 2, loudly.
 ///
 /// Chaos hooks (the deterministic misbehaviour injectors behind the
-/// resilience layer's tests): `--chaos SPEC` wins, then the historical
-/// `--fail-after K` (an alias for `crash:K`: exit 7 without a summary
-/// after K cumulative result lines), then the EDS_WORKER_CHAOS
-/// environment variable — the route a test or the chaos-soak CI job uses
-/// to garble a whole fleet without touching the parent's command line.
+/// resilience layer's tests): `--chaos SPEC` wins, then the
+/// EDS_WORKER_CHAOS environment variable — the route a test or the
+/// chaos-soak CI job uses to garble a whole fleet without touching the
+/// parent's command line.
 int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
                std::ostream& err) {
   runtime::ChaosSpec chaos;
   try {
     if (args.has("chaos")) {
       chaos = runtime::parse_chaos_spec(args.get("chaos"));
-    } else if (args.has("fail-after")) {
-      chaos.mode = runtime::ChaosSpec::Mode::kCrash;
-      chaos.n = args.get_u64("fail-after", 0);
-      if (chaos.n == 0) chaos.mode = runtime::ChaosSpec::Mode::kNone;
     } else if (const char* env = std::getenv("EDS_WORKER_CHAOS")) {
       chaos = runtime::parse_chaos_spec(env);
     }
@@ -1313,11 +1347,10 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
   runtime::PlanCache cache;
   std::uint64_t total_jobs = 0;
 
-  // Runs one job under the persistent cache, answering at `schema`.
-  // Returns 0 to keep serving, or the exit code a chaos action demands.
+  // Runs one job under the persistent cache.  Returns 0 to keep serving, or the exit code a chaos action demands.
   // Chaos actions *return* instead of _exit so the in-process run_cli
   // tests observe them exactly like a forked worker's exit status.
-  const auto run_job = [&](const runtime::WireJob& job, int schema) -> int {
+  const auto run_job = [&](const runtime::WireJob& job) -> int {
     const auto action = runtime::chaos_action(chaos, total_jobs + 1, job.index);
     if (action.mode == runtime::ChaosSpec::Mode::kPoison) {
       return 13;  // die on sight: no answer, no summary, every time
@@ -1340,12 +1373,12 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
       options.exec.plan_cache = &cache;
       options.exec.async = job.async;
       const auto result = runtime::run_synchronous(g, *factory, options);
-      answer = runtime::encode_wire_result(job.index, result, schema);
+      answer = runtime::encode_wire_result(job.index, result);
     } catch (const std::exception& e) {
       // Any job failure — eds::Error or std::bad_alloc alike — becomes an
       // error line for exactly that job, matching the in-process backend's
       // catch-everything per-job semantics.
-      answer = runtime::encode_wire_error(job.index, e.what(), schema);
+      answer = runtime::encode_wire_error(job.index, e.what());
     }
     ++total_jobs;
     switch (action.mode) {
@@ -1378,15 +1411,13 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
         break;
     }
     if (action.mode == runtime::ChaosSpec::Mode::kCrash) {
-      return 7;  // historical --fail-after status: die without a summary
+      return 7;  // die without a summary
     }
     return 0;
   };
 
   std::string line;
   std::size_t line_no = 0;
-  int mode_schema = 0;  ///< locked by the first line (0 = nothing seen yet)
-  bool framed = false;
   bool batch_open = false;
   std::uint64_t batch_id = 0;
   std::uint64_t batch_jobs = 0;
@@ -1406,13 +1437,9 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
           << e.what() << '\n';
       return 2;
     }
-    if (mode_schema == 0) {
-      mode_schema = parsed.schema;
-      framed = parsed.kind == runtime::ParentLine::Kind::kBatchBegin;
-    }
     switch (parsed.kind) {
       case runtime::ParentLine::Kind::kBatchBegin:
-        if (!framed || batch_open) {
+        if (batch_open) {
           err << "worker: unexpected batch_begin\n";
           return 2;
         }
@@ -1422,20 +1449,17 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
         batch_base = cache.stats();
         break;
       case runtime::ParentLine::Kind::kJob:
-        if (framed && !batch_open) {
+        if (!batch_open) {
           err << "worker: job line outside a batch\n";
           return 2;
         }
-        if (const int rc = run_job(parsed.job, framed
-                                                   ? runtime::kWireSchemaVersion
-                                                   : mode_schema);
-            rc != 0) {
+        if (const int rc = run_job(parsed.job); rc != 0) {
           return rc;  // a chaos action fired: die as instructed
         }
         ++batch_jobs;
         break;
       case runtime::ParentLine::Kind::kBatchEnd: {
-        if (!framed || !batch_open || parsed.batch_id != batch_id) {
+        if (!batch_open || parsed.batch_id != batch_id) {
           err << "worker: unexpected batch_end\n";
           return 2;
         }
@@ -1455,23 +1479,8 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
       }
     }
   }
-  // Framed workers end on EOF with no trailing line (every batch already
-  // got its summary); legacy single-batch workers summarize at EOF, in
-  // the schema the parent spoke.
-  if (framed) return 0;
-  const auto stats = cache.stats();
-  runtime::WorkerSummary summary;
-  summary.jobs = total_jobs;
-  summary.plans_compiled = stats.misses;
-  summary.plan_hits = stats.hits;
-  summary.total_jobs = total_jobs;
-  summary.total_compiled = stats.misses;
-  summary.total_hits = stats.hits;
-  out << runtime::encode_worker_summary(
-             summary,
-             mode_schema == 0 ? runtime::kWireSchemaVersion : mode_schema)
-      << '\n';
-  out.flush();
+  // EOF ends the worker with no trailing line: every batch already got
+  // its summary.
   return 0;
 }
 
@@ -1481,7 +1490,7 @@ int cmd_views(const Args& args, std::istream& in, std::ostream& out,
     const auto g = port::read_port_graph(in);
     const auto classes =
         args.has("radius")
-            ? port::view_classes(g, args.get_u64("radius", 0))
+            ? port::view_classes(g, args.number<std::size_t>("radius", 0))
             : port::stable_view_classes(g);
     out << "classes: " << port::num_classes(classes) << '\n';
     for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -1519,25 +1528,55 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
     usage(out);
     return args.empty() ? 2 : 0;
   }
-  const Args parsed(args);
+  // Every command and the flags it accepts, in one place.  `worker` is the
+  // hidden shard entry point: ProcessShardExecutor passes it --chaos.
+  struct Command {
+    FlagSpec flags;
+    std::function<int(const Args&)> run;
+  };
+  const std::map<std::string, Command> commands{
+      {"generate",
+       {{{"seed"}, {}},
+        [&](const Args& a) { return cmd_generate(a, out, err); }}},
+      {"solve",
+       {{{"algorithm", "param", "ports", "seed", "threads"}, {"exact", "dot"}},
+        [&](const Args& a) { return cmd_solve(a, in, out, err); }}},
+      {"lower-bound",
+       {{}, [&](const Args& a) { return cmd_lower_bound(a, out, err); }}},
+      {"run-portgraph",
+       {{{"algorithm", "param", "threads"}, {"trace"}},
+        [&](const Args& a) { return cmd_run_portgraph(a, in, out, err); }}},
+      {"sweep",
+       {{{"min", "max", "step", "d", "algorithm", "param", "seed", "threads",
+          "shards", "worker-bin", "repeat", "retries", "retry-backoff-ms",
+          "job-timeout-ms", "batch-timeout-ms", "breaker-deaths", "chaos",
+          "model", "delay", "loss", "dup", "crash", "timeout", "synchronizer",
+          "adversary", "budget", "replay-out", "replay"},
+         {"ndjson", "fallback-inprocess"}},
+        [&](const Args& a) { return cmd_sweep(a, out, err); }}},
+      {"worker",
+       {{{"chaos"}, {}},
+        [&](const Args& a) { return cmd_worker(a, in, out, err); }}},
+      {"views",
+       {{{"radius"}, {}},
+        [&](const Args& a) { return cmd_views(a, in, out, err); }}},
+      {"table1", {{}, [&](const Args&) { return cmd_table1(out); }}},
+  };
   const auto& command = args[0];
+  const auto it = commands.find(command);
+  if (it == commands.end()) {
+    err << "unknown command '" << command << "' (try 'edsim help')\n";
+    return 2;
+  }
   try {
-    if (command == "generate") return cmd_generate(parsed, out, err);
-    if (command == "solve") return cmd_solve(parsed, in, out, err);
-    if (command == "lower-bound") return cmd_lower_bound(parsed, out, err);
-    if (command == "run-portgraph") {
-      return cmd_run_portgraph(parsed, in, out, err);
-    }
-    if (command == "sweep") return cmd_sweep(parsed, out, err);
-    if (command == "worker") return cmd_worker(parsed, in, out, err);
-    if (command == "views") return cmd_views(parsed, in, out, err);
-    if (command == "table1") return cmd_table1(out);
+    return it->second.run(Args(args, it->second.flags));
+  } catch (const UsageError& e) {
+    err << command << ": " << e.what() << " (try 'edsim help')\n";
+    return 2;
   } catch (const std::exception& e) {
     err << command << ": " << e.what() << '\n';
     return 1;
   }
-  err << "unknown command '" << command << "' (try 'edsim help')\n";
-  return 2;
 }
 
 }  // namespace eds::cli

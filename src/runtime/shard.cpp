@@ -7,7 +7,6 @@
 
 #include "runtime/worker_pool.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace eds::runtime {
 
@@ -188,31 +187,22 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-void check_schema_encodable(int schema) {
-  if (schema < kLegacyWireSchemaVersion || schema > kWireSchemaVersion) {
-    throw InvalidArgument("wire: cannot encode schema version " +
-                          std::to_string(schema));
-  }
-}
-
-void append_prefix(std::string& out, int schema) {
+void append_prefix(std::string& out) {
   out += "{\"schema\":";
-  out += std::to_string(schema);
+  out += std::to_string(kWireSchemaVersion);
   out += ',';
 }
 
-/// Consumes the versioned line prefix and returns the schema spoken.
-/// Anything outside [legacy, current] is rejected loudly, never misparsed.
-int consume_prefix(Cursor& c) {
+/// Consumes the versioned line prefix.  Any schema but kWireSchemaVersion
+/// is rejected loudly, never misparsed.
+void consume_prefix(Cursor& c) {
   c.lit("{\"schema\":");
   const auto schema = c.uint();
-  if (schema < static_cast<std::uint64_t>(kLegacyWireSchemaVersion) ||
-      schema > static_cast<std::uint64_t>(kWireSchemaVersion)) {
+  if (schema != static_cast<std::uint64_t>(kWireSchemaVersion)) {
     throw InvalidArgument("wire: unsupported schema version " +
                           std::to_string(schema));
   }
   c.lit(",");
-  return static_cast<int>(schema);
 }
 
 /// Writes a probability exactly as the replay codec does — max_digits10,
@@ -223,7 +213,7 @@ std::string format_prob(double value) {
   return os.str();
 }
 
-/// The fixed-order `"async":{…}` segment of a schema-2 job line.
+/// The fixed-order `"async":{…}` segment of a job line.
 void append_async(std::string& out, const AsyncOptions& async) {
   out += "\"async\":{\"synchronizer\":";
   out += async.synchronizer ? "true" : "false";
@@ -295,14 +285,10 @@ AsyncOptions decode_async(Cursor& c) {
 std::string encode_job_line(std::size_t index, const std::string& algorithm,
                             Port param, unsigned threads, Round max_rounds,
                             const std::optional<AsyncOptions>& async,
-                            const std::string& escaped_graph, int schema) {
-  check_schema_encodable(schema);
-  if (async.has_value() && schema < 2) {
-    throw InvalidArgument("wire: schema 1 carries no AsyncOptions");
-  }
+                            const std::string& escaped_graph) {
   std::string out;
   out.reserve(escaped_graph.size() + algorithm.size() + 160);
-  append_prefix(out, schema);
+  append_prefix(out);
   out += "\"job\":{\"index\":";
   out += std::to_string(index);
   out += ",\"algorithm\":\"";
@@ -322,7 +308,7 @@ std::string encode_job_line(std::size_t index, const std::string& algorithm,
 }
 
 /// Parses a job body after its `"job":{"index":` key literal.
-WireJob decode_job_body(Cursor& c, int schema) {
+WireJob decode_job_body(Cursor& c) {
   WireJob job;
   job.index = static_cast<std::size_t>(c.uint());
   c.lit(",\"algorithm\":");
@@ -334,7 +320,7 @@ WireJob decode_job_body(Cursor& c, int schema) {
   c.lit(",\"max_rounds\":");
   job.max_rounds = static_cast<Round>(c.uint());
   c.lit(",");
-  if (schema >= 2 && c.try_lit("\"async\":{\"synchronizer\":")) {
+  if (c.try_lit("\"async\":{\"synchronizer\":")) {
     job.async = decode_async(c);
   }
   c.lit("\"graph\":");
@@ -346,24 +332,24 @@ WireJob decode_job_body(Cursor& c, int schema) {
 
 }  // namespace
 
-std::string encode_wire_job(const WireJob& job, int schema) {
+std::string encode_wire_job(const WireJob& job) {
   std::string escaped;
   escaped.reserve(job.graph_text.size());
   append_escaped(escaped, job.graph_text);
   return encode_job_line(job.index, job.algorithm, job.param, job.threads,
-                         job.max_rounds, job.async, escaped, schema);
+                         job.max_rounds, job.async, escaped);
 }
 
 WireJob decode_wire_job(const std::string& line) {
   Cursor c(line);
-  const int schema = consume_prefix(c);
+  consume_prefix(c);
   c.lit("\"job\":{\"index\":");
-  return decode_job_body(c, schema);
+  return decode_job_body(c);
 }
 
 std::string encode_batch_begin(std::uint64_t batch_id) {
   std::string out;
-  append_prefix(out, kWireSchemaVersion);
+  append_prefix(out);
   out += "\"batch_begin\":{\"batch\":";
   out += std::to_string(batch_id);
   out += "}}";
@@ -372,7 +358,7 @@ std::string encode_batch_begin(std::uint64_t batch_id) {
 
 std::string encode_batch_end(std::uint64_t batch_id) {
   std::string out;
-  append_prefix(out, kWireSchemaVersion);
+  append_prefix(out);
   out += "\"batch_end\":{\"batch\":";
   out += std::to_string(batch_id);
   out += "}}";
@@ -382,11 +368,8 @@ std::string encode_batch_end(std::uint64_t batch_id) {
 ParentLine decode_parent_line(const std::string& line) {
   Cursor c(line);
   ParentLine parsed;
-  parsed.schema = consume_prefix(c);
+  consume_prefix(c);
   if (c.try_lit("\"batch_begin\":{\"batch\":")) {
-    if (parsed.schema < 2) {
-      throw InvalidArgument("wire: batch framing requires schema 2");
-    }
     parsed.kind = ParentLine::Kind::kBatchBegin;
     parsed.batch_id = c.uint();
     c.lit("}}");
@@ -394,9 +377,6 @@ ParentLine decode_parent_line(const std::string& line) {
     return parsed;
   }
   if (c.try_lit("\"batch_end\":{\"batch\":")) {
-    if (parsed.schema < 2) {
-      throw InvalidArgument("wire: batch framing requires schema 2");
-    }
     parsed.kind = ParentLine::Kind::kBatchEnd;
     parsed.batch_id = c.uint();
     c.lit("}}");
@@ -405,16 +385,14 @@ ParentLine decode_parent_line(const std::string& line) {
   }
   c.lit("\"job\":{\"index\":");
   parsed.kind = ParentLine::Kind::kJob;
-  parsed.job = decode_job_body(c, parsed.schema);
+  parsed.job = decode_job_body(c);
   return parsed;
 }
 
-std::string encode_wire_result(std::size_t index, const RunResult& result,
-                               int schema) {
-  check_schema_encodable(schema);
+std::string encode_wire_result(std::size_t index, const RunResult& result) {
   std::string out;
   out.reserve(64 + result.outputs.size() * 4);
-  append_prefix(out, schema);
+  append_prefix(out);
   out += "\"result\":{\"index\":";
   out += std::to_string(index);
   out += ",\"rounds\":";
@@ -437,11 +415,9 @@ std::string encode_wire_result(std::size_t index, const RunResult& result,
   return out;
 }
 
-std::string encode_wire_error(std::size_t index, const std::string& message,
-                              int schema) {
-  check_schema_encodable(schema);
+std::string encode_wire_error(std::size_t index, const std::string& message) {
   std::string out;
-  append_prefix(out, schema);
+  append_prefix(out);
   out += "\"error\":{\"index\":";
   out += std::to_string(index);
   out += ",\"message\":\"";
@@ -450,30 +426,23 @@ std::string encode_wire_error(std::size_t index, const std::string& message,
   return out;
 }
 
-std::string encode_worker_summary(const WorkerSummary& summary, int schema) {
-  check_schema_encodable(schema);
+std::string encode_worker_summary(const WorkerSummary& summary) {
   std::string out;
-  append_prefix(out, schema);
-  out += "\"worker_summary\":{";
-  if (schema >= 2) {
-    out += "\"batch\":";
-    out += std::to_string(summary.batch_id);
-    out += ',';
-  }
-  out += "\"jobs\":";
+  append_prefix(out);
+  out += "\"worker_summary\":{\"batch\":";
+  out += std::to_string(summary.batch_id);
+  out += ",\"jobs\":";
   out += std::to_string(summary.jobs);
   out += ",\"plans_compiled\":";
   out += std::to_string(summary.plans_compiled);
   out += ",\"plan_hits\":";
   out += std::to_string(summary.plan_hits);
-  if (schema >= 2) {
-    out += ",\"total_jobs\":";
-    out += std::to_string(summary.total_jobs);
-    out += ",\"total_compiled\":";
-    out += std::to_string(summary.total_compiled);
-    out += ",\"total_hits\":";
-    out += std::to_string(summary.total_hits);
-  }
+  out += ",\"total_jobs\":";
+  out += std::to_string(summary.total_jobs);
+  out += ",\"total_compiled\":";
+  out += std::to_string(summary.total_compiled);
+  out += ",\"total_hits\":";
+  out += std::to_string(summary.total_hits);
   out += "}}";
   return out;
 }
@@ -481,7 +450,7 @@ std::string encode_worker_summary(const WorkerSummary& summary, int schema) {
 WorkerLine decode_worker_line(const std::string& line) {
   Cursor c(line);
   WorkerLine parsed;
-  parsed.schema = consume_prefix(c);
+  consume_prefix(c);
   if (c.try_lit("\"result\":{\"index\":")) {
     parsed.kind = WorkerLine::Kind::kResult;
     parsed.index = static_cast<std::size_t>(c.uint());
@@ -528,33 +497,21 @@ WorkerLine decode_worker_line(const std::string& line) {
     c.end();
     return parsed;
   }
-  c.lit("\"worker_summary\":{");
+  c.lit("\"worker_summary\":{\"batch\":");
   parsed.kind = WorkerLine::Kind::kSummary;
-  if (parsed.schema >= 2) {
-    c.lit("\"batch\":");
-    parsed.summary.batch_id = c.uint();
-    c.lit(",");
-  }
-  c.lit("\"jobs\":");
+  parsed.summary.batch_id = c.uint();
+  c.lit(",\"jobs\":");
   parsed.summary.jobs = c.uint();
   c.lit(",\"plans_compiled\":");
   parsed.summary.plans_compiled = c.uint();
   c.lit(",\"plan_hits\":");
   parsed.summary.plan_hits = c.uint();
-  if (parsed.schema >= 2) {
-    c.lit(",\"total_jobs\":");
-    parsed.summary.total_jobs = c.uint();
-    c.lit(",\"total_compiled\":");
-    parsed.summary.total_compiled = c.uint();
-    c.lit(",\"total_hits\":");
-    parsed.summary.total_hits = c.uint();
-  } else {
-    // A single-batch legacy worker's lifetime IS the batch: mirror the
-    // counters so consumers can read the cumulative fields uniformly.
-    parsed.summary.total_jobs = parsed.summary.jobs;
-    parsed.summary.total_compiled = parsed.summary.plans_compiled;
-    parsed.summary.total_hits = parsed.summary.plan_hits;
-  }
+  c.lit(",\"total_jobs\":");
+  parsed.summary.total_jobs = c.uint();
+  c.lit(",\"total_compiled\":");
+  parsed.summary.total_compiled = c.uint();
+  c.lit(",\"total_hits\":");
+  parsed.summary.total_hits = c.uint();
   c.lit("}}");
   c.end();
   return parsed;
@@ -571,8 +528,7 @@ void wire_escape(std::string& out, const std::string& text) {
 std::string encode_wire_job_preescaped(const WireJob& job,
                                        const std::string& escaped_graph) {
   return encode_job_line(job.index, job.algorithm, job.param, job.threads,
-                         job.max_rounds, job.async, escaped_graph,
-                         kWireSchemaVersion);
+                         job.max_rounds, job.async, escaped_graph);
 }
 
 std::string describe_wire_line(std::size_t line_no, const std::string& line) {
@@ -764,10 +720,9 @@ ChaosAction chaos_action(const ChaosSpec& spec, std::uint64_t job_ordinal,
 }
 
 // ---------------------------------------------------------------------------
-// The executor itself: validation + stats surface over a WorkerPool.  The
+// The executor itself: validation + stats surface over one WorkerPool.  The
 // process machinery (fork/exec, framing, reader/writer threads, teardown)
-// lives in worker_pool.cpp; unpooled mode simply runs each batch through
-// an ephemeral single-batch pool, so both modes share one code path.
+// lives in worker_pool.cpp.
 
 ProcessShardExecutor::ProcessShardExecutor(
     std::vector<std::string> worker_command, unsigned shards)
@@ -775,81 +730,23 @@ ProcessShardExecutor::ProcessShardExecutor(
 
 ProcessShardExecutor::ProcessShardExecutor(
     std::vector<std::string> worker_command, unsigned shards, Options options)
-    : worker_command_(std::move(worker_command)),
-      shards_(resolve_threads(shards)),
-      options_(options) {
-  if (worker_command_.empty()) {
-    throw InvalidArgument(
-        "ProcessShardExecutor: worker command must not be empty");
-  }
-#if defined(_WIN32)
-  throw InvalidArgument(
-      "ProcessShardExecutor: process sharding requires a POSIX platform");
-#endif
-}
+    : pool_(std::make_unique<WorkerPool>(std::move(worker_command), shards,
+                                         options)),
+      shards_(pool_->shards()) {}
 
 ProcessShardExecutor::~ProcessShardExecutor() = default;
 
-namespace {
-
-void accumulate(ProcessShardExecutor::Stats& into,
-                const ProcessShardExecutor::Stats& from) {
-  into.jobs_shipped += from.jobs_shipped;
-  into.batches_run += from.batches_run;
-  into.workers_spawned += from.workers_spawned;
-  into.workers_respawned += from.workers_respawned;
-  into.workers_reaped += from.workers_reaped;
-  into.plans_compiled += from.plans_compiled;
-  into.plan_hits += from.plan_hits;
-  into.jobs_retried += from.jobs_retried;
-  into.jobs_poisoned += from.jobs_poisoned;
-  into.deadline_kills += from.deadline_kills;
-  into.batch_timeouts += from.batch_timeouts;
-  into.pool_quarantines += from.pool_quarantines;
-  into.fallback_jobs += from.fallback_jobs;
-  into.summaries_lost += from.summaries_lost;
-}
-
-/// The executor's *_ms knobs, as the pool's chrono Options.
-[[nodiscard]] WorkerPool::Options pool_options_from(
-    const ProcessShardExecutor::Options& options, bool pooled) {
-  WorkerPool::Options pool_options;
-  pool_options.idle_timeout = std::chrono::milliseconds(
-      pooled ? options.idle_timeout_ms : 0);  // ephemeral pools never reap
-  pool_options.max_retries = options.max_retries;
-  pool_options.retry_backoff =
-      std::chrono::milliseconds(options.retry_backoff_ms);
-  pool_options.job_timeout = std::chrono::milliseconds(options.job_timeout_ms);
-  pool_options.batch_timeout =
-      std::chrono::milliseconds(options.batch_timeout_ms);
-  pool_options.breaker_deaths = options.breaker_deaths;
-  pool_options.fallback_inprocess = options.fallback_inprocess;
-  return pool_options;
-}
-
-}  // namespace
-
 ProcessShardExecutor::Stats ProcessShardExecutor::stats() const {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  Stats merged = retired_;
-  if (pool_) accumulate(merged, pool_->stats());
-  return merged;
+  return pool_->stats();
 }
 
 std::size_t ProcessShardExecutor::live_workers() const {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  return pool_ ? pool_->live_workers() : 0;
+  return pool_->live_workers();
 }
 
-void ProcessShardExecutor::drain() const {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  if (pool_) pool_->drain();
-}
+void ProcessShardExecutor::drain() const { pool_->drain(); }
 
-bool ProcessShardExecutor::quarantined() const {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  return pool_ && pool_->quarantined();
-}
+bool ProcessShardExecutor::quarantined() const { return pool_->quarantined(); }
 
 void ProcessShardExecutor::validate(const std::vector<BatchJob>& jobs) const {
   Executor::validate(jobs);
@@ -873,56 +770,12 @@ void ProcessShardExecutor::validate(const std::vector<BatchJob>& jobs) const {
   }
 }
 
-#if defined(_WIN32)
-
-void ProcessShardExecutor::run_streaming(const std::vector<BatchJob>&,
-                                         const ResultCallback&) const {
-  throw InvalidArgument(
-      "ProcessShardExecutor: process sharding requires a POSIX platform");
-}
-
-#else
-
 void ProcessShardExecutor::run_streaming(const std::vector<BatchJob>& jobs,
                                          const ResultCallback& on_result) const {
   validate(jobs);
   if (jobs.empty()) return;
-
-  if (options_.pooled) {
-    WorkerPool* pool = nullptr;
-    {
-      const std::lock_guard<std::mutex> lock(pool_mutex_);
-      if (!pool_) {
-        pool_ = std::make_unique<WorkerPool>(
-            worker_command_, shards_,
-            pool_options_from(options_, /*pooled=*/true));
-      }
-      pool = pool_.get();
-    }
-    // The pool serializes batches internally; holding pool_mutex_ across
-    // the batch would deadlock stats() calls made from the callback.
-    pool->run_batch(jobs, on_result);
-    return;
-  }
-
-  // Unpooled: the pre-pool behaviour — a fresh fleet per batch, drained
-  // before returning.  Counters merge into retired_ even when the batch
-  // throws (jobs were shipped and workers forked either way).  The
-  // resilience knobs apply within the batch; a quarantine dies with the
-  // ephemeral pool.
-  WorkerPool ephemeral(worker_command_, shards_,
-                       pool_options_from(options_, /*pooled=*/false));
-  try {
-    ephemeral.run_batch(jobs, on_result);
-  } catch (...) {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    accumulate(retired_, ephemeral.stats());
-    throw;
-  }
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  accumulate(retired_, ephemeral.stats());
+  // The pool serializes batches internally, so concurrent callers queue.
+  pool_->run_batch(jobs, on_result);
 }
-
-#endif  // defined(_WIN32)
 
 }  // namespace eds::runtime

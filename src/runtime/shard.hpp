@@ -3,11 +3,11 @@
 // A thread pool stops scaling at one machine's cores and shares one address
 // space; process shards are the next rung.  This backend streams each job to
 // a worker process (normally `edsim worker`) as one NDJSON line on stdin and
-// reads one NDJSON result line per job from its stdout.  Since schema 2 the
-// workers are *pooled*: a runtime::WorkerPool (worker_pool.hpp) keeps the
-// fleet alive across batches, so repeated sweeps pay fork/exec and
-// plan-cache warmup once instead of per batch.  The Executor contract is
-// preserved exactly:
+// reads one NDJSON result line per job from its stdout.  The workers are
+// *pooled*: a runtime::WorkerPool (worker_pool.hpp) keeps the fleet alive
+// across batches, so repeated sweeps pay fork/exec and plan-cache warmup
+// once instead of per batch; drain() retires the fleet and the next batch
+// forks a cold one.  The Executor contract is preserved exactly:
 //
 //  * Deterministic job-order merge — every result line carries its job
 //    index and lands in the shared reorder buffer, so delivery is the
@@ -37,8 +37,9 @@
 //    structures into hits across batches, not just within one.
 //
 // The wire format (`schema` 2) is NDJSON with a fixed field order — a
-// private protocol between same-version binaries, versioned so a foreign
-// schema is rejected loudly instead of misparsed.  Batches are framed
+// private protocol between same-version binaries (the parent always forks
+// its own `edsim`), versioned so a foreign schema is rejected loudly
+// instead of misparsed.  Batches are framed
 // explicitly so one worker process can serve many batches:
 //
 //   parent -> worker:  {"schema":2,"batch_begin":{"batch":B}}
@@ -61,18 +62,15 @@
 //
 // Workers process jobs sequentially in arrival order and flush after every
 // line, so the parent can interleave writing and reading without deadlock.
-// A schema-2 worker answers `batch_end` with one `worker_summary` carrying
-// per-batch AND cumulative cache counters, then waits for the next
-// `batch_begin`; stdin EOF ends the process cleanly (exit 0).  For
-// back-compat a worker whose *first* stdin line is a schema-1 job line
-// runs the legacy single-batch protocol: jobs until EOF, then one
-// schema-1 summary ({"jobs":J,"plans_compiled":C,"plan_hits":H}).
+// A worker answers `batch_end` with one `worker_summary` carrying per-batch
+// AND cumulative cache counters, then waits for the next `batch_begin`;
+// stdin EOF ends the process cleanly (exit 0).  Any other schema, and any
+// job line outside a batch, is a protocol failure.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -86,13 +84,9 @@ namespace eds::runtime {
 class WorkerPool;
 
 /// The NDJSON protocol version spoken by ProcessShardExecutor and
-/// `edsim worker` (and stamped on `edsim sweep --ndjson` output).
+/// `edsim worker` (and stamped on `edsim sweep --ndjson` output).  It is
+/// the only version either side accepts.
 inline constexpr int kWireSchemaVersion = 2;
-
-/// The oldest schema `edsim worker` still accepts (single-batch, no
-/// framing, no async payload).  Anything outside [legacy, current] is
-/// rejected loudly.
-inline constexpr int kLegacyWireSchemaVersion = 1;
 
 /// One job as it crosses the process boundary.
 struct WireJob {
@@ -101,18 +95,17 @@ struct WireJob {
   Port param = 0;            ///< resolved factory parameter
   unsigned threads = 1;      ///< ExecOptions::threads inside the worker
   Round max_rounds = 0;      ///< RunOptions::max_rounds
-  /// Asynchronous execution model, if any (schema >= 2 only).  The
-  /// embedded Schedule must be empty: adversarial schedules never cross.
+  /// Asynchronous execution model, if any.  The embedded Schedule must be
+  /// empty: adversarial schedules never cross.
   std::optional<AsyncOptions> async;
   std::string graph_text;    ///< port::write_port_graph text form
 };
 
-/// Worker-side counters reported in the summary line that ends a batch.
-/// Schema-1 workers report the three legacy fields once, at EOF; schema-2
-/// workers add the batch id and cumulative process-lifetime totals, which
+/// Worker-side counters reported in the summary line that ends a batch:
+/// the batch's own deltas plus cumulative process-lifetime totals, which
 /// is how a warm pool proves its caches stayed hot across batches.
 struct WorkerSummary {
-  std::uint64_t batch_id = 0;        ///< echoed batch id (schema >= 2)
+  std::uint64_t batch_id = 0;        ///< echoed batch id
   std::uint64_t jobs = 0;            ///< result/error lines in this batch
   std::uint64_t plans_compiled = 0;  ///< PlanCache misses in this batch
   std::uint64_t plan_hits = 0;       ///< PlanCache hits in this batch
@@ -125,7 +118,6 @@ struct WorkerSummary {
 struct WorkerLine {
   enum class Kind { kResult, kError, kSummary };
   Kind kind = Kind::kResult;
-  int schema = kWireSchemaVersion;  ///< version the worker spoke
   std::size_t index = 0;   ///< kResult / kError
   RunResult result;        ///< kResult (outputs + stats; no trace/log)
   std::string message;     ///< kError
@@ -136,29 +128,23 @@ struct WorkerLine {
 struct ParentLine {
   enum class Kind { kJob, kBatchBegin, kBatchEnd };
   Kind kind = Kind::kJob;
-  int schema = kWireSchemaVersion;  ///< version the parent spoke
-  WireJob job;                      ///< kJob
-  std::uint64_t batch_id = 0;       ///< kBatchBegin / kBatchEnd
+  WireJob job;                 ///< kJob
+  std::uint64_t batch_id = 0;  ///< kBatchBegin / kBatchEnd
 };
 
 /// Wire codecs.  Encoders emit exactly one line (no trailing newline);
 /// decoders are strict — any deviation from the fixed shape, including an
-/// unknown schema version, throws InvalidArgument.  Worker-side encoders
-/// take the schema to speak (a legacy-mode worker answers in schema 1).
-[[nodiscard]] std::string encode_wire_job(const WireJob& job,
-                                          int schema = kWireSchemaVersion);
+/// unknown schema version, throws InvalidArgument.
+[[nodiscard]] std::string encode_wire_job(const WireJob& job);
 [[nodiscard]] WireJob decode_wire_job(const std::string& line);
 [[nodiscard]] std::string encode_batch_begin(std::uint64_t batch_id);
 [[nodiscard]] std::string encode_batch_end(std::uint64_t batch_id);
 [[nodiscard]] ParentLine decode_parent_line(const std::string& line);
 [[nodiscard]] std::string encode_wire_result(std::size_t index,
-                                             const RunResult& result,
-                                             int schema = kWireSchemaVersion);
+                                             const RunResult& result);
 [[nodiscard]] std::string encode_wire_error(std::size_t index,
-                                            const std::string& message,
-                                            int schema = kWireSchemaVersion);
-[[nodiscard]] std::string encode_worker_summary(const WorkerSummary& summary,
-                                                int schema = kWireSchemaVersion);
+                                            const std::string& message);
+[[nodiscard]] std::string encode_worker_summary(const WorkerSummary& summary);
 [[nodiscard]] WorkerLine decode_worker_line(const std::string& line);
 
 namespace detail {
@@ -184,8 +170,7 @@ void wire_escape(std::string& out, const std::string& text);
 
 /// One parsed `--chaos` specification.
 ///
-///   crash:N        exit 7 after answering the Nth job (process-cumulative;
-///                  `--fail-after K` is an alias for `crash:K`)
+///   crash:N        exit 7 after answering the Nth job (process-cumulative)
 ///   hang:N:MS      sleep MS ms before answering the Nth job
 ///   garbage:N      emit a non-protocol line instead of the Nth result and
 ///                  keep running (the parent kills on the violation)
@@ -263,15 +248,11 @@ class ProcessShardExecutor final : public Executor {
     std::uint64_t summaries_lost = 0;   ///< batch summaries a death swallowed
   };
 
-  /// Pool behaviour knobs (see WorkerPool for the lifecycle details).
+  /// Pool behaviour knobs, shared with WorkerPool (see worker_pool.hpp
+  /// for the lifecycle details).
   struct Options {
-    /// Keep workers alive between run_streaming calls (the default).
-    /// When false every batch forks a fresh fleet and drains it before
-    /// returning — the pre-pool behaviour, kept as the `--no-pool`
-    /// escape hatch and as the differential baseline for tests.
-    bool pooled = true;
     /// A warm worker untouched for this long is retired at the start of
-    /// the next batch (0 = never).  Pooled mode only.
+    /// the next batch (0 = never).
     std::uint64_t idle_timeout_ms = 5 * 60 * 1000;
     /// Attempt budget per job beyond the first try.  A job orphaned by a
     /// worker death is re-queued (with backoff) until the budget runs out,
@@ -315,7 +296,7 @@ class ProcessShardExecutor final : public Executor {
 
   /// Every job must carry a JobSpec and must not request trace or message
   /// collection (those RunResult fields do not cross the wire).  Async
-  /// jobs cross since schema 2, but their Schedule must be empty.
+  /// jobs cross, but their Schedule must be empty.
   void validate(const std::vector<BatchJob>& jobs) const override;
 
   /// Throws InvalidArgument (via validate) before anything is spawned.
@@ -326,28 +307,23 @@ class ProcessShardExecutor final : public Executor {
   /// Shard count after resolving 0 to the hardware thread count.
   [[nodiscard]] unsigned shards() const noexcept { return shards_; }
 
-  /// Worker processes currently alive and warm (0 before the first batch,
-  /// after an idle reap, or always in unpooled mode).
+  /// Worker processes currently alive and warm (0 before the first batch
+  /// or after an idle reap or drain()).
   [[nodiscard]] std::size_t live_workers() const;
 
-  /// Retires pooled workers now (clean EOF + reap); the next batch
-  /// respawns lazily.  Also lifts a quarantine.  No-op in unpooled mode.
+  /// Retires the warm workers now (clean EOF + reap); the next batch
+  /// respawns lazily, with cold plan caches.  Also lifts a quarantine.
   void drain() const;
 
-  /// True while the pooled fleet is quarantined by the crash-loop breaker
-  /// (always false in unpooled mode: an ephemeral pool's quarantine dies
-  /// with its batch).  drain() resets it.
+  /// True while the fleet is quarantined by the crash-loop breaker.
+  /// drain() resets it.
   [[nodiscard]] bool quarantined() const;
 
   [[nodiscard]] Stats stats() const;
 
  private:
-  std::vector<std::string> worker_command_;
+  std::unique_ptr<WorkerPool> pool_;
   unsigned shards_;
-  Options options_;
-  mutable std::mutex pool_mutex_;        ///< guards pool_ and retired_
-  mutable std::unique_ptr<WorkerPool> pool_;  ///< live fleet (pooled mode)
-  mutable Stats retired_;  ///< counters from already-drained pools
 };
 
 }  // namespace eds::runtime

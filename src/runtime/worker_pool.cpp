@@ -14,12 +14,6 @@ WorkerPool::WorkerPool(std::vector<std::string>, unsigned, Options) {
       "WorkerPool: process sharding requires a POSIX platform");
 }
 
-WorkerPool::WorkerPool(std::vector<std::string>, unsigned,
-                       std::chrono::milliseconds) {
-  throw InvalidArgument(
-      "WorkerPool: process sharding requires a POSIX platform");
-}
-
 WorkerPool::~WorkerPool() = default;
 
 void WorkerPool::run_batch(const std::vector<BatchJob>&,
@@ -200,11 +194,6 @@ WorkerPool::WorkerPool(std::vector<std::string> worker_command,
   }
 }
 
-WorkerPool::WorkerPool(std::vector<std::string> worker_command,
-                       unsigned shards, std::chrono::milliseconds idle_timeout)
-    : WorkerPool(std::move(worker_command), shards,
-                 Options{.idle_timeout = idle_timeout}) {}
-
 WorkerPool::~WorkerPool() {
   const std::lock_guard<std::mutex> lock(batch_mutex_);
   for (auto& slot : slots_) {
@@ -249,9 +238,10 @@ void WorkerPool::fold_slot_summary_locked(Slot& slot) {
 }
 
 void WorkerPool::reap_idle_locked(std::chrono::steady_clock::time_point now) {
-  if (options_.idle_timeout.count() == 0) return;
+  if (options_.idle_timeout_ms == 0) return;
+  const std::chrono::milliseconds idle_timeout(options_.idle_timeout_ms);
   for (auto& slot : slots_) {
-    if (slot.pid >= 0 && now - slot.last_used >= options_.idle_timeout) {
+    if (slot.pid >= 0 && now - slot.last_used >= idle_timeout) {
       retire_locked(slot, /*count_reaped=*/true);
     }
   }
@@ -620,9 +610,12 @@ WorkerPool::PassOutcome WorkerPool::run_pass(
       });
     }
 
-    if (options_.job_timeout.count() > 0 || options_.batch_timeout.count() > 0) {
+    const std::chrono::milliseconds job_timeout(options_.job_timeout_ms);
+    const std::chrono::milliseconds batch_timeout(options_.batch_timeout_ms);
+    if (job_timeout.count() > 0 || batch_timeout.count() > 0) {
       monitor = std::thread([this, &tasks, &expired, &monitor_mutex,
-                             &monitor_cv, &monitor_stop, batch_start] {
+                             &monitor_cv, &monitor_stop, batch_start,
+                             job_timeout, batch_timeout] {
         const auto kill_task = [this](PassTask& t, bool deadline) {
           const std::lock_guard<std::mutex> lk(t.kill_mutex);
           if (t.reaped || t.settled || t.kill_sent || t.pid < 0) return;
@@ -637,28 +630,28 @@ WorkerPool::PassOutcome WorkerPool::run_pass(
         std::unique_lock<std::mutex> lk(monitor_mutex);
         for (;;) {
           auto tick = std::chrono::milliseconds(20);
-          if (options_.job_timeout.count() > 0) {
+          if (job_timeout.count() > 0) {
             tick = std::min(tick, std::chrono::milliseconds(std::max<
                                       std::int64_t>(
-                                      1, options_.job_timeout.count() / 4)));
+                                      1, job_timeout.count() / 4)));
           }
           if (monitor_cv.wait_for(lk, tick, [&] { return monitor_stop; })) {
             return;
           }
           const auto now = std::chrono::steady_clock::now();
-          if (options_.batch_timeout.count() > 0 &&
-              now - batch_start >= options_.batch_timeout) {
+          if (batch_timeout.count() > 0 &&
+              now - batch_start >= batch_timeout) {
             expired.store(true);
             for (const auto& t : tasks) kill_task(*t, /*deadline=*/false);
             return;
           }
-          if (options_.job_timeout.count() > 0) {
+          if (job_timeout.count() > 0) {
             const std::int64_t now_ns = steady_now_ns();
             for (const auto& t : tasks) {
               const std::int64_t last =
                   t->last_progress_ns.load(std::memory_order_relaxed);
               if (now_ns - last >=
-                  options_.job_timeout.count() * 1'000'000) {
+                  job_timeout.count() * 1'000'000) {
                 kill_task(*t, /*deadline=*/true);
               }
             }
@@ -775,7 +768,7 @@ void WorkerPool::run_batch(const std::vector<BatchJob>& jobs,
         why = describe_exit(t.wait_status);
         if (t.deadline_killed) {
           why = "job deadline of " +
-                std::to_string(options_.job_timeout.count()) +
+                std::to_string(options_.job_timeout_ms) +
                 " ms exceeded; " + why;
         }
         if (!t.violation.empty()) why += " (" + t.violation + ")";
@@ -806,7 +799,7 @@ void WorkerPool::run_batch(const std::vector<BatchJob>& jobs,
           const std::size_t idx = asg[k];
           buffer.errors[idx] = std::make_exception_ptr(ExecutionError(
               "process shard: batch deadline of " +
-              std::to_string(options_.batch_timeout.count()) +
+              std::to_string(options_.batch_timeout_ms) +
               " ms exceeded before job " + std::to_string(idx) +
               " completed (" + why + ")"));
           buffer.deposit_and_flush(idx, on_result);
@@ -891,7 +884,8 @@ void WorkerPool::run_batch(const std::vector<BatchJob>& jobs,
       const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
       stats_.jobs_retried += requeue.size();
     }
-    auto backoff = options_.retry_backoff * (1u << std::min(retry_pass, 6u));
+    auto backoff = std::chrono::milliseconds(options_.retry_backoff_ms) *
+                   (1u << std::min(retry_pass, 6u));
     backoff = std::min(backoff, std::chrono::milliseconds(1000));
     if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
     ++retry_pass;

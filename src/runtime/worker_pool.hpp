@@ -1,13 +1,13 @@
 // WorkerPool: a long-lived fleet of `edsim worker` processes.
 //
-// PR 4's process backend forked a fresh fleet per batch and tore it down
-// when the batch drained — correct, but every `sweep --shards N` paid
+// Forking a fresh fleet per batch would make every `sweep --shards N` pay
 // fork/exec, allocator warmup and plan-cache compilation from zero.  The
 // pool keeps the fleet alive between batches instead: ProcessShardExecutor
-// checks workers out per batch over the schema-2 framed wire (shard.hpp)
-// and returns them warm, so a worker's PlanCache and engine workspaces
-// survive across batches and repeated structures become cache hits after
-// the first batch that carried them.
+// checks workers out per batch over the framed wire (shard.hpp) and
+// returns them warm, so a worker's PlanCache and engine workspaces survive
+// across batches and repeated structures become cache hits after the
+// first batch that carried them.  drain() is the one way back to a cold
+// fleet: it retires every worker, and the next batch forks afresh.
 //
 // Lifecycle, per slot (one slot per shard):
 //
@@ -49,34 +49,19 @@
 
 namespace eds::runtime {
 
-/// The warm fleet behind ProcessShardExecutor's pooled mode.  Usable on
-/// its own (tests drive it directly); POSIX-only, like the executor.
+/// The warm fleet behind ProcessShardExecutor.  Usable on its own (tests
+/// drive it directly); POSIX-only, like the executor.
 class WorkerPool {
  public:
-  /// Same shape as the executor's counters — the executor's stats() is
-  /// the sum of its live pool and every pool it has already drained.
+  /// The executor's counters and knobs: the executor is a thin shell
+  /// over one pool (see shard.hpp for the semantics of each field).
   using Stats = ProcessShardExecutor::Stats;
+  using Options = ProcessShardExecutor::Options;
 
-  /// Pool-level resilience knobs; the duration mirror of the
-  /// ProcessShardExecutor::Options *_ms fields (see shard.hpp for the
-  /// full semantics of each).
-  struct Options {
-    std::chrono::milliseconds idle_timeout{0};  ///< 0 = no idle reaping
-    unsigned max_retries = 2;                   ///< 0 = strict prefix rule
-    std::chrono::milliseconds retry_backoff{10};
-    std::chrono::milliseconds job_timeout{0};   ///< 0 = no job deadline
-    std::chrono::milliseconds batch_timeout{0}; ///< 0 = no batch deadline
-    std::uint64_t breaker_deaths = 8;           ///< 0 = breaker off
-    bool fallback_inprocess = false;
-  };
-
-  /// `worker_command` as in ProcessShardExecutor; `shards` must already be
-  /// resolved (non-zero).
+  /// `worker_command` and `shards` as in ProcessShardExecutor (0 = one
+  /// shard per hardware thread).
   WorkerPool(std::vector<std::string> worker_command, unsigned shards,
              Options options);
-  /// Convenience: default resilience knobs with an explicit idle timeout.
-  WorkerPool(std::vector<std::string> worker_command, unsigned shards,
-             std::chrono::milliseconds idle_timeout);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;

@@ -62,6 +62,11 @@ TEST(Cli, GenerateErrors) {
   EXPECT_EQ(invoke({"generate", "nosuch", "4"}).code, 2);
   EXPECT_EQ(invoke({"generate", "cycle", "2"}).code, 1);  // n < 3
   EXPECT_EQ(invoke({"generate", "cycle"}).code, 2);       // missing n
+  // A malformed count is a usage error naming the argument, not a crash.
+  const auto bad = invoke({"generate", "cycle", "abc"});
+  EXPECT_EQ(bad.code, 2);
+  EXPECT_NE(bad.err.find("'abc'"), std::string::npos) << bad.err;
+  EXPECT_EQ(invoke({"generate", "cycle", "6", "--sed", "1"}).code, 2);
 }
 
 TEST(Cli, SolvePipelineEndToEnd) {
@@ -109,6 +114,10 @@ TEST(Cli, LowerBoundOddAndErrors) {
   EXPECT_EQ(g.num_nodes(), 20u);
   EXPECT_EQ(invoke({"lower-bound"}).code, 2);
   EXPECT_EQ(invoke({"lower-bound", "1"}).code, 1);
+  // A negative degree is a usage error, never a wrapped-around huge one.
+  const auto negative = invoke({"lower-bound", "-3"});
+  EXPECT_EQ(negative.code, 2);
+  EXPECT_NE(negative.err.find("'-3'"), std::string::npos) << negative.err;
 }
 
 TEST(Cli, RunPortgraphOnLowerBoundInstance) {
@@ -345,6 +354,13 @@ TEST(Cli, SweepShardsReportsADeadWorkerCommand) {
   EXPECT_NE(run.err.find("sweep:"), std::string::npos) << run.err;
 }
 
+/// `jobs` as one framed batch on the worker's stdin.
+std::string framed_batch(const std::vector<std::string>& jobs) {
+  std::string text = runtime::encode_batch_begin(1) + "\n";
+  for (const auto& job : jobs) text += job + "\n";
+  return text + runtime::encode_batch_end(1) + "\n";
+}
+
 TEST(Cli, WorkerSpeaksTheWireProtocol) {
   // Two jobs on the same 2-node structure: two result lines (flushed in
   // order) plus a summary showing one compiled plan and one cache hit.
@@ -359,7 +375,7 @@ TEST(Cli, WorkerSpeaksTheWireProtocol) {
   job.index = 1;
   const auto line1 = runtime::encode_wire_job(job);
 
-  const auto run = invoke({"worker"}, line0 + "\n" + line1 + "\n");
+  const auto run = invoke({"worker"}, framed_batch({line0, line1}));
   ASSERT_EQ(run.code, 0) << run.err;
   std::istringstream lines(run.out);
   std::string line;
@@ -379,6 +395,13 @@ TEST(Cli, WorkerSpeaksTheWireProtocol) {
   EXPECT_EQ(parsed[2].summary.jobs, 2u);
   EXPECT_EQ(parsed[2].summary.plans_compiled, 1u);
   EXPECT_EQ(parsed[2].summary.plan_hits, 1u);
+
+  // A job line before any batch_begin is a protocol failure, not a job.
+  const auto unframed = invoke({"worker"}, line0 + "\n");
+  EXPECT_EQ(unframed.code, 2);
+  EXPECT_NE(unframed.err.find("outside a batch"), std::string::npos)
+      << unframed.err;
+  EXPECT_TRUE(unframed.out.empty()) << unframed.out;
 }
 
 TEST(Cli, WorkerReportsJobFailuresAndDiesOnGarbage) {
@@ -386,22 +409,30 @@ TEST(Cli, WorkerReportsJobFailuresAndDiesOnGarbage) {
   job.algorithm = "no-such-algorithm";
   job.graph_text = "ports 2\ndeg 1 1\nconn 0 1 1 1\n";
   job.max_rounds = 10;
-  const auto run = invoke({"worker"}, runtime::encode_wire_job(job) + "\n");
+  const auto run =
+      invoke({"worker"}, framed_batch({runtime::encode_wire_job(job)}));
   ASSERT_EQ(run.code, 0) << "a failed job is an error line, not a dead worker";
   EXPECT_NE(run.out.find("\"error\""), std::string::npos) << run.out;
   EXPECT_NE(run.out.find("\"worker_summary\""), std::string::npos);
 
   EXPECT_EQ(invoke({"worker"}, "garbage\n").code, 2);
 
-  // The --fail-after test hook: one result, then a nonzero exit with no
+  // The crash:1 chaos hook: one result, then a nonzero exit with no
   // summary — exactly what the worker-death tests simulate with.
   runtime::WireJob ok = job;
   ok.algorithm = "all-edges";
   const auto wire = runtime::encode_wire_job(ok);
   const auto killed =
-      invoke({"worker", "--fail-after", "1"}, wire + "\n" + wire + "\n");
+      invoke({"worker", "--chaos", "crash:1"}, framed_batch({wire, wire}));
   EXPECT_EQ(killed.code, 7);
   EXPECT_EQ(killed.out.find("\"worker_summary\""), std::string::npos);
+
+  // The worker accepts --chaos and nothing else.
+  const auto unknown = invoke({"worker", "--crash-after", "1"},
+                              framed_batch({wire}));
+  EXPECT_EQ(unknown.code, 2);
+  EXPECT_NE(unknown.err.find("--crash-after"), std::string::npos)
+      << unknown.err;
 }
 
 TEST(Cli, SweepErrors) {
@@ -413,6 +444,29 @@ TEST(Cli, SweepErrors) {
       invoke({"sweep", "cycle", "--algorithm", "nosuch"}).code, 2);
   // cycle(2) is invalid: the generator error surfaces as exit code 1.
   EXPECT_EQ(invoke({"sweep", "cycle", "--min", "2", "--max", "2"}).code, 1);
+
+  // Usage errors exit 2 and name the offending argument: an unknown flag
+  // (a typo must not silently run in-process), a malformed or
+  // out-of-range number, and an option missing its value.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> usage{
+      {{"--shard", "4"}, "--shard"},
+      {{"--threads", "abc"}, "--threads"},
+      {{"--threads", "-1"}, "--threads"},
+      {{"--threads", "4294967296"}, "--threads"},
+      {{"--max", "99999999999999999999"}, "--max"},
+      {{"--seed"}, "--seed"},
+      {{"--seed", "--ndjson"}, "--seed"},
+      {{"--shards", "1", "--pool", "off"}, "--pool"},
+  };
+  for (const auto& [extra, named] : usage) {
+    std::vector<std::string> args{"sweep", "cycle", "--min", "8", "--max",
+                                  "8"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    const auto run = invoke(args);
+    EXPECT_EQ(run.code, 2) << named;
+    EXPECT_NE(run.err.find(named), std::string::npos) << run.err;
+    EXPECT_TRUE(run.out.empty()) << "rejected before any work: " << run.out;
+  }
 }
 
 /// The value of `"key":` in a one-line JSON object ("" when absent).
@@ -450,6 +504,16 @@ TEST(Cli, SweepResilienceFlagsRequireShards) {
     const auto run = invoke(args);
     EXPECT_EQ(run.code, 2) << extra.front();
     EXPECT_NE(run.err.find("--shards"), std::string::npos) << run.err;
+  }
+  // With --shards the numeric knobs still reject what does not parse,
+  // naming the flag, before any worker is forked.
+  for (const char* flag : {"--retries", "--retry-backoff-ms",
+                           "--job-timeout-ms", "--batch-timeout-ms",
+                           "--breaker-deaths", "--shards"}) {
+    const auto run = invoke({"sweep", "cycle", "--min", "8", "--max", "8",
+                             "--shards", "1", flag, "-5"});
+    EXPECT_EQ(run.code, 2) << flag;
+    EXPECT_NE(run.err.find(flag), std::string::npos) << run.err;
   }
 }
 
@@ -613,13 +677,11 @@ TEST(Cli, SweepModelAsyncRejections) {
     return invoke(args).code;
   };
   EXPECT_EQ(fails({"--model", "turbo"}), 2);
-  // --model async + --shards is legal since schema 2; what stays out of
-  // the wire is the adversary (schedules are an in-process artifact), and
-  // --no-pool is meaningless without shards.
+  // --model async + --shards is legal; what stays out of the wire is the
+  // adversary (schedules are an in-process artifact).
   EXPECT_EQ(fails({"--model", "async", "--adversary", "random", "--shards",
                    "2"}),
             2);
-  EXPECT_EQ(fails({"--no-pool"}), 2);
   EXPECT_EQ(fails({"--model", "async", "--delay", "bogus:1"}), 2);
   EXPECT_EQ(fails({"--model", "async", "--delay", "uniform:9:1"}), 2);
   EXPECT_EQ(fails({"--model", "async", "--loss", "1.5"}), 2);

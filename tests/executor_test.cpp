@@ -114,11 +114,19 @@ TEST(WireCodec, RejectsForeignSchemaAndMalformedLines) {
   WireJob job;
   job.algorithm = "port-one";
   job.graph_text = "ports 0\n";
-  auto line = encode_wire_job(job);
+  const auto line = encode_wire_job(job);
   const auto pos = line.find("\"schema\":2");
   ASSERT_NE(pos, std::string::npos);
-  line.replace(pos, 10, "\"schema\":9");
-  EXPECT_THROW((void)decode_wire_job(line), InvalidArgument);
+  // Schema 2 is the only version spoken: a well-formed line at any other
+  // version, older or newer, is rejected.
+  for (const char* foreign : {"\"schema\":1", "\"schema\":9"}) {
+    auto foreign_line = line;
+    foreign_line.replace(pos, 10, foreign);
+    EXPECT_THROW((void)decode_wire_job(foreign_line), InvalidArgument)
+        << foreign;
+    EXPECT_THROW((void)decode_parent_line(foreign_line), InvalidArgument)
+        << foreign;
+  }
 
   EXPECT_THROW((void)decode_wire_job("not json"), InvalidArgument);
   EXPECT_THROW((void)decode_wire_job("{\"schema\":1,\"job\":{}}"),
@@ -285,13 +293,13 @@ TEST(ProcessShardExecutor, WorkerDeathFailsItsRemainingJobsWithTheExitStatus) {
   const std::vector<BatchJob> jobs(
       5, shippable_job(pg.ports(), *port_one, "port-one", 0));
 
-  // The worker's --fail-after hook makes it exit 7 after two results.  In
+  // The worker's --chaos crash:2 hook makes it exit 7 after two results.  In
   // strict mode (max_retries = 0 — the pre-resilience contract this test
   // pins; the default retries instead, see resilience_test.cpp) the
   // delivered prefix is exactly {0, 1} and the rethrow names the status.
   ProcessShardExecutor::Options strict;
   strict.max_retries = 0;
-  const ProcessShardExecutor executor({bin, "worker", "--fail-after", "2"}, 1,
+  const ProcessShardExecutor executor({bin, "worker", "--chaos", "crash:2"}, 1,
                                       strict);
   std::vector<std::size_t> delivered;
   try {
@@ -313,14 +321,14 @@ TEST(ProcessShardExecutor, PostCompletionWorkerDeathStillFailsTheBatch) {
   const std::vector<BatchJob> jobs(
       3, shippable_job(pg.ports(), *port_one, "port-one", 0));
 
-  // --fail-after 3 lets the worker answer every job and *then* die
+  // --chaos crash:3 lets the worker answer every job and *then* die
   // without a summary: all results are delivered (they were verified in
   // order), but in strict mode the batch must still fail — the counters
   // are incomplete and the worker broke protocol.  (The resilient default
   // absorbs this as summaries_lost; see resilience_test.cpp.)
   ProcessShardExecutor::Options strict;
   strict.max_retries = 0;
-  const ProcessShardExecutor executor({bin, "worker", "--fail-after", "3"}, 1,
+  const ProcessShardExecutor executor({bin, "worker", "--chaos", "crash:3"}, 1,
                                       strict);
   std::vector<std::size_t> delivered;
   try {

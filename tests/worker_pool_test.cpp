@@ -1,9 +1,9 @@
-// The warm worker pool behind ProcessShardExecutor's pooled mode: warm
-// reuse (fork once, serve many batches, keep plan caches hot), transparent
-// respawn after a mid-batch death, idle reaping, drain/destructor
-// teardown, and the schema-2 framing + async payload codecs that carry it
-// all.  The differential anchors: pooled, unpooled and in-process backends
-// must be bit-identical, for sync and async jobs alike.
+// The warm worker pool behind ProcessShardExecutor: warm reuse (fork
+// once, serve many batches, keep plan caches hot), transparent respawn
+// after a mid-batch death, idle reaping, drain/destructor teardown, and
+// the batch framing + async payload codecs that carry it all.  The
+// differential anchors: warm, drained (cold) and in-process runs must be
+// bit-identical, for sync and async jobs alike.
 //
 // Tests that fork real worker subprocesses resolve the edsim binary from
 // the EDSIM_BIN_PATH compile definition (set by tests/CMakeLists.txt) with
@@ -67,20 +67,18 @@ std::vector<RunResult> collect(const Executor& executor,
 }
 
 // ---------------------------------------------------------------------------
-// Schema-2 framing and async payload codecs.
+// Batch framing and async payload codecs.
 
 TEST(WireCodecV2, BatchFramingRoundTrips) {
   const auto begin = decode_parent_line(encode_batch_begin(42));
   EXPECT_EQ(begin.kind, ParentLine::Kind::kBatchBegin);
-  EXPECT_EQ(begin.schema, kWireSchemaVersion);
   EXPECT_EQ(begin.batch_id, 42u);
 
   const auto end = decode_parent_line(encode_batch_end(42));
   EXPECT_EQ(end.kind, ParentLine::Kind::kBatchEnd);
   EXPECT_EQ(end.batch_id, 42u);
 
-  // Framing is a schema-2 construct; a schema-1 line claiming it is a
-  // protocol error, as is any foreign schema.
+  // Any schema but the current one is a protocol error.
   EXPECT_THROW((void)decode_parent_line("{\"schema\":1,\"batch_begin\":"
                                         "{\"batch\":1}}"),
                InvalidArgument);
@@ -126,11 +124,6 @@ TEST(WireCodecV2, AsyncJobRoundTripsBitExactly) {
   EXPECT_EQ(back.async->faults.crashes[0].node, 2u);
   EXPECT_EQ(back.async->faults.crashes[0].time, 17u);
   EXPECT_TRUE(back.async->schedule.empty());
-
-  // The legacy schema carries no async payload — encoding one at schema 1
-  // must refuse instead of silently dropping the options.
-  EXPECT_THROW((void)encode_wire_job(job, kLegacyWireSchemaVersion),
-               InvalidArgument);
 }
 
 TEST(WireCodecV2, SummaryCarriesBatchIdAndTotals) {
@@ -151,15 +144,6 @@ TEST(WireCodecV2, SummaryCarriesBatchIdAndTotals) {
   EXPECT_EQ(parsed.summary.total_jobs, 12u);
   EXPECT_EQ(parsed.summary.total_compiled, 2u);
   EXPECT_EQ(parsed.summary.total_hits, 10u);
-
-  // A legacy summary has no totals; the decoder mirrors the per-batch
-  // counters so schema-agnostic consumers see consistent numbers.
-  const auto legacy = decode_worker_line(
-      encode_worker_summary(summary, kLegacyWireSchemaVersion));
-  EXPECT_EQ(legacy.schema, kLegacyWireSchemaVersion);
-  EXPECT_EQ(legacy.summary.jobs, 4u);
-  EXPECT_EQ(legacy.summary.total_jobs, 4u);
-  EXPECT_EQ(legacy.summary.total_hits, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -204,28 +188,6 @@ TEST(WorkerPool, SecondIdenticalBatchIsWarmAndAllHits) {
   }
 }
 
-TEST(WorkerPool, UnpooledModeForksPerBatch) {
-  REQUIRE_EDSIM_OR_SKIP(bin);
-  const auto pg = port::with_canonical_ports(graph::cycle(8));
-  const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
-  const std::vector<BatchJob> jobs(
-      2, shippable_job(pg.ports(), *port_one, "port-one", 0));
-
-  ProcessShardExecutor::Options options;
-  options.pooled = false;
-  const ProcessShardExecutor executor({bin, "worker"}, 1, options);
-  (void)collect(executor, jobs);
-  EXPECT_EQ(executor.live_workers(), 0u)
-      << "unpooled batches drain their fleet before returning";
-  (void)collect(executor, jobs);
-  const auto stats = executor.stats();
-  EXPECT_EQ(stats.workers_spawned, 2u) << "one fork per batch";
-  EXPECT_EQ(stats.workers_respawned, 0u);
-  // Each batch got a cold cache: one compile per batch, the repeat hits.
-  EXPECT_EQ(stats.plans_compiled, 2u);
-  EXPECT_EQ(stats.plan_hits, 2u);
-}
-
 // ---------------------------------------------------------------------------
 // Bit-identity across backends and modes.
 
@@ -245,19 +207,17 @@ TEST(WorkerPool, PooledUnpooledAndInProcessAreBitIdentical) {
 
   const auto expected = InProcessExecutor(2).run(jobs);
   for (const unsigned shards : {1u, 3u}) {
-    for (const bool pooled : {true, false}) {
-      ProcessShardExecutor::Options options;
-      options.pooled = pooled;
-      const ProcessShardExecutor executor({bin, "worker"}, shards, options);
-      // Two passes through one executor: the second is warm in pooled
-      // mode and cold in unpooled mode, and neither may change a bit.
-      for (int pass = 0; pass < 2; ++pass) {
-        const auto got = collect(executor, jobs);
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-          EXPECT_TRUE(got[i] == expected[i])
-              << "job " << i << " differs at shards=" << shards
-              << " pooled=" << pooled << " pass=" << pass;
-        }
+    const ProcessShardExecutor executor({bin, "worker"}, shards);
+    // Three passes through one executor: the first forks a cold fleet, the
+    // second reuses it warm, the third runs on the cold fleet drain()
+    // leaves behind.  None may change a bit.
+    for (int pass = 0; pass < 3; ++pass) {
+      if (pass == 2) executor.drain();
+      const auto got = collect(executor, jobs);
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_TRUE(got[i] == expected[i])
+            << "job " << i << " differs at shards=" << shards
+            << " pass=" << pass;
       }
     }
   }
@@ -314,15 +274,14 @@ TEST(WorkerPool, MidBatchDeathRetriesTheOrphansAndTheBatchSucceeds) {
   const auto pg = port::with_canonical_ports(graph::cycle(8));
   const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
 
-  // --fail-after 2 (an alias for --chaos crash:2) kills the worker after
-  // its second result ever.  Under the resilient default the batch no
+  // --chaos crash:2 kills the worker after its second result ever.  Under the resilient default the batch no
   // longer fails: the in-flight job is charged an attempt and re-queued
   // to a respawned worker — whose fresh crash counter is not yet
   // exhausted — so all three jobs are delivered, in order, with the
   // retry visible only in stats().
   ProcessShardExecutor::Options options;
   options.retry_backoff_ms = 1;
-  const ProcessShardExecutor executor({bin, "worker", "--fail-after", "2"},
+  const ProcessShardExecutor executor({bin, "worker", "--chaos", "crash:2"},
                                       1, options);
   const std::vector<BatchJob> batch1(
       3, shippable_job(pg.ports(), *port_one, "port-one", 0));
@@ -363,7 +322,9 @@ TEST(WorkerPool, IdleReapRetiresWarmWorkersWithoutCountingRespawns) {
   const std::vector<BatchJob> jobs(
       2, shippable_job(pg.ports(), *port_one, "port-one", 0));
 
-  WorkerPool pool({bin, "worker"}, 1, std::chrono::milliseconds(1));
+  WorkerPool::Options options;
+  options.idle_timeout_ms = 1;
+  WorkerPool pool({bin, "worker"}, 1, options);
   pool.run_batch(jobs, [](std::size_t, RunResult&&) {});
   EXPECT_EQ(pool.live_workers(), 1u);
 
