@@ -54,9 +54,8 @@ class AllocPressure {
   eds::runtime::EngineAllocStats before_;
 };
 
-/// Exports the engine's per-round stage split — exchange (send sweep +
-/// tag-lane shadow) vs receive (involution gather + merge), with the
-/// tag-shadow (`scatter_ns`, a component of exchange) and the traffic scan
+/// Exports the engine's per-round stage split — exchange (send sweep) vs
+/// receive (involution gather + merge), with the between-stage wake scan
 /// (`scan_ns`) broken out — as per-iteration nanosecond counters.
 /// Profiling is a process-wide engine toggle; the helper scopes it to this
 /// benchmark so every other benchmark keeps the timestamp-free hot loop.
@@ -81,8 +80,6 @@ class StageSplit {
         delta(&eds::runtime::EngineStageStats::exchange_ns);
     state.counters["receive_ns"] =
         delta(&eds::runtime::EngineStageStats::receive_ns);
-    state.counters["scatter_ns"] =
-        delta(&eds::runtime::EngineStageStats::scatter_ns);
     state.counters["scan_ns"] =
         delta(&eds::runtime::EngineStageStats::scan_ns);
   }
@@ -233,8 +230,40 @@ void BM_EngineDense(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineDense)->Arg(16)->Arg(64);
 
+void BM_EngineSparse(benchmark::State& state) {
+  // The activity-proportional case: A(∆) on a heavy-tailed graph (the
+  // sweep's powerlaw family, exponent 2.5), where ∆ is far above the
+  // average degree.  The schedule runs 3∆'²+3 rounds, but a node takes
+  // part in O(degree) of them and sleeps through the rest, so the time
+  // tracks messages rather than nodes × rounds.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  eds::Rng rng(10);
+  const auto g = eds::graph::random_power_law(n, 2.5, rng);
+  const auto pg = eds::port::with_random_ports(g, rng);
+  const auto delta = static_cast<eds::port::Port>(
+      std::max<std::size_t>(g.max_degree(), 2));
+  std::uint64_t rounds = 0;
+  std::uint64_t messages = 0;
+  const AllocPressure alloc;
+  for (auto _ : state) {
+    auto outcome = eds::algo::run_algorithm(
+        pg, eds::algo::Algorithm::kBoundedDegree, delta);
+    rounds = outcome.stats.rounds;
+    messages = outcome.stats.messages_sent;
+    benchmark::DoNotOptimize(outcome.solution.size());
+  }
+  alloc.export_into(state);
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.counters["messages"] = static_cast<double>(messages);
+  state.counters["delta"] = static_cast<double>(delta);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(messages));
+}
+BENCHMARK(BM_EngineSparse)->Arg(4096)->Arg(16384);
+
 void BM_SilenceScan(benchmark::State& state) {
-  // The per-round traffic scan in isolation: count_nonsilence over a
+  // The MessageLanes tag sweep in isolation: count_nonsilence over a
   // contiguous int32 tag lane.  Arg 0 is the port count, arg 1 the halted
   // fraction in permille (a halted node's slots carry tag 0); the scan is
   // data-independent — same branch-free sweep whatever the mix — so the

@@ -24,7 +24,6 @@ void BoundedDegreeProgram::start(port::Port degree) {
   view_.remote_port.assign(degree, 0);
   view_.remote_degree.assign(degree, 0);
   view_.dn_claimed.assign(degree, false);
-  remote_m_covered_.assign(degree, false);
 }
 
 BoundedDegreeProgram::Step BoundedDegreeProgram::step_for(
@@ -95,17 +94,6 @@ void BoundedDegreeProgram::send(runtime::Round round,
       return;
 
     case Step::Kind::kPhase3:
-      if (!engine_ready_) {
-        // Edges of H: both endpoints M-free.
-        std::vector<port::Port> eligible;
-        if (m_port_ == 0) {
-          for (port::Port i = 1; i <= view_.degree; ++i) {
-            if (!remote_m_covered_[i - 1]) eligible.push_back(i);
-          }
-        }
-        engine_.init(view_.degree, std::move(eligible));
-        engine_ready_ = true;
-      }
       if (!step.respond_half) {
         engine_.send_propose(out);
       } else {
@@ -132,7 +120,8 @@ void BoundedDegreeProgram::phase2_send(const Step& step,
   if (!step.respond_half) {
     // Propose half.
     p2_outstanding_ = false;
-    if (m_port_ == 0 && p2_cursor_ < p2_eligible_.size()) {
+    if (m_port_ == 0 && step.i == view_.degree &&
+        p2_cursor_ < p2_eligible_.size()) {
       out[p2_eligible_[p2_cursor_] - 1] = runtime::msg(kTagPropose);
       p2_outstanding_ = true;
     }
@@ -170,6 +159,7 @@ void BoundedDegreeProgram::phase2_receive(
       }
       p2_outstanding_ = false;
     }
+    p2_proposals_in_.clear();  // answered in this round's send
   }
 }
 
@@ -187,6 +177,9 @@ void BoundedDegreeProgram::receive(runtime::Round round,
     case Step::Kind::kClaim:
       for (port::Port i = 1; i <= view_.degree; ++i) {
         view_.record_claim(i, in[i - 1]);
+      }
+      for (const auto& [i, j] : view_.mij_active_steps()) {
+        mij_rounds_.push_back(3 + (i - 1) * delta_ + (j - 1));
       }
       break;
 
@@ -207,13 +200,18 @@ void BoundedDegreeProgram::receive(runtime::Round round,
       phase2_receive(step, in);
       break;
 
-    case Step::Kind::kMStatus:
+    case Step::Kind::kMStatus: {
+      // Edges of H: both endpoints M-free.
+      std::vector<port::Port> eligible;
       for (port::Port i = 1; i <= view_.degree; ++i) {
         EDS_ENSURE(in[i - 1].tag == kTagMStatus,
                    "expected an M-coverage broadcast");
-        remote_m_covered_[i - 1] = in[i - 1].arg[0] != 0;
+        if (m_port_ == 0 && in[i - 1].arg[0] == 0) eligible.push_back(i);
       }
+      in_h_ = !eligible.empty();
+      engine_.init(view_.degree, std::move(eligible));
       break;
+    }
 
     case Step::Kind::kPhase3:
       if (!step.respond_half) {
@@ -231,6 +229,36 @@ void BoundedDegreeProgram::receive(runtime::Round round,
       sink_->p_port_claims += engine_.p_ports().size();
     }
   }
+}
+
+runtime::Round BoundedDegreeProgram::next_wake(runtime::Round round) const {
+  // Hello and claims involve every node.
+  if (round < 2) return round + 1;
+  const auto d = static_cast<runtime::Round>(delta_);
+  const runtime::Round phase2 = 2 + d * d;  // the last phase I round
+  const runtime::Round m_status = phase2 + 2 * d * (d - 1) + 1;
+  // Phase III: the nodes of H run it; the rest sleep until the halt round.
+  if (round >= m_status) return in_h_ ? round + 1 : schedule_length(delta_);
+
+  // A proposal I sent or received is answered next round.
+  if (p2_outstanding_ || !p2_proposals_in_.empty()) return round + 1;
+  // Otherwise: my next M(i, j) step, or the M-coverage broadcast.
+  runtime::Round wake = m_status;
+  const auto step =
+      std::upper_bound(mij_rounds_.begin(), mij_rounds_.end(), round);
+  if (step != mij_rounds_.end()) wake = std::min(wake, *step);
+  // My own phase II block, while I am M-free: open it, and keep proposing
+  // while targets remain.
+  if (m_port_ == 0 && view_.degree >= 2) {
+    const runtime::Round block_start = phase2 + (view_.degree - 2) * 2 * d + 1;
+    const runtime::Round block_end = block_start + 2 * d - 1;
+    if (round < block_start) {
+      wake = std::min(wake, block_start);
+    } else if (round < block_end && p2_cursor_ < p2_eligible_.size()) {
+      wake = std::min(wake, round + 1);
+    }
+  }
+  return wake;
 }
 
 std::vector<port::Port> BoundedDegreeProgram::output() const {

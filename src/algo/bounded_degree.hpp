@@ -23,6 +23,12 @@
 //                                 M-free
 //
 // Output: D = M ∪ P (my M port, if any, plus my P ports).
+//
+// A node takes part in few of the 3∆'²+3 rounds, and next_wake says which:
+// hello, claims, its own M(i, j) steps (at most degree + 1 of them, fixed
+// after round 2), its own phase II block while it proposes, the respond
+// round after a proposal reaches it, the M-coverage broadcast, phase III
+// if it belongs to H, and the halt round.  It sleeps through the rest.
 #pragma once
 
 #include <memory>
@@ -63,6 +69,7 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
                std::span<const runtime::Message> in) override;
   [[nodiscard]] bool halted() const override { return halted_; }
   [[nodiscard]] std::vector<port::Port> output() const override;
+  [[nodiscard]] runtime::Round next_wake(runtime::Round round) const override;
 
   /// The normalised (odd) parameter ∆' = 2k+1.
   [[nodiscard]] static port::Port normalised_delta(port::Port max_degree) {
@@ -101,6 +108,8 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   LabelView view_;
   port::Port m_port_ = 0;   // my M edge's port (0 = M-free)
   port::Port active_port_ = 0;  // phase I step state
+  // The rounds of my M(i, j) steps, ascending; fixed after round 2.
+  std::vector<runtime::Round> mij_rounds_;
 
   // Phase II proposer state (valid within one degree block).
   std::vector<port::Port> p2_eligible_;
@@ -108,10 +117,9 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   bool p2_outstanding_ = false;
   std::vector<port::Port> p2_proposals_in_;
 
-  // Phase III.
-  std::vector<bool> remote_m_covered_;
+  // Phase III, set up by the M-coverage broadcast.
   DoubleCoverEngine engine_;
-  bool engine_ready_ = false;
+  bool in_h_ = false;  // some incident edge has both ends M-free
 
   std::shared_ptr<BoundedPhaseStats> sink_;
   bool halted_ = false;

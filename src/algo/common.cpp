@@ -1,5 +1,6 @@
 #include "algo/common.hpp"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -56,6 +57,17 @@ Port LabelView::mij_active_port(Port i, Port j) const {
     active = j;
   }
   return active;
+}
+
+std::vector<std::pair<Port, Port>> LabelView::mij_active_steps() const {
+  std::vector<std::pair<Port, Port>> steps;
+  if (dn_port != 0) steps.emplace_back(dn_port, remote_port[dn_port - 1]);
+  for (Port j = 1; j <= degree; ++j) {
+    if (dn_claimed[j - 1]) steps.emplace_back(remote_port[j - 1], j);
+  }
+  std::sort(steps.begin(), steps.end());
+  steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
+  return steps;
 }
 
 }  // namespace eds::algo

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "runtime/message.hpp"
@@ -57,6 +58,12 @@ struct LabelView {
   /// port is i).  Lemma 2 guarantees the two cannot name different ports;
   /// violation throws InternalError.
   [[nodiscard]] Port mij_active_port(Port i, Port j) const;
+
+  /// Every schedule step (i, j) at which mij_active_port is non-zero,
+  /// sorted and without repeats: my DN edge's step plus one per claimant —
+  /// at most degree + 1 of them, read off the labels without sweeping the
+  /// ∆² steps.  Programs derive their next_wake from this list.
+  [[nodiscard]] std::vector<std::pair<Port, Port>> mij_active_steps() const;
 };
 
 }  // namespace eds::algo

@@ -30,8 +30,31 @@ std::vector<std::pair<port::Port, port::Port>> pair_schedule(port::Port d,
   return pairs;
 }
 
+std::size_t pair_position(port::Port d, PairOrder order, port::Port i,
+                          port::Port j) {
+  const std::size_t side = d;
+  const std::size_t lex = (i - 1) * side + (j - 1);
+  switch (order) {
+    case PairOrder::kLexicographic:
+      return lex;
+    case PairOrder::kReverse:
+      return side * side - 1 - lex;
+    case PairOrder::kDiagonal: {
+      // Every anti-diagonal t < i + j comes first; within one, i ascends
+      // from max(1, t - d).
+      const std::size_t sum = i + j;
+      std::size_t before = 0;
+      for (std::size_t t = 2; t < sum; ++t) {
+        before += t <= side + 1 ? t - 1 : 2 * side + 1 - t;
+      }
+      return before + i - (sum > side + 1 ? sum - side : 1);
+    }
+  }
+  throw InvalidArgument("pair_position: unknown pair order");
+}
+
 OddRegularProgram::OddRegularProgram(port::Port d, PairOrder order)
-    : d_(d), schedule_(pair_schedule(d, order)) {
+    : d_(d), order_(order) {
   if (d_ % 2 == 0) {
     throw InvalidArgument("OddRegularProgram: d must be odd");
   }
@@ -50,17 +73,17 @@ void OddRegularProgram::start(port::Port degree) {
 
 OddRegularProgram::Step OddRegularProgram::step_for(
     runtime::Round round) const {
-  const auto d = static_cast<runtime::Round>(d_);
-  if (round <= 2) return {Step::Phase::kSetup, 0, 0};
-  if (round <= 2 + d * d) {
-    const auto& [i, j] = schedule_[round - 3];  // 0-based step index
-    return {Step::Phase::kAdd, i, j};
-  }
-  if (round <= 2 + 2 * d * d) {
-    const auto& [i, j] = schedule_[round - 3 - d * d];
-    return {Step::Phase::kRemove, i, j};
-  }
-  return {Step::Phase::kDone, 0, 0};
+  const auto sweep = static_cast<runtime::Round>(d_) * d_;
+  if (round <= 2) return {Step::Phase::kSetup, 0};
+  if (round > 2 + 2 * sweep) return {Step::Phase::kDone, 0};
+  const auto phase =
+      round <= 2 + sweep ? Step::Phase::kAdd : Step::Phase::kRemove;
+  const runtime::Round position = (round - 3) % sweep;  // 0-based step
+  const auto it = std::lower_bound(
+      active_steps_.begin(), active_steps_.end(),
+      std::pair<runtime::Round, port::Port>(position, 0));
+  if (it == active_steps_.end() || it->first != position) return {phase, 0};
+  return {phase, it->second};
 }
 
 void OddRegularProgram::send(runtime::Round round,
@@ -83,7 +106,7 @@ void OddRegularProgram::send(runtime::Round round,
   }
 
   if (step.phase == Step::Phase::kAdd) {
-    active_port_ = view_.mij_active_port(step.i, step.j);
+    active_port_ = step.port;
     if (active_port_ != 0) {
       out[active_port_ - 1] = runtime::msg(kTagStatus, covered_ ? 1 : 0);
     }
@@ -91,9 +114,8 @@ void OddRegularProgram::send(runtime::Round round,
   }
 
   if (step.phase == Step::Phase::kRemove) {
-    const auto candidate = view_.mij_active_port(step.i, step.j);
-    if (candidate != 0 && d_ports_.count(candidate) > 0) {
-      active_port_ = candidate;
+    if (step.port != 0 && d_ports_.count(step.port) > 0) {
+      active_port_ = step.port;
       // Covered by D \ {e} iff I have another incident D edge.
       const bool covered_without = d_ports_.size() >= 2;
       out[active_port_ - 1] = runtime::msg(kTagStatus, covered_without ? 1 : 0);
@@ -116,6 +138,12 @@ void OddRegularProgram::receive(runtime::Round round,
     for (port::Port i = 1; i <= view_.degree; ++i) {
       view_.record_claim(i, in[i - 1]);
     }
+    for (const auto& [i, j] : view_.mij_active_steps()) {
+      active_steps_.emplace_back(
+          static_cast<runtime::Round>(pair_position(d_, order_, i, j)),
+          view_.mij_active_port(i, j));
+    }
+    std::sort(active_steps_.begin(), active_steps_.end());
     return;
   }
 
@@ -144,7 +172,24 @@ void OddRegularProgram::receive(runtime::Round round,
     }
   }
 
+  active_port_ = 0;
   if (round >= schedule_length(d_)) halted_ = true;
+}
+
+runtime::Round OddRegularProgram::next_wake(runtime::Round round) const {
+  if (round < 2) return round + 1;
+  const auto sweep = static_cast<runtime::Round>(d_) * d_;
+  // My next phase I step, else my next phase II step whose edge is still
+  // in D, else the halt round.
+  for (const auto& [position, port] : active_steps_) {
+    if (3 + position > round) return 3 + position;
+  }
+  for (const auto& [position, port] : active_steps_) {
+    if (3 + sweep + position > round && d_ports_.count(port) > 0) {
+      return 3 + sweep + position;
+    }
+  }
+  return schedule_length(d_);
 }
 
 std::vector<port::Port> OddRegularProgram::output() const {

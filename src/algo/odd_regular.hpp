@@ -18,6 +18,11 @@
 // Both endpoints decide from the same exchanged bits, so membership of D
 // stays consistent; within one step M(i, j) is a matching (Lemma 2), so the
 // parallel decisions do not interfere.
+//
+// A node is active in at most degree + 1 steps of each sweep, so next_wake
+// lets it sleep through the others: it wakes for rounds 1 and 2, its own
+// phase I steps, its phase II steps whose edge is still in D, and the halt
+// round.
 #pragma once
 
 #include <set>
@@ -42,6 +47,11 @@ enum class PairOrder {
 [[nodiscard]] std::vector<std::pair<port::Port, port::Port>> pair_schedule(
     port::Port d, PairOrder order);
 
+/// The index of pair (i, j) in pair_schedule(d, order), computed without
+/// building the schedule.
+[[nodiscard]] std::size_t pair_position(port::Port d, PairOrder order,
+                                        port::Port i, port::Port j);
+
 class OddRegularProgram final : public runtime::NodeProgram {
  public:
   /// `d` is the family parameter; every node's degree must equal it and it
@@ -55,6 +65,7 @@ class OddRegularProgram final : public runtime::NodeProgram {
                std::span<const runtime::Message> in) override;
   [[nodiscard]] bool halted() const override { return halted_; }
   [[nodiscard]] std::vector<port::Port> output() const override;
+  [[nodiscard]] runtime::Round next_wake(runtime::Round round) const override;
 
   /// Total rounds the schedule takes for parameter d.
   [[nodiscard]] static runtime::Round schedule_length(port::Port d) {
@@ -65,14 +76,16 @@ class OddRegularProgram final : public runtime::NodeProgram {
   struct Step {
     enum class Phase { kSetup, kAdd, kRemove, kDone };
     Phase phase = Phase::kSetup;
-    port::Port i = 0;
-    port::Port j = 0;
+    port::Port port = 0;  // my active port at this M(i, j) step, 0 if none
   };
   [[nodiscard]] Step step_for(runtime::Round round) const;
 
   port::Port d_;
-  std::vector<std::pair<port::Port, port::Port>> schedule_;
+  PairOrder order_;
   LabelView view_;
+  // My M(i, j) steps as (position in the pair order, active port),
+  // ascending; fixed after round 2.  Both sweeps visit the same steps.
+  std::vector<std::pair<runtime::Round, port::Port>> active_steps_;
   std::set<port::Port> d_ports_;  // ports of my incident D edges
   bool covered_ = false;          // incident to some D edge
   port::Port active_port_ = 0;    // active port of the current step

@@ -74,7 +74,7 @@ namespace eds::graph {
 /// Caterpillar: a path of `spine` nodes with `legs_per_node` leaves hanging
 /// off every spine node; spine >= 1.  Nodes 0..spine-1 form the spine, the
 /// leaves follow in spine order.  Total nodes: spine * (1 + legs_per_node).
-/// A long-tail workload for the engine worklist: leaves halt in O(1) rounds
+/// A long-tail workload for the round engine: leaves halt in O(1) rounds
 /// while the spine keeps running.
 [[nodiscard]] SimpleGraph caterpillar(std::size_t spine,
                                       std::size_t legs_per_node);

@@ -248,6 +248,11 @@ Round forest_matching_schedule(Port max_degree, std::uint32_t id_bits) {
   return 2 + max_degree * (cv_iterations(id_bits) + kSlotRounds);
 }
 
+std::unique_ptr<runtime::NodeProgram> make_forest_matching_program(
+    std::uint32_t id, std::uint32_t id_bits, port::Port max_degree) {
+  return std::make_unique<ForestMatchingProgram>(id, id_bits, max_degree);
+}
+
 IdMatchingOutcome run_forest_matching(const port::PortedGraph& pg,
                                       const std::vector<std::uint32_t>& ids,
                                       std::uint32_t id_bits,
@@ -259,8 +264,7 @@ IdMatchingOutcome run_forest_matching(const port::PortedGraph& pg,
   std::vector<std::unique_ptr<runtime::NodeProgram>> programs;
   programs.reserve(ids.size());
   for (const auto id : ids) {
-    programs.push_back(
-        std::make_unique<ForestMatchingProgram>(id, id_bits, max_degree));
+    programs.push_back(make_forest_matching_program(id, id_bits, max_degree));
   }
   const auto result = runtime::run_synchronous_programs(
       pg.ports(), std::move(programs), {}, "id-forest-matching");

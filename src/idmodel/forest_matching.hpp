@@ -46,6 +46,13 @@ struct IdMatchingOutcome {
   runtime::RunStats stats;
 };
 
+/// One node's program, for callers that drive the engine themselves:
+/// `id` is the node's unique identifier (< 2^id_bits), `max_degree` the
+/// family parameter.
+[[nodiscard]] std::unique_ptr<runtime::NodeProgram>
+make_forest_matching_program(std::uint32_t id, std::uint32_t id_bits,
+                             port::Port max_degree);
+
 /// Runs the forest-decomposition maximal-matching algorithm on `pg` with
 /// the given unique identifiers (`ids[v]` < 2^id_bits, pairwise distinct)
 /// and family parameter `max_degree` >= the true maximum degree.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <iterator>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -40,24 +42,31 @@ std::unique_ptr<ExecutionPolicy> make_policy(const ExecOptions& exec) {
 
 namespace {
 
-#if defined(EDS_ENGINE_GATHER_PREFETCH)
-/// Software-prefetch distance for the receive gather's permuted loads, in
-/// ports.  Measured on BM_EngineDense (deg 16/64) and BM_Engine100k
-/// (deg 3) and REJECTED as the default: the in-loop branch and extra
-/// partner_flat load cost more than the prefetch recovers at every
-/// measured degree (docs/BENCHMARKS.md records the deltas), so the hint
-/// compiles only under -DEDS_ENGINE_GATHER_PREFETCH for re-evaluation on
-/// wider machines.
-constexpr Port kGatherPrefetchDistance = 8;
-#endif
+/// One node visited by a round stage.  Stage s visits, in ascending node
+/// order, the nodes that receive round s (they sent in round s, or a
+/// non-silence message woke them from sleep) and the nodes that send round
+/// s + 1.  The visit then sets `receives` to whether the node sent round
+/// s + 1, which makes the entry its visit of stage s + 1.
+struct Visit {
+  std::uint32_t node = 0;
+  bool receives = false;
+};
 
 /// Per-shard accumulators; merged strictly in shard order so parallel runs
 /// reproduce the sequential order bit for bit.  Cache-line aligned so
 /// neighboring shards' counters never share a line.
 struct alignas(64) ShardScratch {
   std::uint64_t ports_served = 0;
+  std::uint64_t messages = 0;  // non-silence sends of the next round
+  std::size_t halted = 0;
   std::vector<DeliveredMessage> log;
-  std::vector<std::size_t> newly_halted;
+  /// Receivers that chose to sleep past the next round, ascending.
+  std::vector<std::uint32_t> sleepers;
+  /// Receivers that stopped sending (slept or halted) with this round's
+  /// send still in their segment: re-silenced after the barrier.
+  std::vector<std::uint32_t> leavers;
+  /// Sleeping nodes a next-round send reached (unsorted, may repeat).
+  std::vector<std::uint32_t> woken;
   /// One node's inbound messages, gathered through the involution from the
   /// current outbox back into the contiguous form receive() promises.
   /// Max-degree sized and reused across nodes, rounds and runs.
@@ -66,17 +75,25 @@ struct alignas(64) ShardScratch {
   /// merged by the driver after the barrier.
   std::uint64_t receive_ns = 0;
   std::uint64_t exchange_ns = 0;
-  std::uint64_t scatter_ns = 0;
   std::exception_ptr error;
 
   void reset() noexcept {
     ports_served = 0;
+    messages = 0;
+    halted = 0;
     log.clear();
-    newly_halted.clear();
+    sleepers.clear();
+    leavers.clear();
+    woken.clear();
     receive_ns = 0;
     exchange_ns = 0;
-    scatter_ns = 0;
     error = nullptr;
+  }
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return log.capacity() * sizeof(DeliveredMessage) +
+           (sleepers.capacity() + leavers.capacity() + woken.capacity()) *
+               sizeof(std::uint32_t) +
+           recv.capacity() * sizeof(Message);
   }
 };
 
@@ -98,7 +115,6 @@ std::atomic<bool> g_stage_profile{false};
 std::atomic<std::uint64_t> g_profile_epoch{1};
 std::atomic<std::uint64_t> g_exchange_ns{0};
 std::atomic<std::uint64_t> g_receive_ns{0};
-std::atomic<std::uint64_t> g_scatter_ns{0};
 std::atomic<std::uint64_t> g_scan_ns{0};
 std::atomic<std::uint64_t> g_profiled_rounds{0};
 
@@ -116,38 +132,42 @@ bool stage_profiling_sample() noexcept {
   return cached;
 }
 
-/// One buffer of the double-buffered message transport: the round's
-/// messages indexed by *sender* flat port (node v's sends occupy the
-/// contiguous segment [offset(v), offset(v) + degree(v))), plus the
-/// struct-of-arrays tag lane shadowing slot tags for branch-free sweeps.
-/// Senders write only their own segment (trivially single-writer);
-/// receivers gather through the involution, so delivery itself is free.
-struct OutboxBuffer {
-  std::vector<Message> slots;
-  std::vector<std::int32_t> tag;  // tag[q] == slots[q].tag, always
+/// Wake-bucket key: the round a sleeping node is next due, then the node,
+/// so the min-heap pops each round's bucket in ascending node order.
+std::uint64_t wake_key(Round round, std::uint32_t node) noexcept {
+  return (static_cast<std::uint64_t>(round) << 32) | node;
+}
 
-  void assign_silence(std::size_t count) {
-    slots.assign(count, kSilence);
-    tag.assign(count, 0);
-  }
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return slots.capacity() * sizeof(Message) +
-           tag.capacity() * sizeof(std::int32_t);
-  }
-};
-
-/// The pooled message transport: every buffer the round loop writes lives
-/// here and is *assigned* (size + contents reset, capacity retained) at the
+/// The pooled engine state: every buffer the round loop writes lives here
+/// and is *assigned* (size + contents reset, capacity retained) at the
 /// start of each run instead of being reallocated.  One workspace exists
 /// per thread, so sequential runs, BatchRunner jobs (one job per pool lane)
 /// and BatchStream drivers each reuse their lane's arena run after run.
 struct EngineWorkspace {
-  /// The double buffer: one set of slots + tag lane holds round r's
-  /// messages while round r + 1's sends land in the other; they swap after
-  /// every round's single barrier.
-  OutboxBuffer outbox[2];
-  std::vector<char> halted;
-  std::vector<std::size_t> active;
+  /// The double-buffered transport: round r's messages live in
+  /// outbox[r & 1], indexed by *sender* flat port (node v's sends occupy
+  /// the contiguous segment [offset(v), offset(v) + degree(v))).  Senders
+  /// write only their own segment (trivially single-writer); receivers
+  /// gather through the involution, so delivery itself is free.
+  std::vector<Message> outbox[2];
+  /// Per node: the round it is next due in (it sends and receives that
+  /// round), 0 once halted.
+  std::vector<Round> wake;
+  /// Per node: bit b set while its segment of outbox[b] holds a send not
+  /// yet re-silenced.
+  std::vector<std::uint8_t> dirty;
+  /// Per node: set while it sleeps through the round being sent, so a
+  /// non-silence send to it is an arrival that wakes it.  Written only
+  /// between stages.
+  std::vector<char> asleep;
+  /// The wake buckets of sleeping nodes: a min-heap of wake_key()s.  A
+  /// node has at most one live entry (key matches wake[] and asleep[]);
+  /// entries outdated by an arrival wake are dropped when popped.
+  std::vector<std::uint64_t> buckets;
+  std::vector<Visit> visit;        // this stage's visit list, ascending
+  std::vector<Visit> extra;        // the next stage's non-sender visits
+  std::vector<Visit> merged;       // merge target for visit + extra
+  std::vector<std::uint32_t> woken;
   std::vector<std::size_t> bounds;  // shard boundaries, shards + 1 entries
   std::vector<ShardScratch> scratch;
   bool in_use = false;       // re-entrancy guard (see acquire below)
@@ -165,31 +185,33 @@ struct EngineWorkspace {
 
   [[nodiscard]] std::size_t footprint() const noexcept {
     std::size_t scratch_bytes = 0;
-    for (const auto& sc : scratch) {
-      scratch_bytes += sc.log.capacity() * sizeof(DeliveredMessage) +
-                       sc.newly_halted.capacity() * sizeof(std::size_t) +
-                       sc.recv.capacity() * sizeof(Message);
-    }
-    return outbox[0].memory_bytes() + outbox[1].memory_bytes() +
-           halted.capacity() + active.capacity() * sizeof(std::size_t) +
+    for (const auto& sc : scratch) scratch_bytes += sc.memory_bytes();
+    return (outbox[0].capacity() + outbox[1].capacity()) * sizeof(Message) +
+           wake.capacity() * sizeof(Round) + dirty.capacity() +
+           asleep.capacity() + buckets.capacity() * sizeof(std::uint64_t) +
+           (visit.capacity() + extra.capacity() + merged.capacity()) *
+               sizeof(Visit) +
+           woken.capacity() * sizeof(std::uint32_t) +
            bounds.capacity() * sizeof(std::size_t) +
            scratch.capacity() * sizeof(ShardScratch) + scratch_bytes;
   }
 
   /// Resets the buffers for a run over `n` nodes / `total_ports` ports with
   /// `lanes` shards, growing capacity only when this lane has never seen a
-  /// graph this large.  Both buffers reset to silence: the double buffer is
-  /// the workspace's deliberate second total_ports-sized allocation, bought
-  /// to run each round behind a single barrier.
+  /// graph this large.  Both outboxes reset to silence: the double buffer
+  /// is the workspace's deliberate second total_ports-sized allocation,
+  /// bought to run each round behind a single barrier.
   void prepare(std::size_t n, std::size_t total_ports, unsigned lanes) {
-    const bool grows = total_ports > outbox[0].slots.capacity() ||
-                       n > halted.capacity() || n > active.capacity() ||
-                       lanes > scratch.size();
-    outbox[0].assign_silence(total_ports);
-    outbox[1].assign_silence(total_ports);
-    halted.assign(n, 0);
-    active.clear();
-    active.reserve(n);
+    const bool grows = total_ports > outbox[0].capacity() ||
+                       n > wake.capacity() || lanes > scratch.size();
+    outbox[0].assign(total_ports, kSilence);
+    outbox[1].assign(total_ports, kSilence);
+    wake.assign(n, 0);
+    dirty.assign(n, 0);
+    asleep.assign(n, 0);
+    buckets.clear();
+    visit.clear();
+    visit.reserve(n);
     if (scratch.size() < lanes) scratch.resize(lanes);
     (grows ? g_ws_growths : g_ws_reuses).fetch_add(1,
                                                    std::memory_order_relaxed);
@@ -242,6 +264,16 @@ class WorkspaceLease {
   std::unique_ptr<EngineWorkspace> fallback_;
 };
 
+[[noreturn]] void throw_round_limit(const std::string& name,
+                                    const RunOptions& options,
+                                    std::size_t running, std::size_t n) {
+  std::ostringstream os;
+  os << "run_synchronous: algorithm '" << name << "' did not halt within "
+     << options.max_rounds << " rounds (" << running << " of " << n
+     << " nodes still running)";
+  throw ExecutionError(os.str());
+}
+
 }  // namespace
 
 EngineAllocStats engine_alloc_stats() noexcept {
@@ -261,7 +293,6 @@ EngineStageStats engine_stage_stats() noexcept {
   EngineStageStats stats;
   stats.exchange_ns = g_exchange_ns.load(std::memory_order_relaxed);
   stats.receive_ns = g_receive_ns.load(std::memory_order_relaxed);
-  stats.scatter_ns = g_scatter_ns.load(std::memory_order_relaxed);
   stats.scan_ns = g_scan_ns.load(std::memory_order_relaxed);
   stats.profiled_rounds = g_profiled_rounds.load(std::memory_order_relaxed);
   return stats;
@@ -270,7 +301,6 @@ EngineStageStats engine_stage_stats() noexcept {
 void engine_stage_stats_reset() noexcept {
   g_exchange_ns.store(0, std::memory_order_relaxed);
   g_receive_ns.store(0, std::memory_order_relaxed);
-  g_scatter_ns.store(0, std::memory_order_relaxed);
   g_scan_ns.store(0, std::memory_order_relaxed);
   g_profiled_rounds.store(0, std::memory_order_relaxed);
   // Invalidate every lane's cached flag sample: a toggle that raced the
@@ -288,28 +318,30 @@ RunResult run_plan(const ExecutionPlan& plan,
   }
   const std::size_t n = plan.num_nodes();
   EDS_ENSURE(programs.size() == n, "run_plan: one program per node required");
+  EDS_ENSURE(n <= UINT32_MAX, "run_plan: node ids must fit in 32 bits");
 
   const unsigned lanes = std::max(1u, policy.lanes());
-  const std::size_t total_ports = plan.total_ports();
   const WorkspaceLease lease;
   EngineWorkspace& ws = *lease;
-  ws.prepare(n, total_ports, lanes);
-  OutboxBuffer* cur = &ws.outbox[0];  // holds round r's messages
-  OutboxBuffer* nxt = &ws.outbox[1];  // round r + 1's sends land here
+  ws.prepare(n, plan.total_ports(), lanes);
+  std::vector<Round>& wake = ws.wake;
+  std::vector<std::uint8_t>& dirty = ws.dirty;
+  std::vector<char>& asleep = ws.asleep;
+  std::vector<std::uint64_t>& buckets = ws.buckets;
+  std::vector<Visit>& visit = ws.visit;
+  std::vector<ShardScratch>& scratch = ws.scratch;
+  std::vector<std::size_t>& bounds = ws.bounds;
 
-  // The worklist: indices of non-halted nodes, always sorted ascending (it
-  // only ever loses elements), so contiguous shard ranges visit nodes in
-  // exactly the sequential order.
-  std::vector<char>& halted = ws.halted;
-  std::vector<std::size_t>& active = ws.active;
+  // Every node that survives start() is due in round 1: stage 0 visits it
+  // to send round 1.
+  std::size_t running = 0;
   for (std::size_t v = 0; v < n; ++v) {
     programs[v]->start(plan.degree(v));
-    if (programs[v]->halted()) {
-      // Degree-0 nodes (or trivial algorithms) may halt immediately.
-      halted[v] = 1;
-    } else {
-      active.push_back(v);
-    }
+    // Degree-0 nodes (or trivial algorithms) may halt immediately.
+    if (programs[v]->halted()) continue;
+    wake[v] = 1;
+    visit.push_back({static_cast<std::uint32_t>(v), false});
+    ++running;
   }
 
   RunResult result;
@@ -317,14 +349,11 @@ RunResult run_plan(const ExecutionPlan& plan,
   const bool collect = options.collect_messages;
   RunStats& stats = result.stats;
 
-  std::vector<ShardScratch>& scratch = ws.scratch;
-  std::vector<std::size_t>& bounds = ws.bounds;
-
   // Stage profiling: the flag is sampled once per run (epoch-cached per
   // lane), so a disabled run takes no timestamps at all.  Profiled runs
-  // drive each shard as separate receive / send / tag-shadow sweeps so the
-  // split can be timed at shard granularity — bit-identical results, since
-  // programs only observe their own call sequence.
+  // drive each shard's visit range as a receive sweep then a send sweep so
+  // the split can be timed at shard granularity — bit-identical results,
+  // since programs only observe their own call sequence.
   const bool profile = stage_profiling_sample();
   using ProfileClock = std::chrono::steady_clock;
   const auto elapsed_ns = [](ProfileClock::time_point from,
@@ -335,221 +364,156 @@ RunResult run_plan(const ExecutionPlan& plan,
   };
   std::uint64_t exchange_ns = 0;
   std::uint64_t receive_ns = 0;
-  std::uint64_t scatter_ns = 0;
   std::uint64_t scan_ns = 0;
 
-  // Stages node v's round-r sends: its contiguous outbox segment is reset
-  // to silence (a program sends only by writing this round, so stale
-  // messages never "ghost" into later ones) and the program writes message
-  // structs straight into it — no intermediate staging buffer, all stores
-  // sequential, and single-writer-per-slot holds trivially because every
-  // slot belongs to exactly one sender.
-  const auto send_node = [&](ShardScratch& sc, std::size_t v, Round r,
-                             OutboxBuffer& to) {
+  // Per-stage constants, read by every shard.
+  Round round = 0;           // the stage: receives `round`, sends round + 1
+  bool send_next = false;    // round + 1 is within max_rounds
+  const Message* from = nullptr;  // outbox of `round`
+  Message* to = nullptr;          // outbox of round + 1
+  std::uint8_t from_bit = 0;
+  std::uint8_t to_bit = 0;
+  std::size_t sleepers = 0;  // nodes with asleep[] set; read-only in a stage
+
+  // The first half of a visit.  Re-silences v's segment of the round + 1
+  // outbox if it still holds v's round - 1 send (delivered one stage ago),
+  // then — for a receiving node — gathers its round input through the
+  // involution, fires receive() and asks next_wake().  Returns whether v
+  // sends round + 1.  Delivery IS the gather: messages are never copied
+  // between send and receive, the permutation is applied on the read side
+  // where loads pipeline, and sleeping or halted receivers never pay.
+  const auto receive_node = [&](ShardScratch& sc, Visit item) {
+    const std::uint32_t v = item.node;
     const Port deg = plan.degree(v);
     const std::size_t off = plan.offset(v);
-    Message* const seg = to.slots.data() + off;
-    std::fill_n(seg, deg, kSilence);
-    programs[v]->send(r, std::span<Message>(seg, deg));
-    sc.ports_served += deg;
-    if (collect) {
-      for (Port i = 0; i < deg; ++i) {
-        if (!seg[i].is_silence()) {
-          sc.log.push_back({r,
-                            {static_cast<port::NodeId>(v),
-                             static_cast<Port>(i + 1)},
-                            plan.partner_ref(off + i),
-                            seg[i]});
-        }
+    if (dirty[v] & to_bit) {
+      std::fill_n(to + off, deg, kSilence);
+      dirty[v] &= static_cast<std::uint8_t>(~to_bit);
+    }
+    if (item.receives) {
+      if (sc.recv.size() < deg) sc.recv.resize(deg);
+      Message* const in = sc.recv.data();
+      for (Port i = 0; i < deg; ++i) in[i] = from[plan.partner_flat(off + i)];
+      NodeProgram& program = *programs[v];
+      program.receive(round, std::span<const Message>(in, deg));
+      if (program.halted()) {
+        wake[v] = 0;
+        ++sc.halted;
+        sc.ports_served += static_cast<std::uint64_t>(deg) * round;
+        if (dirty[v] & from_bit) sc.leavers.push_back(v);
+        return false;
+      }
+      const Round w = program.next_wake(round);
+      if (w <= round) {
+        throw ExecutionError("run_synchronous: algorithm '" + name +
+                             "' asked to wake in round " + std::to_string(w) +
+                             " after round " + std::to_string(round));
+      }
+      wake[v] = w;
+      if (w != round + 1) {
+        sc.sleepers.push_back(v);
+        if (dirty[v] & from_bit) sc.leavers.push_back(v);
+        return false;
       }
     }
+    return send_next;
   };
 
-  // Mirrors v's freshly written segment tags into the buffer's flat
-  // struct-of-arrays tag lane — a contiguous strided copy, so the
-  // per-round traffic count and the silence accounting sweep a flat int32
-  // lane branch-free instead of striding over 16-byte structs.
-  const auto shadow_tags = [&](std::size_t v, OutboxBuffer& to) {
+  // The second half: v writes round + 1 straight into its own (silent)
+  // outbox segment — no staging buffer, all stores sequential, single
+  // writer per slot.  Its non-silence messages are counted here, at send
+  // time, and any that reach a sleeping node wake it.
+  const auto send_node = [&](ShardScratch& sc, std::uint32_t v) {
     const Port deg = plan.degree(v);
     const std::size_t off = plan.offset(v);
-    const Message* const seg = to.slots.data() + off;
-    std::int32_t* const tags = to.tag.data() + off;
-    for (Port i = 0; i < deg; ++i) tags[i] = seg[i].tag;
-  };
-
-  // Gathers v's round-r inputs from the current buffer through the
-  // involution — in[i] = cur[partner(offset(v) + i)] — and fires
-  // receive().  Delivery IS this gather: messages are never copied between
-  // send and receive, the permutation is applied on the read side where
-  // loads pipeline (scattered stores pay a read-for-ownership per cache
-  // line), and halted receivers never pay for it at all.
-  const auto receive_node = [&](ShardScratch& sc, std::size_t v, Round r,
-                                const OutboxBuffer& from) {
-    const Port deg = plan.degree(v);
-    const std::size_t off = plan.offset(v);
-    if (sc.recv.size() < deg) sc.recv.resize(deg);
-    Message* const in = sc.recv.data();
-    const Message* const slots = from.slots.data();
+    Message* const seg = to + off;
+    programs[v]->send(round + 1, std::span<Message>(seg, deg));
+    dirty[v] |= to_bit;  // even a tag-0 slot may carry arguments
+    std::uint64_t live = 0;
+    for (Port i = 0; i < deg; ++i) live += seg[i].is_silence() ? 0 : 1;
+    if (live == 0) return;
+    sc.messages += live;
+    if (!collect && sleepers == 0) return;
     for (Port i = 0; i < deg; ++i) {
-#if defined(EDS_ENGINE_GATHER_PREFETCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-      // The partner permutation makes these loads data-dependent scatters
-      // the hardware prefetcher cannot follow; starting the line a few
-      // ports ahead overlaps the misses.  Measured a wash-to-regression
-      // at every benchmarked degree (see kGatherPrefetchDistance), hence
-      // opt-in only.
-      if (i + kGatherPrefetchDistance < deg) {
-        __builtin_prefetch(
-            &slots[plan.partner_flat(off + i + kGatherPrefetchDistance)],
-            /*rw=*/0, /*locality=*/0);
+      if (seg[i].is_silence()) continue;
+      const port::PortRef dst = plan.partner_ref(off + i);
+      if (collect) {
+        sc.log.push_back(
+            {round + 1, {v, static_cast<Port>(i + 1)}, dst, seg[i]});
       }
-#endif
-      in[i] = slots[plan.partner_flat(off + i)];
+      if (asleep[dst.node]) sc.woken.push_back(dst.node);
     }
-    programs[v]->receive(r, std::span<const Message>(in, deg));
   };
 
-  // Computes this round's shard boundaries: port-count balanced, so a
-  // power-law worklist cannot pile most of the traffic onto one lane.  Any
-  // contiguous partition of the ascending worklist preserves the
-  // shard-order merge, hence bit-identical results.
-  const auto shard_bounds = [&](std::size_t shards) {
+  // Pops the wake bucket of `due`: its live entries are sleepers that send
+  // in round `due`, which the stage before it visits.
+  const auto pop_bucket = [&](Round due) {
+    while (!buckets.empty() && (buckets.front() >> 32) <= due) {
+      const auto key = buckets.front();
+      std::pop_heap(buckets.begin(), buckets.end(), std::greater<>());
+      buckets.pop_back();
+      const auto u = static_cast<std::uint32_t>(key);
+      if (asleep[u] && wake[u] == due) {
+        asleep[u] = 0;
+        --sleepers;
+        ws.extra.push_back({u, false});
+      }
+    }
+  };
+
+  std::uint64_t pending = 0;  // non-silence messages of `round`
+  for (;;) {
+    send_next = round + 1 <= options.max_rounds;
+    from = ws.outbox[round & 1].data();
+    to = ws.outbox[(round + 1) & 1].data();
+    from_bit = static_cast<std::uint8_t>(1u << (round & 1));
+    to_bit = static_cast<std::uint8_t>(1u << ((round + 1) & 1));
+
+    // Shard boundaries: port-count balanced, so a power-law visit list
+    // cannot pile most of the traffic onto one lane.  Any contiguous
+    // partition of the ascending list preserves the shard-order merge,
+    // hence bit-identical results.
+    const std::size_t shards = std::min<std::size_t>(lanes, visit.size());
     balanced_shard_bounds(
-        active.size(), shards,
+        visit.size(), shards,
         [&](std::size_t idx) {
-          return static_cast<std::uint64_t>(plan.degree(active[idx]));
+          return static_cast<std::uint64_t>(plan.degree(visit[idx].node));
         },
         bounds);
-  };
-
-  // `pending` is the number of non-silence messages in the buffer the next
-  // receive sweep will read: one branch-free sweep over its tag lane.
-  // Exact because every slot either carries a fresh write from an active
-  // sender or was zeroed when its owning node halted.
-  std::uint64_t pending = 0;
-  const auto scan_pending = [&](const OutboxBuffer& buf) {
-    if (profile) {
-      const auto t0 = ProfileClock::now();
-      pending = count_nonsilence(buf.tag.data(), total_ports);
-      scan_ns += elapsed_ns(t0, ProfileClock::now());
-    } else {
-      pending = count_nonsilence(buf.tag.data(), total_ports);
-    }
-    stats.messages_sent += pending;
-  };
-
-  // Initial exchange: round 1's sends land in `cur` before the loop, so
-  // every later round can fuse "receive round r" and "send round r + 1"
-  // behind one barrier.
-  if (!active.empty()) {
-    const std::size_t shards = std::min<std::size_t>(lanes, active.size());
-    shard_bounds(shards);
     for (std::size_t s = 0; s < shards; ++s) scratch[s].reset();
+
+    // The round stage, ONE barrier: every visited node receives `round`
+    // from `from` and/or sends round + 1 into its own segment of `to`.
+    // `from` is read-only for the whole stage and every `to` segment has
+    // exactly one writer (its owner), so shards never contend; a directed
+    // self-loop reads its own `from` segment and writes `to`, never racing
+    // itself.  Per-node state (wake, dirty, the visit entry) is touched
+    // only by the shard that owns the node; asleep[] is read-only until
+    // the barrier.
     policy.for_each_shard(shards, [&](std::size_t s) {
       ShardScratch& sc = scratch[s];
       try {
         if (!profile) {
           for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            send_node(sc, active[idx], 1, *cur);
-            shadow_tags(active[idx], *cur);
+            Visit& item = visit[idx];
+            item.receives = receive_node(sc, item);
+            if (item.receives) send_node(sc, item.node);
           }
         } else {
+          // Profiled: the same visits as a receive sweep, then a send
+          // sweep over the nodes it selected.  Programs observe the same
+          // per-node call sequence and logs fill in the same ascending
+          // node order — bit-identical to the fused path.
           const auto t0 = ProfileClock::now();
           for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            send_node(sc, active[idx], 1, *cur);
+            visit[idx].receives = receive_node(sc, visit[idx]);
           }
           const auto t1 = ProfileClock::now();
           for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            shadow_tags(active[idx], *cur);
+            if (visit[idx].receives) send_node(sc, visit[idx].node);
           }
-          const auto t2 = ProfileClock::now();
-          sc.exchange_ns += elapsed_ns(t0, t2);
-          sc.scatter_ns += elapsed_ns(t1, t2);
-        }
-      } catch (...) {
-        sc.error = std::current_exception();
-      }
-    });
-    rethrow_first(scratch, shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      const ShardScratch& sc = scratch[s];
-      stats.ports_served += sc.ports_served;
-      if (collect) {
-        result.message_log.insert(result.message_log.end(), sc.log.begin(),
-                                  sc.log.end());
-      }
-      exchange_ns += sc.exchange_ns;
-      scatter_ns += sc.scatter_ns;
-    }
-    scan_pending(*cur);
-  }
-
-  Round round = 0;
-  while (!active.empty()) {
-    ++round;
-    const Round next = round + 1;
-    const bool send_next = next <= options.max_rounds;
-
-    const std::size_t shards = std::min<std::size_t>(lanes, active.size());
-    shard_bounds(shards);
-    for (std::size_t s = 0; s < shards; ++s) scratch[s].reset();
-
-    // The fused round stage, ONE barrier: every active node gathers and
-    // receives its round-r input from `cur`, then — unless it halted, or
-    // round r + 1 would exceed the cap — writes round r + 1 into its own
-    // segment of `nxt`.  `cur` is read-only for the whole stage and every
-    // `nxt` segment has exactly one writer (its owner), so shards never
-    // contend; a directed self-loop reads its own `cur` segment and writes
-    // `nxt`, never racing itself.  Halt flags are written only by the
-    // shard that owns the node and read only by that shard until the
-    // barrier.
-    policy.for_each_shard(shards, [&](std::size_t s) {
-      ShardScratch& sc = scratch[s];
-      try {
-        if (!profile) {
-          for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            const std::size_t v = active[idx];
-            receive_node(sc, v, round, *cur);
-            if (programs[v]->halted()) {
-              halted[v] = 1;
-              sc.newly_halted.push_back(v);
-            } else if (send_next) {
-              send_node(sc, v, next, *nxt);
-              shadow_tags(v, *nxt);
-            }
-          }
-        } else {
-          // Profiled: the same work as separate receive / send / shadow
-          // sweeps, timed at shard granularity.  Programs observe the same
-          // per-node call sequence, logs are collected in the same
-          // ascending node order — bit-identical to the fused path.
-          const auto t0 = ProfileClock::now();
-          for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            const std::size_t v = active[idx];
-            receive_node(sc, v, round, *cur);
-            if (programs[v]->halted()) {
-              halted[v] = 1;
-              sc.newly_halted.push_back(v);
-            }
-          }
-          const auto t1 = ProfileClock::now();
-          if (send_next) {
-            for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-              const std::size_t v = active[idx];
-              if (!halted[v]) send_node(sc, v, next, *nxt);
-            }
-          }
-          const auto t2 = ProfileClock::now();
-          if (send_next) {
-            for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-              const std::size_t v = active[idx];
-              if (!halted[v]) shadow_tags(v, *nxt);
-            }
-          }
-          const auto t3 = ProfileClock::now();
           sc.receive_ns += elapsed_ns(t0, t1);
-          sc.exchange_ns += elapsed_ns(t1, t3);
-          sc.scatter_ns += elapsed_ns(t2, t3);
+          sc.exchange_ns += elapsed_ns(t1, ProfileClock::now());
         }
       } catch (...) {
         sc.error = std::current_exception();
@@ -557,63 +521,125 @@ RunResult run_plan(const ExecutionPlan& plan,
     });
     rethrow_first(scratch, shards);
 
-    // Merge, strictly in shard order.  A halting node's *own* segment is
-    // silenced in BOTH buffers — two contiguous fills, no scattered
-    // writes: in `nxt` it holds stale round r - 1 sends (the node sent
-    // nothing this stage), in `cur` its round-r sends — and `cur` becomes
-    // the send target at round r + 1, so either copy would ghost into a
-    // later round's gathers once the node stops overwriting it.  After
-    // this, a halted node's partners read silence from it forever.
+    // Merge, strictly in shard order.
     ProfileClock::time_point merge_start;
     if (profile) merge_start = ProfileClock::now();
-    bool any_halted = false;
+    std::uint64_t sent_messages = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       const ShardScratch& sc = scratch[s];
       stats.ports_served += sc.ports_served;
+      sent_messages += sc.messages;
+      running -= sc.halted;
       if (collect) {
         result.message_log.insert(result.message_log.end(), sc.log.begin(),
                                   sc.log.end());
       }
       receive_ns += sc.receive_ns;
       exchange_ns += sc.exchange_ns;
-      scatter_ns += sc.scatter_ns;
-      for (const std::size_t v : sc.newly_halted) {
-        any_halted = true;
-        const Port deg = plan.degree(v);
-        const std::size_t off = plan.offset(v);
-        for (OutboxBuffer* buf : {cur, nxt}) {
-          std::fill_n(buf->slots.data() + off, deg, kSilence);
-          std::fill_n(buf->tag.data() + off, deg, std::int32_t{0});
+    }
+    stats.messages_sent += sent_messages;
+    if (round > 0 && options.collect_trace) {
+      result.trace.push_back({round, pending, n - running});
+    }
+    if (running == 0) break;
+    if (!send_next) throw_round_limit(name, options, running, n);
+    pending = sent_messages;
+
+    // Between stages: assemble round + 1's visit list.  The senders of
+    // round + 1 receive it, and keep their entries.
+    ProfileClock::time_point scan_start;
+    if (profile) {
+      scan_start = ProfileClock::now();
+      receive_ns += elapsed_ns(merge_start, scan_start);
+    }
+    std::erase_if(visit, [](Visit item) { return !item.receives; });
+    ws.extra.clear();
+    ws.woken.clear();
+    for (std::size_t s = 0; s < shards; ++s) {
+      ws.woken.insert(ws.woken.end(), scratch[s].woken.begin(),
+                      scratch[s].woken.end());
+    }
+    // A receiver that chose to sleep was not yet asleep while its partners
+    // sent round + 1, so it checks its own inbound slots; if nothing
+    // arrived it enters its wake bucket.
+    for (std::size_t s = 0; s < shards; ++s) {
+      for (const std::uint32_t u : scratch[s].sleepers) {
+        const Port deg = plan.degree(u);
+        const std::size_t off = plan.offset(u);
+        bool arrived = false;
+        for (Port i = 0; i < deg && !arrived; ++i) {
+          arrived = !to[plan.partner_flat(off + i)].is_silence();
+        }
+        if (arrived) {
+          ws.woken.push_back(u);
+        } else {
+          asleep[u] = 1;
+          ++sleepers;
+          buckets.push_back(wake_key(wake[u], u));
+          std::push_heap(buckets.begin(), buckets.end(), std::greater<>());
         }
       }
     }
-    if (any_halted) {
-      std::erase_if(active, [&](std::size_t v) { return halted[v] != 0; });
+    // Arrivals: a woken sleeper receives round + 1 without sending it.
+    if (!ws.woken.empty()) {
+      std::sort(ws.woken.begin(), ws.woken.end());
+      ws.woken.erase(std::unique(ws.woken.begin(), ws.woken.end()),
+                     ws.woken.end());
+      for (const std::uint32_t u : ws.woken) {
+        if (asleep[u]) {
+          asleep[u] = 0;
+          --sleepers;
+        }
+        ws.extra.push_back({u, true});
+      }
     }
-
-    if (options.collect_trace) {
-      result.trace.push_back({round, pending, n - active.size()});
+    // This round has been delivered: its senders that stopped sending are
+    // re-silenced now (those that go on re-silence in their next visit).
+    Message* const delivered = ws.outbox[round & 1].data();
+    for (std::size_t s = 0; s < shards; ++s) {
+      for (const std::uint32_t u : scratch[s].leavers) {
+        std::fill_n(delivered + plan.offset(u), plan.degree(u), kSilence);
+        dirty[u] &= static_cast<std::uint8_t>(~from_bit);
+      }
     }
-    if (profile) {
-      receive_ns += elapsed_ns(merge_start, ProfileClock::now());
+    pop_bucket(round + 2);
+    if (visit.empty() && ws.extra.empty()) {
+      // Nothing in flight and nobody due: skip straight to the stage
+      // before the earliest wake.  Skipped rounds still count, and still
+      // get trace entries.
+      while (ws.extra.empty()) {
+        EDS_ENSURE(!buckets.empty(), "run_plan: a running node has no wake");
+        const auto due = static_cast<Round>(buckets.front() >> 32);
+        if (due - 2 >= options.max_rounds) {
+          throw_round_limit(name, options, running, n);
+        }
+        for (Round r = round + 1; r <= due - 2; ++r) {
+          if (options.collect_trace) {
+            result.trace.push_back({r, 0, n - running});
+          }
+        }
+        round = due - 2;
+        pop_bucket(due);
+      }
     }
-
-    if (active.empty()) break;
-    if (!send_next) {
-      std::ostringstream os;
-      os << "run_synchronous: algorithm '" << name << "' did not halt within "
-         << options.max_rounds << " rounds (" << active.size() << " of " << n
-         << " nodes still running)";
-      throw ExecutionError(os.str());
+    if (!ws.extra.empty()) {
+      // Merge the woken and the bucket's senders in, in ascending node
+      // order.  The three parts are disjoint: senders chose round + 1,
+      // bucket entries a later round, and a woken node left its bucket.
+      const auto by_node = [](Visit a, Visit b) { return a.node < b.node; };
+      std::sort(ws.extra.begin(), ws.extra.end(), by_node);
+      ws.merged.clear();
+      std::merge(visit.begin(), visit.end(), ws.extra.begin(), ws.extra.end(),
+                 std::back_inserter(ws.merged), by_node);
+      std::swap(visit, ws.merged);
     }
-    scan_pending(*nxt);
-    std::swap(cur, nxt);
+    if (profile) scan_ns += elapsed_ns(scan_start, ProfileClock::now());
+    ++round;
   }
 
   if (profile) {
     g_exchange_ns.fetch_add(exchange_ns, std::memory_order_relaxed);
     g_receive_ns.fetch_add(receive_ns, std::memory_order_relaxed);
-    g_scatter_ns.fetch_add(scatter_ns, std::memory_order_relaxed);
     g_scan_ns.fetch_add(scan_ns, std::memory_order_relaxed);
     g_profiled_rounds.fetch_add(round, std::memory_order_relaxed);
   }

@@ -3,41 +3,48 @@
 //
 // The paper's algorithms are local — O(1) or O(∆²) rounds — so essentially
 // all wall-clock time in this reproduction is simulator overhead, not
-// algorithm logic.  This layer attacks that overhead twice over:
+// algorithm logic.  This layer attacks that overhead three ways:
 //
 //  * ExecutionPlan precomputes everything the round loop needs as flat
 //    arrays (degrees, port offsets, the involution as flat indices), so the
 //    inner loops never pay PortGraph's bounds-checked lookups.
 //
-//  * Policies schedule the round loop over an *active-node worklist*:
-//    nodes that halted are removed, so a long tail of halted nodes costs
-//    zero per round.  SequentialPolicy runs the shards inline;
-//    ParallelPolicy spreads them across a thread pool.  Shard boundaries
-//    equalize *port* counts, not node counts (balanced_shard_bounds), so
-//    power-law degree sequences cannot starve all lanes but one.
+//  * The round loop pays per active node, not per node-round.  A program
+//    declares after each receive when it next has work
+//    (NodeProgram::next_wake); the engine keeps sleeping nodes in per-round
+//    *wake buckets* and visits, each round, only the nodes that receive
+//    (they sent this round, or a non-silence arrival woke them) or send
+//    next round.  Arrivals are found from the senders' own writes, and
+//    rounds with nothing due and nothing in flight are skipped in O(1) but
+//    still counted.  The default next_wake (r + 1) wakes every node every
+//    round, so dense execution is the degenerate case of the same loop.
+//    Policies shard each round's ascending visit list: SequentialPolicy
+//    runs the shards inline; ParallelPolicy spreads them across a thread
+//    pool.  Shard boundaries equalize *port* counts, not node counts
+//    (balanced_shard_bounds), so power-law degree sequences cannot starve
+//    all lanes but one.
 //
 //  * Message transport is sender-indexed and double-buffered: each buffer
 //    holds one round's messages at their *senders'* flat ports (programs
 //    write straight into their own contiguous segment — sequential stores,
-//    no staging copy, single-writer by construction) plus a flat
-//    struct-of-arrays tag lane shadowing the slot tags.  Each round runs
-//    ONE sharded stage behind ONE barrier: a node gathers its round-r
+//    no staging copy, single-writer by construction).  Each round runs ONE
+//    sharded stage behind ONE barrier: a visited node gathers its round-r
 //    input from the current buffer *through the involution* (delivery IS
 //    the gather — the permutation is applied on the read side, where loads
-//    pipeline, instead of as scattered stores), then — unless it halted —
-//    writes round r+1 into its own segment of the next buffer; the buffers
-//    swap after the barrier.  The per-round traffic count is a branch-free
-//    count_nonsilence sweep over the tag lane, and a halting node is
-//    silenced with two contiguous fills of its own segment.  (A full
-//    four-lane SoA split of Message storage was measured and rejected: the
-//    permutation step then touches four cache lines per message instead of
-//    one, ~4x slower on dense graphs — see ARCHITECTURE.md.)
+//    pipeline, instead of as scattered stores), then — unless it halted or
+//    sleeps — writes round r+1 into its own segment of the next buffer.
+//    Messages are counted from the senders' segments at send time, and a
+//    round's senders re-silence their segments one stage after delivery.
+//    (A full four-lane SoA split of Message storage was measured and
+//    rejected: the permutation step then touches four cache lines per
+//    message instead of one, ~4x slower on dense graphs — see
+//    ARCHITECTURE.md.)
 //
 // Hard guarantee, enforced by differential tests: every policy produces
-// bit-identical RunResults — outputs, stats, trace, and message-log order.
-// Parallel merges always combine per-shard results in shard (= node-range)
-// order, which is exactly the sequential order; see ARCHITECTURE.md for
-// the full double-buffer determinism argument.
+// bit-identical RunResults — outputs, stats, trace, and message-log order —
+// equal to the dense seed semantics.  Parallel merges always combine
+// per-shard results in shard (= node-range) order, which is exactly the
+// sequential order; see ARCHITECTURE.md for the full determinism argument.
 #pragma once
 
 #include <atomic>
@@ -79,8 +86,8 @@ class ExecutionPlan {
     return offsets_[v];
   }
   /// Flat index of the involution partner of flat port q (unchecked).
-  /// Stored as uint32 — the table is swept once per round by the receive
-  /// gather, so halving its bytes is a straight hot-loop bandwidth win
+  /// Stored as uint32 — the receive gather reads it for every delivered
+  /// port, so halving its bytes is a straight hot-loop bandwidth win
   /// (total_ports above 2^32 is far beyond this simulator's reach).
   [[nodiscard]] std::size_t partner_flat(std::size_t q) const noexcept {
     return partner_flat_[q];
@@ -96,11 +103,11 @@ class ExecutionPlan {
   /// candidates, matches() proves the identification.
   [[nodiscard]] bool matches(const port::PortGraph& g) const;
 
-  /// Approximate heap footprint of the flat arrays, for cache accounting.
+  /// Heap footprint of the flat arrays, for cache accounting.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return degrees_.capacity() * sizeof(Port) +
            offsets_.capacity() * sizeof(std::size_t) +
-           partner_flat_.capacity() * sizeof(std::size_t) +
+           partner_flat_.capacity() * sizeof(std::uint32_t) +
            partner_ref_.capacity() * sizeof(port::PortRef);
   }
 
@@ -136,7 +143,7 @@ class ExecutionPolicy {
       std::size_t shards, const std::function<void(std::size_t)>& fn) = 0;
 };
 
-/// The seed semantics, stage by stage on one thread — plus the worklist.
+/// Every round's stage inline, on the calling thread.
 class SequentialPolicy final : public ExecutionPolicy {
  public:
   [[nodiscard]] unsigned lanes() const noexcept override { return 1; }
@@ -147,8 +154,8 @@ class SequentialPolicy final : public ExecutionPolicy {
   }
 };
 
-/// Shards each stage's worklist range across a persistent thread pool with
-/// a barrier per stage.  `threads` as in ExecOptions (0 = hardware lanes).
+/// Shards each stage's visit list across a persistent thread pool with a
+/// barrier per stage.  `threads` as in ExecOptions (0 = hardware lanes).
 class ParallelPolicy final : public ExecutionPolicy {
  public:
   explicit ParallelPolicy(unsigned threads = 0) : pool_(threads) {}
@@ -176,14 +183,15 @@ class ParallelPolicy final : public ExecutionPolicy {
 /// `policy`.  This is the engine core under run_synchronous; call it
 /// directly to reuse a plan or a policy (and its thread pool) across runs.
 ///
-/// Message transport is pooled: both outbox buffers (message slots + tag
-/// lane each), the worklist and the per-shard scratch all live in a
-/// per-thread workspace that is reset (not reallocated) between rounds and
-/// reused across runs, so repeated executions on one lane perform no
-/// per-run buffer allocation once the workspace has grown to the largest
-/// graph seen.  The double buffer costs a second total_ports-sized slot
-/// array + tag lane of pooled bytes — the price of running each round
-/// behind a single barrier.
+/// The engine's state is pooled: both outbox buffers, the per-node wake
+/// and silence bookkeeping, the wake buckets, the visit lists and the
+/// per-shard scratch all live in a per-thread workspace that is reset (not
+/// reallocated) per run and reused across runs, so repeated executions on
+/// one lane perform no per-run buffer allocation once the workspace has
+/// grown to the largest graph seen.  The double buffer costs a second
+/// total_ports-sized slot array — the price of running each round behind
+/// a single barrier.  Everything else is O(n), plus one outdated wake
+/// bucket entry per arrival wake until the round it replaced comes up.
 [[nodiscard]] RunResult run_plan(
     const ExecutionPlan& plan,
     std::vector<std::unique_ptr<NodeProgram>>& programs,
@@ -208,26 +216,22 @@ struct EngineAllocStats {
 
 /// Round-stage wall-time split, accumulated by run_plan while profiling is
 /// enabled (process-wide, monotonic).  `exchange_ns` covers the send sweep
-/// (outbox segment writes) + the tag-lane shadow sweep (including the
-/// round barrier under ParallelPolicy); `scatter_ns` is the tag-lane
-/// shadow sweep alone — the cost of maintaining the struct-of-arrays tag
-/// lane — a subset of `exchange_ns`; `receive_ns` covers the involution
-/// gather + receive sweep plus the shard-order merge and worklist
-/// maintenance; `scan_ns` is the per-round traffic count over the tag lane
-/// (in none of the others).  Per profiled round, exchange_ns + receive_ns
-/// + scan_ns ≈ wall time.
+/// (outbox segment writes, the send-time message count and arrival
+/// detection); `receive_ns` covers the re-silencing, involution gather and
+/// receive sweep (including the round barrier under ParallelPolicy) plus
+/// the shard-order merge; `scan_ns` is the between-stage wake scan —
+/// arrival merging, the wake buckets and assembling the next visit list.
+/// Per profiled round, exchange_ns + receive_ns + scan_ns ≈ wall time.
 ///
 /// Timing the split at shard granularity requires per-stage sweeps, so a
-/// profiled run drives each shard as receive -> send -> tag-shadow passes
-/// instead of the fused per-node loop — bit-identical results, roughly ten
-/// percent of overhead on dense graphs (the split sweeps re-traverse the
-/// outbox once more).  bench_micro_runtime exports the deltas per
-/// benchmark.
+/// profiled run drives each shard's visit range as a receive sweep then a
+/// send sweep instead of the fused per-node pass — bit-identical results,
+/// a few percent of overhead on dense graphs.  bench_micro_runtime exports
+/// the deltas per benchmark.
 struct EngineStageStats {
-  std::uint64_t exchange_ns = 0;       ///< send + tag-shadow sweeps
+  std::uint64_t exchange_ns = 0;       ///< send sweep
   std::uint64_t receive_ns = 0;        ///< gather+receive sweep + merge
-  std::uint64_t scatter_ns = 0;        ///< tag-shadow sweep (⊂ exchange_ns)
-  std::uint64_t scan_ns = 0;           ///< per-round tag-lane traffic scan
+  std::uint64_t scan_ns = 0;           ///< between-stage wake scan
   std::uint64_t profiled_rounds = 0;   ///< rounds timed while enabled
 
   [[nodiscard]] bool operator==(const EngineStageStats&) const = default;

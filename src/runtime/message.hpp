@@ -28,9 +28,7 @@ struct Message {
 // runtime round-trips them through struct-of-arrays lanes field by field
 // (MessageLanes below).  Both are value-exact only for a trivially
 // copyable aggregate whose state is exactly its four int32 fields — keep
-// Message that way, or the lane round trip stops being faithful and the
-// engine's tag shadow (tag lane mirroring slots[q].tag) stops covering the
-// whole message identity for silence detection.
+// Message that way, or the lane round trip stops being faithful.
 static_assert(std::is_trivially_copyable_v<Message>,
               "Message must stay trivially copyable: the runtimes store it "
               "in shared flat buffers written from concurrent shards");
@@ -60,9 +58,8 @@ inline constexpr Message kSilence{};
 /// its port-indexed transport: routing messages through the port
 /// involution is a random-access permutation, and in a four-lane layout
 /// every permuted access touches four cache lines instead of one — ~4x
-/// slower measured on dense graphs.  It keeps AoS slots plus a shadow copy
-/// of this tag lane, getting the branch-free sweeps without the scattered
-/// four-line traffic (see ARCHITECTURE.md).
+/// slower measured on dense graphs.  It keeps AoS slots and counts each
+/// sender's messages at send time (see ARCHITECTURE.md).
 ///
 /// Programs keep the span<Message> API; lane users gather slots back into
 /// Message form before receive().
@@ -141,10 +138,9 @@ class MessageLanes {
 
 /// Number of non-silence slots in a tag lane: a branch-free sweep the
 /// compiler turns into SIMD compares under -O2 (and wider under
-/// EDS_NATIVE).  The engine's per-round traffic count is one call on the
-/// whole inbox tag lane — every slot is either freshly written this round
-/// or was silenced when its feeding node halted, so the count equals the
-/// round's non-silence sends exactly.
+/// EDS_NATIVE).  BM_SilenceScan measures it.  The round engine no longer
+/// calls it — it counts messages from the senders' segments at send time,
+/// so no round pays a full-width sweep.
 [[nodiscard]] inline std::uint64_t count_nonsilence(
     const std::int32_t* tags, std::size_t count) noexcept {
   std::uint64_t total = 0;

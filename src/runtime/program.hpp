@@ -6,7 +6,9 @@
 //  * each round it emits one message per port and then consumes one message
 //    per port;
 //  * at any point after a receive it may halt and expose its output
-//    X(v) ⊆ {1, ..., degree} (the ports of its chosen edges).
+//    X(v) ⊆ {1, ..., degree} (the ports of its chosen edges);
+//  * after a receive it may declare when it next has something to do
+//    (next_wake), so the engine can let it sleep through idle rounds.
 #pragma once
 
 #include <memory>
@@ -39,6 +41,24 @@ class NodeProgram {
   /// Consume the received messages: `in[i - 1]` arrived from port i.
   /// May set the halted state.  Called only while not halted.
   virtual void receive(Round round, std::span<const Message> in) = 0;
+
+  /// The next round w > r in which this node has work, asked by the
+  /// synchronous engine after every receive(r) that left it running.
+  ///
+  /// The contract: in every round r' with r < r' < w, send(r') would
+  /// write only silence, and receive(r') of an all-silence input would
+  /// leave the state unchanged.  The engine therefore skips both calls in
+  /// those rounds — the node sleeps.  A non-silence arrival in a sleep
+  /// round r' wakes it: the engine calls receive(r') *without* send(r'),
+  /// then asks next_wake(r') again.  In round w itself the node runs
+  /// send(w) and receive(w) as usual.  So no program may rely on send()
+  /// being called in a round it declared as sleep: state that a later
+  /// round needs must be updated in receive() or in an awake send().
+  ///
+  /// The default, r + 1, never sleeps: the dense execution of the seed
+  /// semantics.  The asynchronous engine ignores the hint and drives
+  /// every round.
+  [[nodiscard]] virtual Round next_wake(Round r) const { return r + 1; }
 
   /// True once the node has stopped and announced its output.
   [[nodiscard]] virtual bool halted() const = 0;

@@ -5,6 +5,8 @@
 // of its ports, and receives one message from each of its ports; the
 // involution p routes traffic (including directed loops, where a node
 // receives its own message).  Halted nodes emit silence and ignore input.
+// Nodes that declared sleep (NodeProgram::next_wake) are not called in
+// their idle rounds, which by contract changes nothing observable.
 // The execution ends when every node has halted, or fails with
 // ExecutionError when the round limit is exceeded (deterministic algorithms
 // that do not halt would otherwise loop forever).
@@ -40,7 +42,7 @@ class Executor;
 /// differential oracle), without it results may legitimately differ.
 struct ExecOptions {
   /// Lanes to shard each round's fused gather/receive/send pass over
-  /// (contiguous worklist ranges balanced by port count, one barrier per
+  /// (contiguous visit-list ranges balanced by port count, one barrier per
   /// round): 1 = SequentialPolicy (default), >1 = ParallelPolicy with
   /// that many lanes, 0 = ParallelPolicy with one lane per hardware
   /// thread.  At the batch level (`algo::run_batch`) this is instead the
@@ -105,11 +107,13 @@ struct RunStats {
   Round rounds = 0;                 ///< rounds until the last node halted
   std::uint64_t messages_sent = 0;  ///< non-silence messages over all rounds
 
-  /// Total port-slots of *non-halted* nodes, summed over rounds: each round
-  /// contributes the degree of every node that is still running.  Halted
-  /// nodes neither send nor receive, so their ports are not "served" — this
-  /// is the unit of simulator work the worklist scheduler actually performs
-  /// (invariant: ports_served == Σ_v d(v) · halt_round(v)).
+  /// A model cost, not the engine's work: Σ_v d(v) · halt_round(v), i.e.
+  /// every round charges the degree of every node still running (halted
+  /// nodes neither send nor receive; a node that halts at start costs 0).
+  /// The engine credits d(v) · halt_round(v) when v halts.  Nodes asleep
+  /// between their scheduled steps (NodeProgram::next_wake) are charged
+  /// here but cost the engine nothing, so on sparse schedules the engine
+  /// does far less work than this count.
   std::uint64_t ports_served = 0;
 
   [[nodiscard]] bool operator==(const RunStats&) const = default;

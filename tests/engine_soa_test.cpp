@@ -1,5 +1,5 @@
 // The rebuilt message transport (sender-indexed double-buffered outbox,
-// struct-of-arrays tag lane, degree-balanced shard boundaries) against the
+// degree-balanced shard boundaries) against the
 // policy-free seed oracle: bit-identity across lane counts on the degree
 // distributions that stress lane balancing hardest, byte-level accounting
 // for the pooled buffers, and the profiling-flag epoch cache.
@@ -81,18 +81,16 @@ TEST(EngineSoa, StarMultigraphDifferentialAcrossLaneCounts) {
 }
 
 TEST(EngineSoa, ProfiledRunsStayBitIdentical) {
-  // Stage profiling drives shards as split sweeps instead of the fused
-  // per-node loop; the differential bar applies to that path unchanged.
+  // Stage profiling drives shards as a receive sweep then a send sweep
+  // instead of the fused per-node pass; the differential bar applies to
+  // that path unchanged.
   auto rng = test::make_rng(0x50A4);
   const auto pg =
       port::with_random_ports(graph::random_power_law(200, 2.3, rng), rng);
   engine_stage_profiling(true);
   expect_lane_counts_match(pg.ports(), EchoFactory(5), "profiled power-law");
   engine_stage_profiling(false);
-  const auto stats = engine_stage_stats();
-  EXPECT_GT(stats.profiled_rounds, 0u);
-  EXPECT_GE(stats.exchange_ns, stats.scatter_ns)
-      << "the tag-shadow sweep is a component of the exchange time";
+  EXPECT_GT(engine_stage_stats().profiled_rounds, 0u);
 }
 
 TEST(EngineSoa, BalancedShardBoundsEqualizePortCounts) {

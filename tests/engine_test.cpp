@@ -202,11 +202,10 @@ TEST(Engine, MidRunHaltsWithPerNodePrograms) {
 TEST(Engine, DoubleBufferWorkspaceFootprint) {
   // Deterministic, hardware-independent accounting for the double-buffered
   // transport: a fresh lane's pooled footprint for a P-port graph holds
-  // exactly TWO P-slot Message buffers plus their two P-entry int32 tag
-  // lanes (the price of the single-barrier round loop), plus small
-  // worklist and scratch arrays.  A third ports-sized buffer — or lane
-  // sets silently duplicated beyond the shadow pair — would bust the
-  // upper bound asserted here.
+  // exactly TWO P-slot Message buffers (the price of the single-barrier
+  // round loop), plus small per-node wake bookkeeping, visit lists and
+  // scratch arrays.  A third ports-sized buffer would bust the upper bound
+  // asserted here.
   auto rng = test::make_rng(0xE65);
   const auto pg = test::random_ported_regular(1024, 4, rng);
   const std::size_t ports = pg.ports().num_ports();
@@ -221,10 +220,9 @@ TEST(Engine, DoubleBufferWorkspaceFootprint) {
   });
   fresh_lane.join();
 
-  const std::size_t buffer_pair =
-      2 * ports * (sizeof(Message) + sizeof(std::int32_t));
+  const std::size_t buffer_pair = 2 * ports * sizeof(Message);
   EXPECT_GE(delta, buffer_pair)
-      << "both outbox buffers and their tag lanes must be accounted";
+      << "both outbox buffers must be accounted";
   EXPECT_LT(delta, buffer_pair + ports * sizeof(Message))
       << "a third ports-sized message buffer is back in the workspace";
 }
@@ -259,7 +257,6 @@ TEST(Engine, StageStatsResetZeroesCumulativeCounters) {
   const auto zeroed = engine_stage_stats();
   EXPECT_EQ(zeroed.exchange_ns, 0u);
   EXPECT_EQ(zeroed.receive_ns, 0u);
-  EXPECT_EQ(zeroed.scatter_ns, 0u);
   EXPECT_EQ(zeroed.scan_ns, 0u);
   EXPECT_EQ(zeroed.profiled_rounds, 0u);
 

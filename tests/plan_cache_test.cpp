@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -104,6 +105,28 @@ TEST(PlanCache, ByteAccountingShrinksOnClearAndEviction) {
   cache.clear();
   EXPECT_EQ(cache.stats().bytes, 0u);
   EXPECT_EQ(cache.stats().size, 0u);
+}
+
+TEST(PlanCache, PlanBytesCountEachArrayAtItsElementSize) {
+  // cycle(6): 6 nodes of degree 2, 12 ports.  Per node a Port degree and a
+  // size_t offset; per port a uint32 flat partner and a PortRef.  The flat
+  // partner table is uint32, not size_t: counting it as size_t overstated
+  // every plan by 4 bytes a port and made the byte bound evict early.
+  const auto g = port::with_canonical_ports(graph::cycle(6));
+  const ExecutionPlan plan(g.ports());
+  const std::size_t expected =
+      6 * (sizeof(Port) + sizeof(std::size_t)) +
+      12 * (sizeof(std::uint32_t) + sizeof(port::PortRef));
+  EXPECT_EQ(plan.memory_bytes(), expected);
+  static_assert(sizeof(Port) == 4 && sizeof(port::PortRef) == 8);
+  if constexpr (sizeof(std::size_t) == 8) {
+    EXPECT_EQ(plan.memory_bytes(), 216u);
+  }
+
+  // The cache charges exactly the plan's bytes.
+  PlanCache cache;
+  (void)cache.get(g.ports());
+  EXPECT_EQ(cache.stats().bytes, expected);
 }
 
 TEST(PlanCache, ByteBoundEvictsIndependentlyOfEntryBound) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -118,6 +119,77 @@ class RelayFactory final : public runtime::ProgramFactory {
   runtime::Round base_;
 };
 
+/// Check mode for the NodeProgram::next_wake contract.  The wrapped
+/// program runs densely — the decorator keeps the default next_wake, so
+/// the engine calls send() and receive() every round — while the decorator
+/// tracks the wake the wrapped program declares exactly as the sleeping
+/// engine would: re-asked after the receive of a due round, or of a round
+/// in which a non-silence message arrived.  Every send() in a declared
+/// sleep round must write only silence; a violation throws ExecutionError
+/// out of the run.  Results must still equal the undecorated program's.
+class SleepCheckedProgram final : public runtime::NodeProgram {
+ public:
+  SleepCheckedProgram(std::unique_ptr<runtime::NodeProgram> inner,
+                      std::shared_ptr<std::atomic<std::uint64_t>> checked)
+      : inner_(std::move(inner)), checked_(std::move(checked)) {}
+
+  void start(port::Port degree) override { inner_->start(degree); }
+  void send(runtime::Round round,
+            std::span<runtime::Message> out) override {
+    inner_->send(round, out);
+    if (round >= due_) return;
+    for (const auto& m : out) {
+      if (!m.is_silence()) {
+        throw ExecutionError("SleepChecked: a message was sent in round " +
+                             std::to_string(round) +
+                             ", declared as sleep until round " +
+                             std::to_string(due_));
+      }
+    }
+    checked_->fetch_add(1, std::memory_order_relaxed);
+  }
+  void receive(runtime::Round round,
+               std::span<const runtime::Message> in) override {
+    inner_->receive(round, in);
+    if (inner_->halted()) return;
+    const bool arrival =
+        std::any_of(in.begin(), in.end(),
+                    [](const runtime::Message& m) { return !m.is_silence(); });
+    if (round >= due_ || arrival) due_ = inner_->next_wake(round);
+  }
+  [[nodiscard]] bool halted() const override { return inner_->halted(); }
+  [[nodiscard]] std::vector<port::Port> output() const override {
+    return inner_->output();
+  }
+
+ private:
+  std::unique_ptr<runtime::NodeProgram> inner_;
+  std::shared_ptr<std::atomic<std::uint64_t>> checked_;
+  runtime::Round due_ = 1;
+};
+
+/// Wraps every program of `inner` in SleepCheckedProgram; sleep_sends()
+/// counts the declared-sleep sends it checked, so a test can tell a
+/// vacuous check from a passing one.
+class SleepCheckedFactory final : public runtime::ProgramFactory {
+ public:
+  explicit SleepCheckedFactory(const runtime::ProgramFactory& inner)
+      : inner_(inner) {}
+  [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create()
+      const override {
+    return std::make_unique<SleepCheckedProgram>(inner_.create(), checked_);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::uint64_t sleep_sends() const {
+    return checked_->load(std::memory_order_relaxed);
+  }
+
+ private:
+  const runtime::ProgramFactory& inner_;
+  std::shared_ptr<std::atomic<std::uint64_t>> checked_ =
+      std::make_shared<std::atomic<std::uint64_t>>(0);
+};
+
 /// Fixed default master seed for randomised tests.
 inline constexpr std::uint64_t kDefaultSeed = 0xED5D0517ULL;
 
@@ -186,7 +258,7 @@ inline port::PortGraph figure2_multigraph_m() {
 }
 
 /// Seed-semantics oracle: the pre-engine run loop — every node scanned
-/// every round, no worklist, no sharding, a naive outbox -> inbox copy
+/// every round, no sleeping, no sharding, a naive outbox -> inbox copy
 /// per round — with ports_served counted for non-halted nodes per the
 /// documented definition.  Every engine transport rewrite is held to
 /// bit-identity against this function by the differential suites.
