@@ -12,15 +12,14 @@
 // committed snapshot via `tools/bench_json.py --compare`.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
+#include <utility>
 
 #include "algo/driver.hpp"
 #include "graph/generators.hpp"
 #include "port/ported_graph.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/message.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/shard.hpp"
 #include "util/rng.hpp"
@@ -262,54 +261,46 @@ void BM_EngineSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSparse)->Arg(4096)->Arg(16384);
 
-void BM_SilenceScan(benchmark::State& state) {
-  // The MessageLanes tag sweep in isolation: count_nonsilence over a
-  // contiguous int32 tag lane.  Arg 0 is the port count, arg 1 the halted
-  // fraction in permille (a halted node's slots carry tag 0); the scan is
-  // data-independent — same branch-free sweep whatever the mix — so the
-  // three fractions should land on the same ns/op, and a divergence means
-  // the compiler reintroduced a branch.  Exports the measured sweep as
-  // scan_ns and the lane bytes each sweep touches.
-  const auto ports = static_cast<std::size_t>(state.range(0));
-  const auto halted_permille = static_cast<std::uint64_t>(state.range(1));
-  eds::runtime::MessageLanes lanes;
-  lanes.assign_silence(ports);
-  eds::Rng rng(0x5CA7 + ports + halted_permille);
-  for (std::size_t q = 0; q < ports; ++q) {
-    const bool halted = rng.next_u64() % 1000 < halted_permille;
-    if (!halted) {
-      lanes.store(q, eds::runtime::msg(static_cast<std::int32_t>(q + 1)));
-    }
-  }
-  std::uint64_t scan_ns = 0;
+void BM_RandomRegular(benchmark::State& state) {
+  // Graph construction, generation half: random_regular(n, 5), i.e. the
+  // circulant seed, 12m double-edge swaps over the flat edge-key set and
+  // the CSR build in SimpleGraph::from_edges.  Every iteration draws a new
+  // graph from one continuing stream, as a sweep does.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  eds::Rng rng(8);
+  std::size_t edges = 0;
   for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto live = eds::runtime::count_nonsilence(lanes.tags(), ports);
-    const auto t1 = std::chrono::steady_clock::now();
-    scan_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    benchmark::DoNotOptimize(live);
+    const auto g = eds::graph::random_regular(n, 5, rng);
+    edges = g.num_edges();
+    benchmark::DoNotOptimize(g.max_degree());
   }
-  state.counters["n"] = static_cast<double>(ports);
-  state.counters["halted_permille"] = static_cast<double>(halted_permille);
-  state.counters["scan_ns"] = benchmark::Counter(
-      static_cast<double>(scan_ns), benchmark::Counter::kAvgIterations);
-  // One int32 lane per sweep — the whole point of the tag shadow is that
-  // the scan never touches the 16-byte Message slots.
-  state.counters["lane_bytes"] =
-      static_cast<double>(ports * sizeof(std::int32_t));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ports) *
-                          static_cast<std::int64_t>(sizeof(std::int32_t)));
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["edges"] = static_cast<double>(edges);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(edges));
 }
-BENCHMARK(BM_SilenceScan)
-    ->Args({4096, 0})
-    ->Args({4096, 500})
-    ->Args({4096, 900})
-    ->Args({100000, 0})
-    ->Args({100000, 500})
-    ->Args({100000, 900});
+BENCHMARK(BM_RandomRegular)->Arg(8192);
+
+void BM_WithRandomPorts(benchmark::State& state) {
+  // Graph construction, port half: with_random_ports on a 512 x 512 torus
+  // (262,144 nodes, 524,288 edges) -- per-node shuffles, the one-pass
+  // permutation check and the PortGraph build.  The graph copy each
+  // iteration hands over is made outside the timed region.
+  const auto g = eds::graph::torus(512, 512);
+  eds::Rng rng(9);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto copy = g;
+    state.ResumeTiming();
+    const auto pg = eds::port::with_random_ports(std::move(copy), rng);
+    benchmark::DoNotOptimize(pg.ports().num_ports());
+  }
+  state.counters["n"] = static_cast<double>(g.num_nodes());
+  state.counters["ports"] = static_cast<double>(2 * g.num_edges());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * g.num_edges()));
+}
+BENCHMARK(BM_WithRandomPorts);
 
 void BM_BatchSweep(benchmark::State& state) {
   // Batch throughput: 32 independent jobs (random 4-regular, n = 512)

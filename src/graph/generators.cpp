@@ -1,7 +1,9 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <utility>
 
@@ -10,6 +12,80 @@ namespace eds::graph {
 namespace {
 
 NodeId nid(std::size_t v) { return static_cast<NodeId>(v); }
+
+// A set of undirected edges {a, b}, a != b, each packed into one u64 key
+// (min << 32 | max) in a flat open-addressed table with linear probing.
+// Erase shifts the rest of the probe run back instead of leaving a
+// tombstone, so the table never degrades or needs a rebuild.  The capacity
+// is fixed up front: a power of two of at least four times the most edges
+// the set holds at once.  A load at or below a quarter keeps most lookups
+// to one slot; random_regular(8192, 5) ran about a third faster with it
+// than at a load of one half.
+class EdgeKeySet {
+ public:
+  explicit EdgeKeySet(std::size_t max_edges) {
+    std::size_t capacity = 16;
+    while (capacity < 4 * max_edges) capacity *= 2;
+    slots_.assign(capacity, kEmpty);
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+  }
+
+  [[nodiscard]] bool contains(NodeId a, NodeId b) const {
+    return slots_[find(key(a, b))] != kEmpty;
+  }
+
+  /// Adds {a, b}; false when it was already present.
+  bool insert(NodeId a, NodeId b) {
+    const auto k = key(a, b);
+    const auto i = find(k);
+    if (slots_[i] == k) return false;
+    slots_[i] = k;
+    return true;
+  }
+
+  /// Removes {a, b} if present.
+  void erase(NodeId a, NodeId b) {
+    std::size_t hole = find(key(a, b));
+    if (slots_[hole] == kEmpty) return;
+    // Backward-shift deletion: an entry further along the run moves into
+    // the hole unless its home slot lies cyclically in (hole, j].
+    for (std::size_t j = (hole + 1) & mask_; slots_[j] != kEmpty;
+         j = (j + 1) & mask_) {
+      const std::size_t home = home_of(slots_[j]);
+      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = kEmpty;
+  }
+
+ private:
+  // A loop {x, x} is never stored, so the all-ones key is free to mark an
+  // empty slot.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  static std::uint64_t key(NodeId a, NodeId b) {
+    if (a > b) std::swap(a, b);
+    return (std::uint64_t{a} << 32) | b;
+  }
+
+  [[nodiscard]] std::size_t home_of(std::uint64_t k) const {
+    return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  /// The slot holding `k`, or the empty slot that ends its probe run.
+  [[nodiscard]] std::size_t find(std::uint64_t k) const {
+    std::size_t i = home_of(k);
+    while (slots_[i] != kEmpty && slots_[i] != k) i = (i + 1) & mask_;
+    return i;
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+};
 
 }  // namespace
 
@@ -250,11 +326,8 @@ namespace {
 void double_edge_swaps(std::vector<Edge>& edges,
                        const std::vector<int>* side, Rng& rng) {
   if (edges.size() < 2) return;
-  std::set<std::pair<NodeId, NodeId>> present;
-  auto key = [](NodeId a, NodeId b) {
-    return a < b ? std::pair(a, b) : std::pair(b, a);
-  };
-  for (const auto& e : edges) present.insert(key(e.u, e.v));
+  EdgeKeySet present(edges.size());
+  for (const auto& e : edges) present.insert(e.u, e.v);
 
   const std::size_t attempts = 12 * edges.size();
   for (std::size_t it = 0; it < attempts; ++it) {
@@ -272,11 +345,11 @@ void double_edge_swaps(std::vector<Edge>& edges,
         (((*side)[a] == (*side)[c]) || ((*side)[b] == (*side)[dn]))) {
       continue;  // would break bipartiteness
     }
-    if (present.count(key(a, c)) || present.count(key(b, dn))) continue;
-    present.erase(key(e1.u, e1.v));
-    present.erase(key(e2.u, e2.v));
-    present.insert(key(a, c));
-    present.insert(key(b, dn));
+    if (present.contains(a, c) || present.contains(b, dn)) continue;
+    present.erase(e1.u, e1.v);
+    present.erase(e2.u, e2.v);
+    present.insert(a, c);
+    present.insert(b, dn);
     edges[i] = {a, c};
     edges[j] = {b, dn};
   }
@@ -322,9 +395,9 @@ SimpleGraph random_bounded_degree(std::size_t n, std::size_t max_degree,
     throw InvalidArgument("random_bounded_degree: need max_degree >= 1");
   }
   std::vector<std::size_t> degree(n, 0);
-  std::set<std::pair<NodeId, NodeId>> seen;
   std::vector<Edge> edges;
   const std::size_t cap = std::min(target_edges, n * max_degree / 2);
+  EdgeKeySet seen(cap);
   // Random pair sampling; the attempt budget is generous enough that the
   // generator fills the budget except when the degree cap makes it infeasible.
   const std::size_t attempts = 20 * cap + 100;
@@ -334,7 +407,7 @@ SimpleGraph random_bounded_degree(std::size_t n, std::size_t max_degree,
     if (u == v) continue;
     if (u > v) std::swap(u, v);
     if (degree[u] >= max_degree || degree[v] >= max_degree) continue;
-    if (!seen.emplace(u, v).second) continue;
+    if (!seen.insert(u, v)) continue;
     edges.push_back({u, v});
     ++degree[u];
     ++degree[v];
@@ -405,14 +478,14 @@ SimpleGraph random_power_law(std::size_t n, double exponent, Rng& rng,
     for (std::size_t k = 0; k < target[v]; ++k) stubs.push_back(nid(v));
   }
   rng.shuffle(stubs);
-  std::set<std::pair<NodeId, NodeId>> seen;
+  EdgeKeySet seen(stubs.size() / 2);
   std::vector<Edge> edges;
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     auto u = stubs[i];
     auto v = stubs[i + 1];
     if (u == v) continue;
     if (u > v) std::swap(u, v);
-    if (!seen.emplace(u, v).second) continue;
+    if (!seen.insert(u, v)) continue;
     edges.push_back({u, v});
   }
   return SimpleGraph::from_edges(n, std::move(edges));

@@ -1,19 +1,19 @@
 #include "graph/simple_graph.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 namespace eds::graph {
 
-SimpleGraph::SimpleGraph(std::size_t n) : adjacency_(n) {}
+SimpleGraph::SimpleGraph(std::size_t n) : offsets_(n + 1, 0) {}
 
 SimpleGraph SimpleGraph::from_edges(std::size_t n, std::vector<Edge> edges) {
   SimpleGraph g(n);
-  std::set<std::pair<NodeId, NodeId>> seen;
-  g.edges_.reserve(edges.size());
-  for (auto e : edges) {
+  // Counting pass: offsets_[v] collects d(v) while the endpoints are
+  // validated and normalised.
+  for (auto& e : edges) {
     if (e.u >= n || e.v >= n) {
       throw InvalidStructure("SimpleGraph: edge endpoint out of range");
     }
@@ -21,40 +21,72 @@ SimpleGraph SimpleGraph::from_edges(std::size_t n, std::vector<Edge> edges) {
       throw InvalidStructure("SimpleGraph: loops are not allowed");
     }
     if (e.u > e.v) std::swap(e.u, e.v);
-    if (!seen.emplace(e.u, e.v).second) {
+    ++g.offsets_[e.u];
+    ++g.offsets_[e.v];
+  }
+  // Inclusive prefix sums make offsets_[v] the end of v's list; placing the
+  // incidences at --offsets_[x] then leaves it at the start.
+  std::size_t total = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    total += g.offsets_[v];
+    g.offsets_[v] = total;
+  }
+  g.offsets_[n] = total;
+  g.incidences_.resize(total);
+  for (std::size_t id = edges.size(); id-- > 0;) {
+    const Edge e = edges[id];
+    const auto eid = static_cast<EdgeId>(id);
+    g.incidences_[--g.offsets_[e.u]] = {e.v, eid};
+    g.incidences_[--g.offsets_[e.v]] = {e.u, eid};
+  }
+  g.edges_ = std::move(edges);
+
+  // Sort each list by (neighbour, edge id); a parallel edge shows up as two
+  // adjacent entries with the same neighbour.
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto first = g.incidences_.begin() +
+                       static_cast<std::ptrdiff_t>(g.offsets_[v]);
+    const auto last = g.incidences_.begin() +
+                      static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
+    std::sort(first, last, [](const Incidence& a, const Incidence& b) {
+      return std::pair(a.neighbour, a.edge) < std::pair(b.neighbour, b.edge);
+    });
+    if (std::adjacent_find(first, last,
+                           [](const Incidence& a, const Incidence& b) {
+                             return a.neighbour == b.neighbour;
+                           }) != last) {
       throw InvalidStructure("SimpleGraph: parallel edges are not allowed");
     }
-    const auto id = static_cast<EdgeId>(g.edges_.size());
-    g.edges_.push_back(e);
-    g.adjacency_[e.u].push_back({e.v, id});
-    g.adjacency_[e.v].push_back({e.u, id});
-  }
-  for (auto& inc : g.adjacency_) {
-    std::sort(inc.begin(), inc.end(),
-              [](const Incidence& a, const Incidence& b) {
-                return std::pair(a.neighbour, a.edge) <
-                       std::pair(b.neighbour, b.edge);
-              });
   }
   return g;
 }
 
+void SimpleGraph::check_node(NodeId v) const {
+  if (v >= num_nodes()) {
+    throw std::out_of_range("SimpleGraph: node out of range");
+  }
+}
+
 std::size_t SimpleGraph::max_degree() const noexcept {
   std::size_t best = 0;
-  for (const auto& inc : adjacency_) best = std::max(best, inc.size());
+  for (std::size_t v = 0; v < num_nodes(); ++v) {
+    best = std::max(best, offsets_[v + 1] - offsets_[v]);
+  }
   return best;
 }
 
 std::size_t SimpleGraph::min_degree() const noexcept {
-  if (adjacency_.empty()) return 0;
-  std::size_t best = adjacency_.front().size();
-  for (const auto& inc : adjacency_) best = std::min(best, inc.size());
+  if (num_nodes() == 0) return 0;
+  std::size_t best = offsets_[1] - offsets_[0];
+  for (std::size_t v = 1; v < num_nodes(); ++v) {
+    best = std::min(best, offsets_[v + 1] - offsets_[v]);
+  }
   return best;
 }
 
 bool SimpleGraph::is_regular(std::size_t d) const noexcept {
-  for (const auto& inc : adjacency_) {
-    if (inc.size() != d) return false;
+  for (std::size_t v = 0; v < num_nodes(); ++v) {
+    if (offsets_[v + 1] - offsets_[v] != d) return false;
   }
   return true;
 }
@@ -63,12 +95,14 @@ std::optional<EdgeId> SimpleGraph::find_edge(NodeId u, NodeId v) const {
   if (u >= num_nodes() || v >= num_nodes()) {
     throw InvalidArgument("SimpleGraph::find_edge: node out of range");
   }
-  // Search the smaller adjacency list.
+  // Binary search in the smaller adjacency list (sorted by neighbour).
   const NodeId probe = degree(u) <= degree(v) ? u : v;
   const NodeId target = probe == u ? v : u;
-  for (const auto& inc : adjacency_[probe]) {
-    if (inc.neighbour == target) return inc.edge;
-  }
+  const auto list = incidences(probe);
+  const auto it = std::lower_bound(
+      list.begin(), list.end(), target,
+      [](const Incidence& inc, NodeId x) { return inc.neighbour < x; });
+  if (it != list.end() && it->neighbour == target) return it->edge;
   return std::nullopt;
 }
 

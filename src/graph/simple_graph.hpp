@@ -50,18 +50,26 @@ struct Incidence {
 };
 
 /// An immutable simple undirected graph (no loops, no parallel edges).
+///
+/// Adjacency is stored in CSR form: one flat Incidence array holding every
+/// node's list back to back, and an offsets array with the start of each
+/// node's list (offsets_[n] = 2m).
 class SimpleGraph {
  public:
   /// Empty graph with `n` isolated nodes.
   explicit SimpleGraph(std::size_t n = 0);
 
   /// Builds a graph from an edge list.  Endpoints are normalised (u <= v);
-  /// loops and duplicate edges are rejected with InvalidStructure.
-  /// Edge ids equal positions in `edges` (after normalisation).
+  /// out-of-range endpoints, loops and duplicate edges are rejected with
+  /// InvalidStructure (range and loops are checked over the whole list
+  /// first, then duplicates, found as equal neighbours in the sorted
+  /// incidence lists).  Edge ids equal positions in `edges`.
   [[nodiscard]] static SimpleGraph from_edges(std::size_t n,
                                               std::vector<Edge> edges);
 
-  [[nodiscard]] std::size_t num_nodes() const noexcept { return adjacency_.size(); }
+  [[nodiscard]] std::size_t num_nodes() const noexcept {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
   [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
 
   [[nodiscard]] const Edge& edge(EdgeId e) const { return edges_.at(e); }
@@ -69,11 +77,13 @@ class SimpleGraph {
 
   /// Adjacency list of `v`, ordered by (neighbour, edge id).
   [[nodiscard]] std::span<const Incidence> incidences(NodeId v) const {
-    return adjacency_.at(v);
+    check_node(v);
+    return {incidences_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
   [[nodiscard]] std::size_t degree(NodeId v) const {
-    return adjacency_.at(v).size();
+    check_node(v);
+    return offsets_[v + 1] - offsets_[v];
   }
 
   /// Largest node degree; 0 for an edgeless graph.
@@ -97,8 +107,12 @@ class SimpleGraph {
   [[nodiscard]] std::string summary() const;
 
  private:
+  /// Throws std::out_of_range unless v < num_nodes().
+  void check_node(NodeId v) const;
+
   std::vector<Edge> edges_;
-  std::vector<std::vector<Incidence>> adjacency_;
+  std::vector<std::size_t> offsets_;    // n + 1 list starts into incidences_
+  std::vector<Incidence> incidences_;  // 2m entries, per node sorted
 };
 
 /// Convenience helper for building edge lists incrementally with validation

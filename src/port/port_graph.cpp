@@ -1,6 +1,5 @@
 #include "port/port_graph.hpp"
 
-#include <map>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -25,13 +24,17 @@ std::vector<PortEdge> PortGraph::port_edges() const {
 }
 
 bool PortGraph::is_simple() const {
-  std::map<std::pair<NodeId, NodeId>, int> count;
-  for (const auto& e : port_edges()) {
-    if (e.is_loop()) return false;
-    NodeId u = e.a.node;
-    NodeId v = e.b.node;
-    if (u > v) std::swap(u, v);
-    if (++count[{u, v}] > 1) return false;
+  // One pass over every node's ports, stamping each neighbour with the node
+  // that reached it: a loop of either kind lands on the node itself, and a
+  // parallel edge reaches the same neighbour twice from one node.
+  constexpr NodeId kUnseen = ~NodeId{0};
+  std::vector<NodeId> reached_from(num_nodes(), kUnseen);
+  for (NodeId v = 0; v < num_nodes(); ++v) {
+    for (std::size_t q = offsets_[v]; q < offsets_[v] + degrees_[v]; ++q) {
+      const NodeId u = partner_[q].node;
+      if (u == v || reached_from[u] == v) return false;
+      reached_from[u] = v;
+    }
   }
   return true;
 }
@@ -112,7 +115,11 @@ PortGraphBuilder& PortGraphBuilder::fix(PortRef a) {
   return *this;
 }
 
-PortGraph PortGraphBuilder::build() {
+PortGraph PortGraphBuilder::build() const& {
+  return PortGraphBuilder(*this).build();
+}
+
+PortGraph PortGraphBuilder::build() && {
   for (std::size_t idx = 0; idx < assigned_.size(); ++idx) {
     if (!assigned_[idx]) {
       std::ostringstream os;
@@ -121,9 +128,8 @@ PortGraph PortGraphBuilder::build() {
       throw InvalidStructure(os.str());
     }
   }
-  PortGraph out = g_;
-  out.validate();
-  return out;
+  g_.validate();
+  return std::move(g_);
 }
 
 }  // namespace eds::port

@@ -101,15 +101,17 @@ class PortGraph {
   /// One-line summary ("nodes=5 ports=20 loops=2").
   [[nodiscard]] std::string summary() const;
 
- private:
-  friend class PortGraphBuilder;
-
+  /// The flat index of port (v, i): Σ_{u<v} d(u) + i - 1, the position of
+  /// that port in partner_table().  Throws InvalidArgument when out of range.
   [[nodiscard]] std::size_t flat_index(NodeId v, Port i) const {
     if (v >= degrees_.size() || i < 1 || i > degrees_[v]) {
       throw InvalidArgument("PortGraph: port reference out of range");
     }
     return offsets_[v] + (i - 1);
   }
+
+ private:
+  friend class PortGraphBuilder;
 
   std::vector<Port> degrees_;
   std::vector<std::size_t> offsets_;  // prefix sums of degrees
@@ -131,8 +133,13 @@ class PortGraphBuilder {
   /// Declares the fixed point p(a) = a (a directed loop).
   PortGraphBuilder& fix(PortRef a);
 
-  /// Validates that every port was assigned and returns the graph.
-  [[nodiscard]] PortGraph build();
+  /// Validates that every port was assigned and returns the graph.  The
+  /// builder stays usable, so build() may be called again.
+  [[nodiscard]] PortGraph build() const&;
+
+  /// The same for a builder that is done with: the graph is moved out
+  /// instead of copied.
+  [[nodiscard]] PortGraph build() &&;
 
  private:
   [[nodiscard]] std::size_t flat_index(PortRef r) const;

@@ -18,7 +18,10 @@ namespace eds::port {
 using graph::EdgeId;
 using graph::SimpleGraph;
 
-/// A simple graph with a port numbering and bidirectional port<->edge maps.
+/// A simple graph with a port numbering and bidirectional port<->edge maps,
+/// both flat and O(1): the edge at each port, indexed like PortGraph's flat
+/// ports, and the port of each edge endpoint, indexed by 2e + side (side 0
+/// for edge(e).u, 1 for edge(e).v).
 class PortedGraph {
  public:
   /// Builds from a graph and, for each node, its incident edge ids in port
@@ -40,9 +43,20 @@ class PortedGraph {
   [[nodiscard]] Port port_towards(NodeId v, NodeId u) const;
 
  private:
+  friend PortedGraph with_canonical_ports(SimpleGraph g);
+  friend PortedGraph with_random_ports(SimpleGraph g, Rng& rng);
+
+  /// Takes every node's port order back to back (node v's list starts at
+  /// Σ_{u<v} d(u)); the caller guarantees each list has length d(v).
+  PortedGraph(SimpleGraph graph, std::vector<EdgeId> flat_order);
+
+  /// Validates the flat order in one pass, fills port_at_ and builds ports_.
+  void number_ports();
+
   SimpleGraph graph_;
   PortGraph ports_;
-  std::vector<std::vector<EdgeId>> edge_at_port_;  // [v][i-1] -> edge id
+  std::vector<EdgeId> edge_at_port_;  // flat port index -> edge id
+  std::vector<Port> port_at_;         // [2e + side] -> port
 };
 
 /// Ports assigned in adjacency-list order (deterministic).

@@ -47,12 +47,9 @@ inline constexpr Message kSilence{};
 }
 
 /// Struct-of-arrays message storage: the four Message fields held as
-/// parallel flat std::int32_t lanes, so tag-only sweeps (silence scans,
-/// traffic counts — see count_nonsilence) read a contiguous int32 lane
-/// branch-free instead of striding over 16-byte structs.  The async
-/// runtime's per-round assembly buffers use this layout (slots fill in
-/// arrival order, one field set per store), and BM_SilenceScan measures
-/// the sweep in isolation.
+/// parallel flat std::int32_t lanes.  The async runtime's per-round
+/// assembly buffers use this layout (slots fill in arrival order, one field
+/// set per store) and gather each node's slots back into Message form.
 ///
 /// The synchronous engine deliberately does NOT use four-lane storage for
 /// its port-indexed transport: routing messages through the port
@@ -102,11 +99,6 @@ class MessageLanes {
     arg2_[q] = 0;
   }
 
-  /// The contiguous tag lane, for count_nonsilence() sweeps.
-  [[nodiscard]] const std::int32_t* tags() const noexcept {
-    return tag_.data();
-  }
-
   /// Transposes slots [offset, offset + count) back into AoS form at `dst`
   /// (unchecked).  Four contiguous streams in, one contiguous stream out —
   /// the autovectorization-friendly interleave the receive stage runs per
@@ -135,19 +127,5 @@ class MessageLanes {
   std::vector<std::int32_t> arg1_;
   std::vector<std::int32_t> arg2_;
 };
-
-/// Number of non-silence slots in a tag lane: a branch-free sweep the
-/// compiler turns into SIMD compares under -O2 (and wider under
-/// EDS_NATIVE).  BM_SilenceScan measures it.  The round engine no longer
-/// calls it — it counts messages from the senders' segments at send time,
-/// so no round pays a full-width sweep.
-[[nodiscard]] inline std::uint64_t count_nonsilence(
-    const std::int32_t* tags, std::size_t count) noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    total += static_cast<std::uint64_t>(tags[i] != 0);
-  }
-  return total;
-}
 
 }  // namespace eds::runtime

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "util/error.hpp"
@@ -76,9 +77,9 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0, 1]).
   [[nodiscard]] bool chance(double p) { return uniform01() < p; }
 
-  /// Fisher-Yates shuffle of a vector.
-  template <typename T>
-  void shuffle(std::vector<T>& items) {
+  /// Fisher-Yates shuffle of a vector, or of a span into one.
+  template <std::ranges::random_access_range Range>
+  void shuffle(Range&& items) {
     for (std::size_t i = items.size(); i > 1; --i) {
       const std::size_t j = static_cast<std::size_t>(below(i));
       using std::swap;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <utility>
 
 #include "algo/driver.hpp"
 #include "analysis/verify.hpp"
@@ -173,6 +175,88 @@ TEST(GeneratorsExtra, RandomRegularHighDegree) {
   for (const std::size_t d : {6u, 8u, 10u, 12u}) {
     const auto g = random_regular(2 * d + 2, d, rng);
     EXPECT_TRUE(g.is_regular(d)) << "d=" << d;
+  }
+}
+
+// FNV-1a (64-bit) over a stream of 32-bit words, each fed as four
+// little-endian bytes.
+class Fnv1a {
+ public:
+  void word(std::uint32_t w) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash_ ^= (w >> (8 * byte)) & 0xFFu;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+// n, m, then every edge (u, v) in edge-id order.
+std::uint64_t edge_list_hash(const SimpleGraph& g) {
+  Fnv1a h;
+  h.word(static_cast<std::uint32_t>(g.num_nodes()));
+  h.word(static_cast<std::uint32_t>(g.num_edges()));
+  for (const auto& e : g.edges()) {
+    h.word(e.u);
+    h.word(e.v);
+  }
+  return h.value();
+}
+
+// For every port (v, i) in flat order: the edge on it and its partner port.
+std::uint64_t port_numbering_hash(const port::PortedGraph& pg) {
+  Fnv1a h;
+  const auto& ports = pg.ports();
+  for (NodeId v = 0; v < ports.num_nodes(); ++v) {
+    for (port::Port i = 1; i <= ports.degree(v); ++i) {
+      const auto there = ports.partner(v, i);
+      h.word(pg.edge_at(v, i));
+      h.word(there.node);
+      h.word(there.port);
+    }
+  }
+  return h.value();
+}
+
+TEST(GeneratorsGolden, SeededGraphsAndPortsMatchRecordedHashes) {
+  // Pins the exact output of the seeded generators and of the random port
+  // numbering (edge list, edge ids, port order and RNG consumption), as
+  // recorded before the flat edge-set / CSR rewrite.  A rewrite of the
+  // graph or port layer that changes any bit of it fails here, which a
+  // "same seed, same graph" comparison within one build cannot catch.
+  struct Golden {
+    const char* name;
+    std::uint64_t seed;
+    SimpleGraph (*make)(Rng&);
+    std::uint64_t edges;
+    std::uint64_t ports;
+  };
+  const Golden cases[] = {
+      {"random_regular(8192,5)", 1,
+       [](Rng& rng) { return random_regular(8192, 5, rng); },
+       0x4D6DBC37E0303F8DULL, 0xF2E0A4F1777CFCD5ULL},
+      {"random_bipartite_regular(1024,5)", 2,
+       [](Rng& rng) { return random_bipartite_regular(1024, 5, rng); },
+       0x0B8FF5464ED420E5ULL, 0x0C8752F37F936C1DULL},
+      {"random_power_law(4096,2.5)", 3,
+       [](Rng& rng) { return random_power_law(4096, 2.5, rng); },
+       0xB93C0149F437A713ULL, 0x40CC8533BC99E013ULL},
+      {"random_bounded_degree(4096,6,10000)", 4,
+       [](Rng& rng) { return random_bounded_degree(4096, 6, 10000, rng); },
+       0x610ABF7A982E9247ULL, 0x10A51E98C07DD917ULL},
+      {"torus(512,512)", 5, [](Rng&) { return torus(512, 512); },
+       0xA497D356893A72D1ULL, 0x649350E7AD95516DULL},
+  };
+  for (const auto& c : cases) {
+    Rng rng(c.seed);
+    auto g = c.make(rng);
+    const auto edges = edge_list_hash(g);
+    const auto pg = port::with_random_ports(std::move(g), rng);
+    EXPECT_EQ(edges, c.edges) << c.name << " edge list";
+    EXPECT_EQ(port_numbering_hash(pg), c.ports) << c.name << " ports";
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "graph/edge_set.hpp"
 #include "graph/generators.hpp"
@@ -37,6 +39,55 @@ TEST(SimpleGraph, RejectsParallelEdges) {
 
 TEST(SimpleGraph, RejectsOutOfRange) {
   EXPECT_THROW((void)SimpleGraph::from_edges(2, {{0, 2}}), InvalidStructure);
+}
+
+TEST(SimpleGraph, RejectsBadEdgesOnAHighDegreeNode) {
+  // A star with 50 leaves; each bad edge comes after the 50 valid ones,
+  // and the duplicate is reversed so it only matches after normalisation.
+  std::vector<Edge> edges;
+  for (NodeId leaf = 1; leaf <= 50; ++leaf) edges.push_back({0, leaf});
+  auto with = [&edges](Edge extra) {
+    auto out = edges;
+    out.push_back(extra);
+    return out;
+  };
+  EXPECT_NO_THROW((void)SimpleGraph::from_edges(51, edges));
+  EXPECT_THROW((void)SimpleGraph::from_edges(51, with({17, 0})),
+               InvalidStructure);
+  EXPECT_THROW((void)SimpleGraph::from_edges(51, with({0, 0})),
+               InvalidStructure);
+  EXPECT_THROW((void)SimpleGraph::from_edges(51, with({0, 51})),
+               InvalidStructure);
+  EXPECT_THROW((void)SimpleGraph::from_edges(51, with({51, 3})),
+               InvalidStructure);
+}
+
+TEST(SimpleGraph, IncidenceListsMatchTheEdgeList) {
+  // The flat adjacency holds each edge once at each endpoint, every list
+  // sorted by (neighbour, edge id), and find_edge agrees with it.
+  Rng rng(41);
+  const auto g = random_power_law(500, 2.2, rng);
+  std::vector<std::size_t> seen(g.num_edges(), 0);
+  std::size_t total = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto list = g.incidences(v);
+    EXPECT_EQ(list.size(), g.degree(v));
+    total += list.size();
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      const auto& inc = list[k];
+      EXPECT_EQ(g.edge(inc.edge).other(v), inc.neighbour);
+      EXPECT_EQ(g.find_edge(v, inc.neighbour), inc.edge);
+      ++seen[inc.edge];
+      if (k > 0) {
+        EXPECT_LT(list[k - 1].neighbour, inc.neighbour);
+      }
+    }
+  }
+  EXPECT_EQ(total, 2 * g.num_edges());
+  for (const auto count : seen) EXPECT_EQ(count, 2u);
+  EXPECT_THROW((void)g.incidences(500), std::out_of_range);
+  EXPECT_THROW((void)g.degree(500), std::out_of_range);
+  EXPECT_EQ(SimpleGraph().num_nodes(), 0u);
 }
 
 TEST(SimpleGraph, FindEdge) {

@@ -109,6 +109,80 @@ TEST(PortedGraph, RejectsNonPermutationOrder) {
   EXPECT_THROW((void)PortedGraph(std::move(g), bad), InvalidStructure);
 }
 
+TEST(PortedGraph, EdgeAtAndPortOfAreInverseOnEveryPort) {
+  // edge_at(v, i) and port_of(v, e) round-trip over every (v, i), and the
+  // involution joins the two ports that carry the same edge: on a dense
+  // graph (every node has degree 39) and on a heavy-tailed one.
+  Rng rng(31);
+  const auto dense = with_random_ports(graph::complete(40), rng);
+  const auto sparse = with_random_ports(graph::random_power_law(600, 2.2, rng),
+                                        rng);
+  for (const auto* pg : {&dense, &sparse}) {
+    const auto& g = pg->graph();
+    std::size_t checked = 0;
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto d = static_cast<Port>(g.degree(v));
+      for (Port i = 1; i <= d; ++i) {
+        const EdgeId e = pg->edge_at(v, i);
+        const graph::NodeId u = g.edge(e).other(v);
+        EXPECT_EQ(pg->port_of(v, e), i);
+        EXPECT_EQ(pg->ports().partner(v, i), (PortRef{u, pg->port_of(u, e)}));
+        ++checked;
+      }
+      EXPECT_THROW((void)pg->edge_at(v, 0), InvalidArgument);
+      EXPECT_THROW((void)pg->edge_at(v, d + 1), InvalidArgument);
+    }
+    EXPECT_EQ(checked, 2 * g.num_edges());
+  }
+  // A node that is not an endpoint, an edge id past the end, a node past
+  // the end.
+  const auto& g = dense.graph();
+  const auto far = static_cast<graph::NodeId>(
+      g.edge(0).u == 2 || g.edge(0).v == 2 ? 3 : 2);
+  EXPECT_THROW((void)dense.port_of(far, 0), InvalidArgument);
+  EXPECT_THROW((void)dense.port_of(0, static_cast<EdgeId>(g.num_edges())),
+               InvalidArgument);
+  EXPECT_THROW((void)dense.port_of(40, 0), InvalidArgument);
+  EXPECT_THROW((void)dense.edge_at(40, 1), InvalidArgument);
+}
+
+TEST(PortedGraph, RejectsDuplicatedEdgeIdInOneNodesOrder) {
+  // Star K_{1,3}: node 0 carries edges 0, 1, 2.  Listing edge 0 twice keeps
+  // the list length equal to the degree, so only the duplicate is wrong.
+  auto g = graph::star(3);
+  const std::vector<std::vector<EdgeId>> bad{{0, 0, 2}, {0}, {1}, {2}};
+  EXPECT_THROW((void)PortedGraph(std::move(g), bad), InvalidStructure);
+}
+
+TEST(PortedGraph, RejectsNonIncidentEdgeInOneNodesOrder) {
+  // Path 0-1-2-3 with edges 0 = {0,1}, 1 = {1,2}, 2 = {2,3}.
+  const std::vector<std::vector<EdgeId>> non_incident{{2}, {0, 1}, {1, 2}, {2}};
+  EXPECT_THROW((void)PortedGraph(graph::path(4), non_incident),
+               InvalidStructure);
+  const std::vector<std::vector<EdgeId>> past_end{{7}, {0, 1}, {1, 2}, {2}};
+  EXPECT_THROW((void)PortedGraph(graph::path(4), past_end), InvalidStructure);
+  const std::vector<std::vector<EdgeId>> too_long{{0}, {0, 1}, {1, 2}, {2, 1}};
+  EXPECT_THROW((void)PortedGraph(graph::path(4), too_long), InvalidStructure);
+}
+
+TEST(PortGraph, IsSimpleRejectsLoopsAndParallelEdges) {
+  Rng rng(3);
+  EXPECT_TRUE(with_random_ports(graph::complete(7), rng).ports().is_simple());
+  PortGraphBuilder directed_loop({2, 1});
+  directed_loop.connect({0, 1}, {1, 1}).fix({0, 2});
+  EXPECT_FALSE(directed_loop.build().is_simple());
+  PortGraphBuilder undirected_loop({3, 1});
+  undirected_loop.connect({0, 1}, {1, 1}).connect({0, 2}, {0, 3});
+  EXPECT_FALSE(undirected_loop.build().is_simple());
+  PortGraphBuilder parallel({1, 2, 1});
+  parallel.connect({1, 1}, {0, 1}).connect({1, 2}, {2, 1});
+  EXPECT_TRUE(parallel.build().is_simple());
+  PortGraphBuilder doubled({1, 3, 2});
+  doubled.connect({0, 1}, {1, 1}).connect({1, 2}, {2, 1}).connect({2, 2},
+                                                                  {1, 3});
+  EXPECT_FALSE(doubled.build().is_simple());
+}
+
 TEST(PortedGraph, InvolutionMatchesPorts) {
   const auto pg = figure2_graph_h();
   // a: port1->c (c receives on its port 2).
