@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -352,6 +353,108 @@ TEST(Cli, SweepShardsReportsADeadWorkerCommand) {
                            "--shards", "2", "--worker-bin", "/bin/false"});
   EXPECT_EQ(run.code, 1);
   EXPECT_NE(run.err.find("sweep:"), std::string::npos) << run.err;
+}
+
+/// FNV-1a (64-bit) over the bytes of `text`.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// One pinned sweep: `sweep <args> --seed 5` in table mode and again with
+/// --ndjson, each as the FNV-1a hash of stdout plus the exit code.
+struct GoldenSweep {
+  std::vector<std::string> args;
+  std::uint64_t table_hash;
+  int table_code;
+  std::uint64_t ndjson_hash;
+  int ndjson_code;
+};
+
+void expect_golden(const std::vector<GoldenSweep>& pins) {
+  for (const auto& pin : pins) {
+    std::vector<std::string> args{"sweep"};
+    args.insert(args.end(), pin.args.begin(), pin.args.end());
+    args.insert(args.end(), {"--seed", "5"});
+    std::string label;
+    for (const auto& a : args) label += a + ' ';
+    const auto table = invoke(args);
+    args.push_back("--ndjson");
+    const auto ndjson = invoke(args);
+    EXPECT_EQ(table.code, pin.table_code) << label << table.err;
+    EXPECT_EQ(fnv1a(table.out), pin.table_hash) << label << '\n' << table.out;
+    EXPECT_EQ(ndjson.code, pin.ndjson_code) << label << ndjson.err;
+    EXPECT_EQ(fnv1a(ndjson.out), pin.ndjson_hash)
+        << label << "--ndjson\n" << ndjson.out;
+  }
+}
+
+// Golden pins: the exact bytes every sweep shape prints, recorded before
+// the sweep's job pipeline was unified.  The thread- and backend-identity
+// tests compare runs with each other; these catch a change to the output
+// itself.  The error cases pin what reaches stdout before the failure
+// (a sync table prints its header before resolving the parameter).
+TEST(Cli, SweepOutputMatchesGoldenPins) {
+  expect_golden({
+      {{"path", "--min", "8", "--max", "64"},
+       0x7aab70283023582bULL, 0, 0x2641cbaa48a5ddd3ULL, 0},
+      {{"cycle", "--min", "8", "--max", "64"},
+       0xa5eeec889e90d919ULL, 0, 0xb25fb6316b7135eaULL, 0},
+      {{"regular", "--d", "3", "--min", "8", "--max", "64"},
+       0xfffa41ec70a1a6b0ULL, 0, 0xd9e2981d857448e0ULL, 0},
+      {{"regular", "--d", "4", "--min", "8", "--max", "64"},
+       0x095fdd52fa806c93ULL, 0, 0x9ca82422669fc016ULL, 0},
+      {{"grid", "--min", "9", "--max", "100"},
+       0x9f2db142a030448aULL, 0, 0x2c9eea567361f1caULL, 0},
+      {{"torus", "--min", "9", "--max", "100"},
+       0x76ba0edc4537559dULL, 0, 0xd04ba5227b8d69deULL, 0},
+      {{"caterpillar", "--min", "8", "--max", "64"},
+       0x881cc918ad41436eULL, 0, 0xd3c3f55c0e761576ULL, 0},
+      {{"powerlaw", "--min", "16", "--max", "128"},
+       0x3d087224380968e9ULL, 0, 0xcb8f9e0a262ec5c7ULL, 0},
+      {{"portgraph", "--d", "3", "--min", "4", "--max", "32"},
+       0x904016c7a4ef6cbdULL, 0, 0x972930e7fb404578ULL, 0},
+      {{"grid", "--min", "9", "--max", "64", "--algorithm", "bounded-degree", "--param", "5"},
+       0xa366ccfea9d96271ULL, 0, 0x5ef060f7ccb650eeULL, 0},
+      {{"regular", "--d", "3", "--min", "8", "--max", "32", "--repeat", "2"},
+       0xde355cf4009bca09ULL, 0, 0x9dd6d01afbb19bb6ULL, 0},
+      {{"regular", "--d", "3", "--min", "8", "--max", "32", "--model", "async", "--delay", "uniform:1:9"},
+       0xbbc2d9608a110ba9ULL, 0, 0xde83c5aef052629eULL, 0},
+      {{"regular", "--d", "3", "--min", "8", "--max", "32", "--algorithm", "port-one", "--model", "async", "--delay", "uniform:1:6", "--loss", "0.1", "--dup", "0.05", "--crash", "2"},
+       0x2c4301f023ce25caULL, 0, 0x565e03dd98e2da8dULL, 0},
+      {{"cycle", "--min", "8", "--max", "32", "--model", "async", "--loss", "0.2"},
+       0x2cfb9b3255613ac7ULL, 0, 0xc2134a68f46a430dULL, 0},
+      {{"portgraph", "--d", "3", "--min", "4", "--max", "16", "--model", "async"},
+       0x87322ae71643a837ULL, 0, 0x78e4ee76d0574045ULL, 0},
+      {{"regular", "--d", "3", "--min", "8", "--max", "16", "--model", "async", "--adversary", "delay", "--budget", "8"},
+       0x0caca14a32bda858ULL, 0, 0x3668faf078bbea61ULL, 0},
+      {{"portgraph", "--d", "3", "--min", "4", "--max", "8", "--model", "async", "--adversary", "delay", "--budget", "8"},
+       0x90c1c75b4358c6f6ULL, 0, 0x757e350f6b2b6e92ULL, 0},
+      {{"grid", "--min", "9", "--max", "16", "--algorithm", "odd-regular"},
+       0xc10b1c03c84e6724ULL, 1, 0xcbf29ce484222325ULL, 1},
+      {{"grid", "--min", "9", "--max", "16", "--algorithm", "odd-regular", "--model", "async"},
+       0xcbf29ce484222325ULL, 1, 0xcbf29ce484222325ULL, 1},
+      {{"portgraph", "--d", "3", "--min", "4", "--max", "16", "--model", "async", "--loss", "0.3", "--algorithm", "port-one"},
+       0xa4376974b19e02edULL, 0, 0xfcc0c9b4382853bdULL, 0},
+      {{"regular", "--d", "3", "--min", "8", "--max", "32", "--model", "async", "--loss", "0.3"},
+       0x09eed1c9585e73f5ULL, 1, 0xcbf29ce484222325ULL, 1},
+      {{"cycle", "--min", "2", "--max", "2"},
+       0xcbf29ce484222325ULL, 1, 0xcbf29ce484222325ULL, 1},
+  });
+}
+
+TEST(Cli, ShardedSweepOutputMatchesGoldenPins) {
+  if (!edsim_available()) GTEST_SKIP() << "edsim binary not found";
+  expect_golden({
+      {{"torus", "--min", "9", "--max", "64", "--repeat", "2", "--shards", "2"},
+       0x9d2df87dd2611739ULL, 0, 0x9093c09b9d0dd768ULL, 0},
+      {{"regular", "--d", "3", "--min", "8", "--max", "32", "--model", "async", "--shards", "2"},
+       0xa06bf1ae0f93a1f2ULL, 0, 0xeed85809af39b96fULL, 0},
+  });
 }
 
 /// `jobs` as one framed batch on the worker's stdin.
