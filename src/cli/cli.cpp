@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <variant>
 
 #if defined(__linux__)
 #include <unistd.h>
@@ -45,8 +46,9 @@ namespace eds::cli {
 
 namespace {
 
-/// A malformed command line: an unknown flag, a flag missing its value, or
-/// a number that does not parse.  run_cli reports it and exits 2.  Not an
+/// A malformed command line: an unknown flag, a flag missing its value, a
+/// number that does not parse, or a flag given without the flag it needs
+/// (FlagRule).  run_cli reports it and exits 2.  Not an
 /// eds::Error on purpose, so no command's own error handling swallows it.
 class UsageError : public std::runtime_error {
  public:
@@ -69,17 +71,27 @@ template <class T>
   return value;
 }
 
+/// A cross-flag rule: each of `flags` only makes sense together with
+/// `--needs`, or with `--needs value` when `value` is set.
+struct FlagRule {
+  std::vector<std::string> flags;
+  std::string needs;
+  std::string value = {};
+};
+
 /// The flags one command accepts: `options` take a value, `switches` none.
 struct FlagSpec {
   std::vector<std::string> options;
   std::vector<std::string> switches;
+  std::vector<FlagRule> rules = {};
 };
 
 /// Positional args plus the --key [value] flags of one FlagSpec.
 class Args {
  public:
-  /// Throws UsageError on a flag outside `spec` or an option missing its
-  /// value.
+  /// Throws UsageError on a flag outside `spec`, an option missing its
+  /// value, or a flag whose rule is not met (the first one on the command
+  /// line, naming both flags).
   Args(const std::vector<std::string>& raw, const FlagSpec& spec) {
     const auto accepts = [](const std::vector<std::string>& keys,
                             const std::string& key) {
@@ -99,6 +111,18 @@ class Args {
         options_[key] = raw[++i];
       } else {
         throw UsageError(raw[i] + " needs a value");
+      }
+    }
+    for (const auto& flag : raw) {
+      if (flag.rfind("--", 0) != 0) continue;
+      for (const auto& rule : spec.rules) {
+        if (!accepts(rule.flags, flag.substr(2)) ||
+            (has(rule.needs) &&
+             (rule.value.empty() || get(rule.needs) == rule.value))) {
+          continue;
+        }
+        throw UsageError(flag + " needs --" + rule.needs +
+                         (rule.value.empty() ? "" : " " + rule.value));
       }
     }
   }
@@ -130,7 +154,8 @@ void usage(std::ostream& out) {
   out << "edsim — distributed edge dominating sets (Suomela, PODC 2010)\n"
          "\n"
          "usage: edsim <command> [options]\n"
-         "(an unknown flag or a malformed number exits 2)\n"
+         "(an unknown flag, a malformed number or a flag without the one\n"
+         " it needs exits 2)\n"
          "\n"
          "commands:\n"
          "  generate <family> [args] [--seed S]\n"
@@ -553,6 +578,53 @@ int cmd_sweep_replay(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+/// The simple graph of `family` at requested size `n`; nullopt for a family
+/// `sweep` does not know.  Seeded families draw from `rng`.
+std::optional<graph::SimpleGraph> family_graph(const std::string& family,
+                                               std::size_t n, std::size_t d,
+                                               Rng& rng) {
+  // grid/torus round n to a square side; n stays the *requested* size.
+  const auto side = [n](std::size_t at_least) {
+    return std::max<std::size_t>(
+        at_least, static_cast<std::size_t>(
+                      std::lround(std::sqrt(static_cast<double>(n)))));
+  };
+  if (family == "path") return graph::path(n);
+  if (family == "cycle") return graph::cycle(n);
+  if (family == "regular") return graph::random_regular(n, d, rng);
+  if (family == "grid") return graph::grid(side(2), side(2));
+  if (family == "torus") return graph::torus(side(3), side(3));
+  // A 2-leg caterpillar: spine of n/3 nodes, ~n nodes total — the
+  // worklist's favourite long-tail shape (leaves halt early).
+  if (family == "caterpillar") {
+    return graph::caterpillar(std::max<std::size_t>(1, n / 3), 2);
+  }
+  if (family == "powerlaw") return graph::random_power_law(n, 2.5, rng);
+  return std::nullopt;
+}
+
+/// One sweep instance and what its jobs share: the algorithm, its resolved
+/// parameter, the factory and the shard-routing group.
+struct SweepInstance {
+  /// `portgraph` instances are multigraphs (loops, parallel edges) with no
+  /// simple graph; every other family is a simple graph with random ports.
+  std::variant<port::PortGraph, port::PortedGraph> graph;
+  std::size_t n = 0;  ///< the requested size, the row's label
+  algo::Algorithm algorithm = algo::Algorithm::kBoundedDegree;
+  port::Port param = 0;
+  std::unique_ptr<runtime::ProgramFactory> factory = nullptr;
+  std::uint64_t group = 0;  ///< structural hash of the ports
+
+  /// Null for a `portgraph` instance.
+  [[nodiscard]] const port::PortedGraph* simple() const {
+    return std::get_if<port::PortedGraph>(&graph);
+  }
+  [[nodiscard]] const port::PortGraph& ports() const {
+    const auto* pg = simple();
+    return pg != nullptr ? pg->ports() : std::get<port::PortGraph>(graph);
+  }
+};
+
 int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   if (args.has("replay")) return cmd_sweep_replay(args, out, err);
   const auto& pos = args.positional();
@@ -562,6 +634,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   const auto& family = pos[1];
+  const bool portgraph = family == "portgraph";
   const auto min_n = args.number<std::size_t>("min", 8);
   const auto max_n = args.number<std::size_t>("max", 128);
   const auto step = args.number<std::size_t>("step", 0);
@@ -582,8 +655,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
 
   // --model async swaps the round engine for the event-driven asynchronous
   // engine (runtime/async.hpp).  All validation happens here so misuse is
-  // a clean exit 2, not a mid-sweep throw.  The default --model sync path
-  // below is untouched — byte-identical to a build without this flag.
+  // a clean exit 2, not a mid-sweep throw; run_cli's flag rules already
+  // rejected the async-only flags under --model sync.
   const auto model = args.get("model", "sync");
   if (model != "sync" && model != "async") {
     err << "sweep: unknown --model '" << model << "' (sync|async)\n";
@@ -597,18 +670,6 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   std::optional<runtime::AdversaryStrategy> adversary;
   std::size_t budget = 0;
   const auto replay_out = args.get("replay-out", "");
-  if (!async_model) {
-    if (args.has("adversary")) {
-      err << "sweep: --adversary needs --model async (the synchronous "
-             "engine has no schedule to perturb)\n";
-      return 2;
-    }
-    if (args.has("budget") || !replay_out.empty()) {
-      err << "sweep: --budget/--replay-out only make sense with "
-             "--adversary\n";
-      return 2;
-    }
-  }
   if (async_model) {
     try {
       async_base.delay =
@@ -642,10 +703,6 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
         err << "sweep: need --budget >= 1\n";
         return 2;
       }
-    } else if (args.has("budget") || !replay_out.empty()) {
-      err << "sweep: --budget/--replay-out only make sense with "
-             "--adversary\n";
-      return 2;
     }
     const bool have_faults = loss > 0.0 || dup > 0.0 || crash_k > 0;
     // An adversary search implies free-running mode: the α-synchronizer is
@@ -673,18 +730,10 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
 
   // --shards N swaps the in-process pool for `edsim worker` subprocesses;
   // everything downstream (row printing, summary, exit code) is backend
-  // agnostic, which is what makes the outputs byte-identical.  Since
-  // schema 2 async jobs cross the wire too; adversarial searches stay
-  // in-process (their schedules are a search artifact, not wire payload).
+  // agnostic, which is what makes the outputs byte-identical.  Async jobs
+  // cross the wire too; adversarial searches stay in-process (their
+  // schedules are a search artifact, not wire payload).
   std::unique_ptr<runtime::ProcessShardExecutor> shard_exec;
-  for (const char* flag :
-       {"retries", "retry-backoff-ms", "job-timeout-ms", "batch-timeout-ms",
-        "breaker-deaths", "fallback-inprocess", "chaos"}) {
-    if (args.has(flag) && !args.has("shards")) {
-      err << "sweep: --" << flag << " only makes sense with --shards\n";
-      return 2;
-    }
-  }
   if (args.has("shards")) {
     if (adversary) {
       err << "sweep: --adversary cannot run under --shards (adversarial "
@@ -753,10 +802,10 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   // Every job in the sweep shares one plan cache, so --repeat compiles one
   // ExecutionPlan per instance regardless of R; the summary counters below
   // make the reuse visible (and assertable from tests).
-  // `all_feasible` is only emitted when the family actually verifies edge
-  // domination (the simple-graph branch); the portgraph branch checks
-  // output well-formedness, not feasibility, so it omits the field rather
-  // than hardcoding a claim nobody computed.
+  // `all_feasible` is only emitted when the sweep actually verifies edge
+  // domination (sync runs on simple graphs); multigraph rows check output
+  // well-formedness and async rows report degradation as data, so they
+  // omit the field rather than hardcode a claim nobody computed.
   // Under --shards the parent-side cache is idle; the workers' per-shard
   // caches report their counters through the wire summaries instead, and
   // group-affinity routing keeps the aggregated numbers identical to the
@@ -877,11 +926,11 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   // loop is sequential on purpose — the report is a pure function of
   // (instance, seed, budget), so --threads cannot change a single byte.
   std::size_t adversary_jobs = 0;
-  const auto adversary_row =
-      [&](const std::string& fam, std::size_t n_label,
-          const port::PortGraph& ports, const runtime::ProgramFactory& factory,
-          const std::string& algo_token, port::Port resolved,
-          std::optional<std::size_t> optimum, TextTable& table) -> int {
+  const auto adversary_row = [&](const SweepInstance& inst,
+                                 std::optional<std::size_t> optimum,
+                                 TextTable& table) -> int {
+    const auto& ports = inst.ports();
+    const auto algo_token = algo::algorithm_token(inst.algorithm);
     const std::size_t job_index = adversary_jobs++;
     const auto base = async_for_job(job_index, ports.num_nodes());
     std::uint64_t state = seed ^ (0xBADC0FFEULL + job_index);
@@ -889,11 +938,11 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     runtime::RunOptions run_opts;
     run_opts.exec.plan_cache = &plan_cache;
     const auto report = runtime::adversary_search(
-        ports, factory, *adversary, base, budget, search_seed, run_opts);
+        ports, *inst.factory, *adversary, base, budget, search_seed,
+        run_opts);
     const auto metric = report.primary_metric();
-    const auto shrunk = runtime::shrink_witness(ports, factory,
-                                                report.primary(), metric,
-                                                run_opts);
+    const auto shrunk = runtime::shrink_witness(
+        ports, *inst.factory, report.primary(), metric, run_opts);
     std::optional<Fraction> ratio;
     if (optimum.has_value() && *optimum > 0) {
       ratio = analysis::approximation_ratio(
@@ -905,7 +954,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
       runtime::ReplayFile file;
       file.strategy = runtime::adversary_token(*adversary);
       file.algorithm = algo_token;
-      file.param = resolved;
+      file.param = inst.param;
       file.options = shrunk.options;
       file.metrics = {
           {"rounds", shrunk.metrics.rounds},
@@ -914,7 +963,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
           {"inconsistent", shrunk.metrics.inconsistent},
       };
       file.graph_text = port::to_port_graph_string(ports);
-      replay_path = replay_out + "/worst-" + fam + "-" +
+      replay_path = replay_out + "/worst-" + family + "-" +
                     std::to_string(job_index) + ".edsched";
       std::ofstream sink(replay_path);
       sink << runtime::encode_replay(file);
@@ -925,8 +974,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     }
     if (ndjson) {
       out << "{\"schema\":" << runtime::kWireSchemaVersion
-          << ",\"index\":" << job_index << ",\"family\":\"" << fam << '"'
-          << ",\"n\":" << n_label << ",\"algorithm\":\"" << algo_token << '"'
+          << ",\"index\":" << job_index << ",\"family\":\"" << family << '"'
+          << ",\"n\":" << inst.n << ",\"algorithm\":\"" << algo_token << '"'
           << ",\"adversary\":\"" << runtime::adversary_token(*adversary)
           << "\",\"budget\":" << budget
           << ",\"evaluated\":" << report.evaluated
@@ -949,7 +998,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     } else {
       std::ostringstream ratio_text;
       if (ratio.has_value()) ratio_text << *ratio;
-      table.row({std::to_string(n_label), std::to_string(report.evaluated),
+      table.row({std::to_string(inst.n), std::to_string(report.evaluated),
                  std::to_string(report.failures),
                  std::to_string(report.worst_rounds.metrics.rounds),
                  std::to_string(report.worst_time.metrics.virtual_time),
@@ -959,349 +1008,200 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     }
     return 0;
   };
-  const auto adversary_header = [] {
-    TextTable table("");
-    table.header({"n", "evaluated", "failures", "rounds", "time", "selected",
-                  "inconsistent", "ratio"});
-    return table;
-  };
 
   try {
-    if (family == "portgraph") {
-      // Random port-numbered multigraphs (loops and parallel edges): the
-      // fixed-algorithm path; `auto` means the bounded-degree family A(d).
-      std::vector<port::PortGraph> instances;
-      instances.reserve(sizes.size());
-      for (const auto n : sizes) {
-        instances.push_back(port::random_port_graph(
-            std::vector<port::Port>(n, static_cast<port::Port>(d)), rng));
-      }
-      const auto algorithm = fixed.value_or(algo::Algorithm::kBoundedDegree);
-      const auto resolved_param =
-          param != 0 ? param
-                     : static_cast<port::Port>(std::max<std::size_t>(d, 1));
-      const auto factory = algo::make_factory(algorithm, resolved_param);
-      if (adversary) {
-        if (!ndjson) {
-          out << "sweep: family=portgraph d=" << d
-              << " algorithm=" << algo::algorithm_name(algorithm)
-              << " adversary=" << runtime::adversary_token(*adversary)
-              << " budget=" << budget << '\n';
-        }
-        auto table = adversary_header();
-        for (std::size_t k = 0; k < instances.size(); ++k) {
-          for (std::size_t r = 0; r < repeat; ++r) {
-            // Multigraphs (loops, parallel edges) have no exact solver, so
-            // the optimum/ratio columns stay empty for this family.
-            const int rc = adversary_row(
-                "portgraph", sizes[k], instances[k], *factory,
-                algo::algorithm_token(algorithm), resolved_param,
-                std::nullopt, table);
-            if (rc != 0) return rc;
-          }
-        }
-        if (!ndjson) table.print(out);
-        summarize(adversary_jobs, std::nullopt);
-        return 0;
-      }
-      std::vector<runtime::BatchJob> jobs;
-      jobs.reserve(instances.size() * repeat);
-      for (const auto& g : instances) {
-        runtime::RunOptions options;
-        options.exec.plan_cache = &plan_cache;
-        runtime::JobSpec spec;
-        spec.algorithm = algo::algorithm_token(algorithm);
-        spec.param = resolved_param;
-        // One O(ports) hash walk per instance, shared by all --repeat
-        // jobs below (the simple-graph families get the same guarantee
-        // from prepare_batch's StructuralHashMemo).
-        spec.group = runtime::structural_hash(g);
-        for (std::size_t r = 0; r < repeat; ++r) {
-          runtime::RunOptions job_options = options;
-          if (async_model) {
-            job_options.exec.async =
-                async_for_job(jobs.size(), g.num_nodes());
-          }
-          jobs.push_back({&g, factory.get(), job_options, spec});
-        }
-      }
-      const runtime::BatchRunner runner =
-          shard_exec != nullptr ? runtime::BatchRunner(shard_exec.get())
-                                : runtime::BatchRunner(threads);
-
-      if (!ndjson) {
-        out << "sweep: family=portgraph d=" << d
-            << " algorithm=" << algo::algorithm_name(algorithm)
-            << " jobs=" << jobs.size() << '\n';
-      }
-      TextTable table("");
-      table.header({"n", "ports", "rounds", "messages", "selected"});
-      // Streaming delivery: rows arrive in job order as their prefix
-      // completes; NDJSON mode prints (and flushes) each immediately.
-      runner.run_streaming(
-          jobs, [&](std::size_t i, runtime::RunResult&& result) {
-            const auto& g = instances[i / repeat];
-            // Under faults a one-sided selection is a measured outcome, so
-            // the async model tolerates inconsistency instead of throwing.
-            const auto selected =
-                async_model
-                    ? runtime::consistent_selection_size(g, result)
-                    : std::optional<std::size_t>(
-                          runtime::validated_selection_size(g, result));
-            if (ndjson) {
-              out << "{\"schema\":" << runtime::kWireSchemaVersion
-                  << ",\"index\":" << i << ",\"family\":\"portgraph\""
-                  << ",\"n\":" << sizes[i / repeat]
-                  << ",\"ports\":" << g.num_ports();
-              if (async_model) {
-                out << ",\"model\":\"async\",\"consistent\":"
-                    << (selected.has_value() ? "true" : "false");
-              }
-              out << ",\"rounds\":" << result.stats.rounds
-                  << ",\"messages\":" << result.stats.messages_sent;
-              if (selected.has_value()) {
-                out << ",\"selected\":" << *selected;
-              }
-              out << "}\n";
-              out.flush();
-            } else {
-              table.row({std::to_string(sizes[i / repeat]),
-                         std::to_string(g.num_ports()),
-                         std::to_string(result.stats.rounds),
-                         std::to_string(result.stats.messages_sent),
-                         selected.has_value() ? std::to_string(*selected)
-                                              : "inconsistent"});
-            }
-          });
-      if (!ndjson) table.print(out);
-      summarize(jobs.size(), std::nullopt);
-      return 0;
-    }
-
-    // Simple-graph families: generate sequentially (the RNG stream is the
-    // determinism contract), then fan the runs across the pool.
-    std::vector<port::PortedGraph> instances;
+    // Generate: sequentially, in size order — the shared RNG stream is the
+    // determinism contract.
+    std::vector<SweepInstance> instances;
     instances.reserve(sizes.size());
     for (const auto n : sizes) {
-      graph::SimpleGraph g;
-      if (family == "path") {
-        g = graph::path(n);
-      } else if (family == "cycle") {
-        g = graph::cycle(n);
-      } else if (family == "regular") {
-        g = graph::random_regular(n, d, rng);
-      } else if (family == "grid") {
-        // Round the size to a square side; n stays the *requested* size.
-        const auto side = std::max<std::size_t>(
-            2, static_cast<std::size_t>(std::lround(
-                   std::sqrt(static_cast<double>(n)))));
-        g = graph::grid(side, side);
-      } else if (family == "torus") {
-        const auto side = std::max<std::size_t>(
-            3, static_cast<std::size_t>(std::lround(
-                   std::sqrt(static_cast<double>(n)))));
-        g = graph::torus(side, side);
-      } else if (family == "caterpillar") {
-        // A 2-leg caterpillar: spine of n/3 nodes, ~n nodes total — the
-        // worklist's favourite long-tail shape (leaves halt early).
-        g = graph::caterpillar(std::max<std::size_t>(1, n / 3), 2);
-      } else if (family == "powerlaw") {
-        g = graph::random_power_law(n, 2.5, rng);
-      } else {
+      if (portgraph) {
+        instances.push_back({port::random_port_graph(
+                                 std::vector<port::Port>(
+                                     n, static_cast<port::Port>(d)),
+                                 rng),
+                             n});
+        continue;
+      }
+      auto g = family_graph(family, n, d, rng);
+      if (!g) {
         err << "sweep: unknown family '" << family << "'\n";
         return 2;
       }
-      instances.push_back(port::with_random_ports(std::move(g), rng));
+      instances.push_back({port::with_random_ports(std::move(*g), rng), n});
     }
 
-    if (async_model) {
-      // Raw runtime jobs instead of algo::BatchItems: the async model
-      // bypasses run_batch's validated-EdsOutcome path on purpose, because
-      // under faults a one-sided selection is a measured outcome the sweep
-      // must report, not an exception.  Factories are built exactly as
-      // run_algorithm would (same resolved parameter), so the fault-free
-      // synchronized rows are field-identical to the sync model's.
-      std::vector<algo::Algorithm> algorithms(instances.size());
-      std::vector<port::Port> params(instances.size());
-      std::vector<std::unique_ptr<runtime::ProgramFactory>> factories;
-      factories.reserve(instances.size());
-      std::vector<runtime::BatchJob> jobs;
-      jobs.reserve(instances.size() * repeat);
-      for (std::size_t k = 0; k < instances.size(); ++k) {
-        const auto& pg = instances[k];
-        port::Port item_param = param;
-        if (fixed) {
-          algorithms[k] = *fixed;
-        } else {
-          const auto rec = algo::recommended_for(pg.graph());
-          algorithms[k] = rec.algorithm;
-          item_param = rec.param;
-        }
-        params[k] = algo::resolved_param(pg, algorithms[k], item_param);
-        factories.push_back(algo::make_factory(algorithms[k], params[k]));
-        if (adversary) continue;
-        runtime::JobSpec spec;
-        spec.algorithm = algo::algorithm_token(algorithms[k]);
-        spec.param = params[k];
-        // One hash walk per instance, as in the portgraph branch: group
-        // routing is what keeps the per-shard caches equivalent to the
-        // single in-process cache.
-        spec.group = runtime::structural_hash(pg.ports());
-        for (std::size_t r = 0; r < repeat; ++r) {
-          runtime::RunOptions options;
-          options.exec.plan_cache = &plan_cache;
-          options.exec.async =
-              async_for_job(jobs.size(), pg.graph().num_nodes());
-          jobs.push_back(
-              {&pg.ports(), factories.back().get(), options, spec});
-        }
+    const auto print_header = [&] {
+      if (ndjson) return;
+      out << "sweep: family=" << family;
+      if (portgraph) {
+        out << " d=" << d << " algorithm="
+            << algo::algorithm_name(
+                   fixed.value_or(algo::Algorithm::kBoundedDegree));
+      } else {
+        out << " algorithm=" << algo_name;
       }
-
       if (adversary) {
-        if (!ndjson) {
-          out << "sweep: family=" << family << " algorithm=" << algo_name
-              << " adversary=" << runtime::adversary_token(*adversary)
-              << " budget=" << budget << '\n';
-        }
-        auto table = adversary_header();
-        for (std::size_t k = 0; k < instances.size(); ++k) {
-          const auto& pg = instances[k];
-          // The exact solver is exponential in m; only small instances get
-          // the optimum/ratio columns (the degradation tables use those).
-          std::optional<std::size_t> optimum;
-          if (pg.graph().num_edges() <= 24) {
-            optimum = exact::minimum_eds_size(pg.graph());
-          }
-          for (std::size_t r = 0; r < repeat; ++r) {
-            const int rc = adversary_row(
-                family, sizes[k], pg.ports(), *factories[k],
-                algo::algorithm_token(algorithms[k]), params[k], optimum,
-                table);
-            if (rc != 0) return rc;
-          }
-        }
-        if (!ndjson) table.print(out);
-        summarize(adversary_jobs, std::nullopt);
-        return 0;
+        out << " adversary=" << runtime::adversary_token(*adversary)
+            << " budget=" << budget;
+      } else {
+        out << " jobs=" << instances.size() * repeat;
       }
+      out << '\n';
+    };
 
-      if (!ndjson) {
-        out << "sweep: family=" << family << " algorithm=" << algo_name
-            << " jobs=" << jobs.size() << '\n';
+    // Resolve.  A sync sweep prints its header first, so a graph the
+    // fixed algorithm rejects still leaves it on stdout.
+    if (!async_model) print_header();
+    for (auto& inst : instances) {
+      if (const auto* pg = inst.simple()) {
+        port::Port wanted = param;
+        if (fixed) {
+          inst.algorithm = *fixed;
+        } else {
+          const auto rec = algo::recommended_for(pg->graph());
+          inst.algorithm = rec.algorithm;
+          wanted = rec.param;
+        }
+        inst.param = algo::resolved_param(*pg, inst.algorithm, wanted);
+      } else {
+        // Multigraphs have no Table 1 row: `auto` means A(d).
+        inst.algorithm = fixed.value_or(algo::Algorithm::kBoundedDegree);
+        inst.param = param != 0 ? param
+                                : static_cast<port::Port>(
+                                      std::max<std::size_t>(d, 1));
       }
+      inst.factory = algo::make_factory(inst.algorithm, inst.param);
+      // One O(ports) hash walk per instance, shared by its --repeat jobs:
+      // group routing keeps the per-shard caches equivalent to one cache.
+      inst.group = runtime::structural_hash(inst.ports());
+    }
+    if (async_model) print_header();
+
+    if (adversary) {
       TextTable table("");
-      table.header(
-          {"n", "edges", "algorithm", "rounds", "messages", "|D|", "ok"});
-      const runtime::BatchRunner async_runner =
-          shard_exec != nullptr ? runtime::BatchRunner(shard_exec.get())
-                                : runtime::BatchRunner(threads);
-      async_runner.run_streaming(
-          jobs, [&](std::size_t i, runtime::RunResult&& result) {
-            const auto& pg = instances[i / repeat];
-            const auto& g = pg.graph();
-            const auto selected =
-                runtime::consistent_selection_size(pg.ports(), result);
-            std::optional<bool> feasible;
-            if (selected.has_value()) {
-              feasible = analysis::is_edge_dominating_set(
-                  g, runtime::validated_edge_set(pg, result));
-            }
-            if (ndjson) {
-              out << "{\"schema\":" << runtime::kWireSchemaVersion
-                  << ",\"index\":" << i << ",\"family\":\"" << family << '"'
-                  << ",\"n\":" << sizes[i / repeat]
-                  << ",\"nodes\":" << g.num_nodes()
-                  << ",\"edges\":" << g.num_edges() << ",\"algorithm\":\""
-                  << algo::algorithm_name(algorithms[i / repeat]) << '"'
-                  << ",\"model\":\"async\",\"consistent\":"
-                  << (selected.has_value() ? "true" : "false")
-                  << ",\"rounds\":" << result.stats.rounds
-                  << ",\"messages\":" << result.stats.messages_sent;
-              if (selected.has_value()) {
-                out << ",\"solution\":" << *selected << ",\"feasible\":"
-                    << (*feasible ? "true" : "false");
-              }
-              out << "}\n";
-              out.flush();
-            } else {
-              table.row({std::to_string(sizes[i / repeat]),
-                         std::to_string(g.num_edges()),
-                         algo::algorithm_name(algorithms[i / repeat]),
-                         std::to_string(result.stats.rounds),
-                         std::to_string(result.stats.messages_sent),
-                         selected.has_value() ? std::to_string(*selected)
-                                              : "-",
-                         !selected.has_value() ? "inconsistent"
-                         : *feasible          ? "yes"
-                                              : "NO"});
-            }
-          });
+      table.header({"n", "evaluated", "failures", "rounds", "time",
+                    "selected", "inconsistent", "ratio"});
+      for (const auto& inst : instances) {
+        // The exact solver is exponential in m and needs a simple graph;
+        // only small instances get the optimum/ratio columns.
+        std::optional<std::size_t> optimum;
+        if (const auto* pg = inst.simple();
+            pg != nullptr && pg->graph().num_edges() <= 24) {
+          optimum = exact::minimum_eds_size(pg->graph());
+        }
+        for (std::size_t r = 0; r < repeat; ++r) {
+          if (const int rc = adversary_row(inst, optimum, table); rc != 0) {
+            return rc;
+          }
+        }
+      }
       if (!ndjson) table.print(out);
-      // Degradation is the measurement here: inconsistent or infeasible
-      // rows are data, not a failed sweep.
-      summarize(jobs.size(), std::nullopt);
+      summarize(adversary_jobs, std::nullopt);
       return 0;
     }
 
-    std::vector<algo::BatchItem> items;
-    items.reserve(instances.size() * repeat);
-    for (const auto& pg : instances) {
-      algo::BatchItem item;
-      item.graph = &pg;
-      if (fixed) {
-        item.algorithm = *fixed;
-        item.param = param;
-      } else {
-        const auto rec = algo::recommended_for(pg.graph());
-        item.algorithm = rec.algorithm;
-        item.param = rec.param;
+    std::vector<runtime::BatchJob> jobs;
+    jobs.reserve(instances.size() * repeat);
+    for (const auto& inst : instances) {
+      const runtime::JobSpec spec{algo::algorithm_token(inst.algorithm),
+                                  inst.param, inst.group};
+      for (std::size_t r = 0; r < repeat; ++r) {
+        runtime::RunOptions options;
+        options.exec.plan_cache = &plan_cache;
+        if (async_model) {
+          options.exec.async =
+              async_for_job(jobs.size(), inst.ports().num_nodes());
+        }
+        jobs.push_back({&inst.ports(), inst.factory.get(), options, spec});
       }
-      for (std::size_t r = 0; r < repeat; ++r) items.push_back(item);
     }
+    const runtime::BatchRunner runner =
+        shard_exec != nullptr ? runtime::BatchRunner(shard_exec.get())
+                              : runtime::BatchRunner(threads);
 
-    if (!ndjson) {
-      out << "sweep: family=" << family << " algorithm=" << algo_name
-          << " jobs=" << items.size() << '\n';
-    }
     TextTable table("");
-    table.header({"n", "edges", "algorithm", "rounds", "messages", "|D|",
-                  "feasible"});
+    if (portgraph) {
+      table.header({"n", "ports", "rounds", "messages", "selected"});
+    } else {
+      table.header({"n", "edges", "algorithm", "rounds", "messages", "|D|",
+                    async_model ? "ok" : "feasible"});
+    }
+    // Only sync runs on simple graphs verify edge domination and fail the
+    // sweep on an infeasible row; async degradation is data, not failure.
+    const bool verifies = !async_model && !portgraph;
     bool all_feasible = true;
-    runtime::ExecOptions batch_exec;
-    batch_exec.threads = threads;
-    batch_exec.executor = shard_exec.get();
-    algo::run_batch_streaming(
-        items, batch_exec,
-        [&](std::size_t i, algo::EdsOutcome&& outcome) {
-          const auto& g = items[i].graph->graph();
-          const bool feasible =
-              analysis::is_edge_dominating_set(g, outcome.solution);
-          all_feasible = all_feasible && feasible;
-          if (ndjson) {
-            out << "{\"schema\":" << runtime::kWireSchemaVersion
-                << ",\"index\":" << i << ",\"family\":\"" << family << '"'
-                << ",\"n\":" << sizes[i / repeat]
-                << ",\"nodes\":" << g.num_nodes()
-                << ",\"edges\":" << g.num_edges() << ",\"algorithm\":\""
-                << algo::algorithm_name(items[i].algorithm) << '"'
-                << ",\"rounds\":" << outcome.stats.rounds
-                << ",\"messages\":" << outcome.stats.messages_sent
-                << ",\"solution\":" << outcome.solution.size()
-                << ",\"feasible\":" << (feasible ? "true" : "false") << "}\n";
-            out.flush();
-          } else {
-            table.row({std::to_string(sizes[i / repeat]),
-                       std::to_string(g.num_edges()),
-                       algo::algorithm_name(items[i].algorithm),
-                       std::to_string(outcome.stats.rounds),
-                       std::to_string(outcome.stats.messages_sent),
-                       std::to_string(outcome.solution.size()),
-                       feasible ? "yes" : "NO"});
-          }
-        },
-        &plan_cache);
+    // Rows arrive in job order as their prefix completes; NDJSON mode
+    // prints (and flushes) each immediately.
+    runner.run_streaming(jobs, [&](std::size_t i,
+                                   runtime::RunResult&& result) {
+      const auto& inst = instances[i / repeat];
+      const auto* pg = inst.simple();
+      // Under faults a one-sided selection is a measured outcome, so the
+      // async model tolerates it; a sync one throws here.
+      std::optional<std::size_t> selected;
+      std::optional<bool> feasible;
+      if (async_model) {
+        selected = runtime::consistent_selection_size(inst.ports(), result);
+      } else if (pg == nullptr) {
+        selected = runtime::validated_selection_size(inst.ports(), result);
+      }
+      if (pg != nullptr && (selected || !async_model)) {
+        const auto solution = runtime::validated_edge_set(*pg, result);
+        selected = solution.size();
+        feasible = analysis::is_edge_dominating_set(pg->graph(), solution);
+        if (verifies) all_feasible = all_feasible && *feasible;
+      }
+      if (ndjson) {
+        out << "{\"schema\":" << runtime::kWireSchemaVersion
+            << ",\"index\":" << i << ",\"family\":\"" << family << '"'
+            << ",\"n\":" << inst.n;
+        if (pg == nullptr) {
+          out << ",\"ports\":" << inst.ports().num_ports();
+        } else {
+          out << ",\"nodes\":" << pg->graph().num_nodes()
+              << ",\"edges\":" << pg->graph().num_edges()
+              << ",\"algorithm\":\"" << algo::algorithm_name(inst.algorithm)
+              << '"';
+        }
+        if (async_model) {
+          out << ",\"model\":\"async\",\"consistent\":"
+              << (selected.has_value() ? "true" : "false");
+        }
+        out << ",\"rounds\":" << result.stats.rounds
+            << ",\"messages\":" << result.stats.messages_sent;
+        if (feasible.has_value()) {
+          out << ",\"solution\":" << *selected
+              << ",\"feasible\":" << (*feasible ? "true" : "false");
+        } else if (selected.has_value()) {
+          out << ",\"selected\":" << *selected;
+        }
+        out << "}\n";
+        out.flush();
+        return;
+      }
+      const auto size_text = selected.has_value() ? std::to_string(*selected)
+                             : pg == nullptr      ? "inconsistent"
+                                                  : "-";
+      if (pg == nullptr) {
+        table.row({std::to_string(inst.n),
+                   std::to_string(inst.ports().num_ports()),
+                   std::to_string(result.stats.rounds),
+                   std::to_string(result.stats.messages_sent), size_text});
+      } else {
+        table.row({std::to_string(inst.n),
+                   std::to_string(pg->graph().num_edges()),
+                   algo::algorithm_name(inst.algorithm),
+                   std::to_string(result.stats.rounds),
+                   std::to_string(result.stats.messages_sent), size_text,
+                   !feasible.has_value() ? "inconsistent"
+                   : *feasible           ? "yes"
+                                         : "NO"});
+      }
+    });
     if (!ndjson) table.print(out);
-    summarize(items.size(), all_feasible);
+    summarize(jobs.size(),
+              verifies ? std::optional<bool>(all_feasible) : std::nullopt);
     return all_feasible ? 0 : 1;
   } catch (const Error& e) {
     err << "sweep: " << e.what() << '\n';
@@ -1552,7 +1452,17 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
           "job-timeout-ms", "batch-timeout-ms", "breaker-deaths", "chaos",
           "model", "delay", "loss", "dup", "crash", "timeout", "synchronizer",
           "adversary", "budget", "replay-out", "replay"},
-         {"ndjson", "fallback-inprocess"}},
+         {"ndjson", "fallback-inprocess"},
+         // Flags that would otherwise be accepted and silently ignored.
+         {{{"retries", "retry-backoff-ms", "job-timeout-ms",
+            "batch-timeout-ms", "breaker-deaths", "fallback-inprocess",
+            "chaos"},
+           "shards"},
+          {{"budget", "replay-out"}, "adversary"},
+          {{"adversary", "delay", "loss", "dup", "crash", "timeout",
+            "synchronizer"},
+           "model",
+           "async"}}},
         [&](const Args& a) { return cmd_sweep(a, out, err); }}},
       {"worker",
        {{{"chaos"}, {}},

@@ -620,6 +620,39 @@ TEST(Cli, SweepResilienceFlagsRequireShards) {
   }
 }
 
+TEST(Cli, SweepAsyncOnlyFlagsNeedModelAsync) {
+  // Under the default (or an explicit) sync model these flags would be
+  // parsed and then ignored; each is a usage error naming both flags.
+  const std::vector<std::vector<std::string>> extras{
+      {"--adversary", "delay"}, {"--delay", "fixed:2"},
+      {"--loss", "0.5"},        {"--dup", "0.1"},
+      {"--crash", "3"},         {"--timeout", "4"},
+      {"--synchronizer", "on"},
+  };
+  for (const auto& extra : extras) {
+    for (const bool spelled : {false, true}) {
+      std::vector<std::string> args{"sweep", "cycle", "--min", "8", "--max",
+                                    "8"};
+      if (spelled) args.insert(args.end(), {"--model", "sync"});
+      args.insert(args.end(), extra.begin(), extra.end());
+      const auto run = invoke(args);
+      EXPECT_EQ(run.code, 2) << extra.front();
+      EXPECT_NE(run.err.find(extra.front()), std::string::npos) << run.err;
+      EXPECT_NE(run.err.find("--model async"), std::string::npos) << run.err;
+      EXPECT_TRUE(run.out.empty()) << run.out;
+    }
+  }
+  // The adversary-only knobs name the flag they need.
+  for (const char* flag : {"--budget", "--replay-out"}) {
+    const auto run = invoke({"sweep", "cycle", "--min", "8", "--max", "8",
+                             "--model", "async", flag, "4"});
+    EXPECT_EQ(run.code, 2) << flag;
+    EXPECT_NE(run.err.find(std::string(flag) + " needs --adversary"),
+              std::string::npos)
+        << run.err;
+  }
+}
+
 TEST(Cli, SweepRejectsAMalformedChaosSpec) {
   // The spec is validated up front, in the parent — not discovered as a
   // worker that dies with a usage error on its first batch.
