@@ -1,5 +1,5 @@
 // google-benchmark: simulator throughput — rounds/sec and full-algorithm
-// wall time across n and d, plus the engine's parallel-policy and batch
+// wall time across n and d, plus the engine's lane-count and batch
 // scaling points, plan-cache effectiveness and allocation pressure.
 //
 // Machine-readable output (the BENCH_runtime.json perf trajectory): every
@@ -171,7 +171,7 @@ BENCHMARK(BM_RunnerRoundOverhead)->Arg(8)->Arg(16)->Arg(32);
 void BM_Engine100k(benchmark::State& state) {
   // The acceptance point for the engine: one 100k-node instance, A(4)
   // (51 rounds of real per-node logic), sequential vs sharded rounds.
-  // threads == 1 selects SequentialPolicy; > 1 ParallelPolicy.
+  // threads == 1 runs one inline lane; > 1 spreads rounds over a pool.
   const auto threads = static_cast<unsigned>(state.range(0));
   eds::Rng rng(5);
   const auto g = eds::graph::torus(320, 320);  // 102400 nodes, 4-regular

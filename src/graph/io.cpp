@@ -1,5 +1,6 @@
 #include "graph/io.hpp"
 
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -33,9 +34,14 @@ SimpleGraph read_edge_list(std::istream& is) {
   if (!(header >> n >> m)) {
     throw InvalidStructure("read_edge_list: malformed header line");
   }
+  if (n > std::numeric_limits<NodeId>::max()) {
+    throw InvalidStructure("read_edge_list: node count exceeds the NodeId "
+                           "range");
+  }
 
+  // The header's m is a claim, not a size: the buffer grows with the edge
+  // lines actually present.
   std::vector<Edge> edges;
-  edges.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
     if (!next_data_line()) {
       throw InvalidStructure("read_edge_list: fewer edges than promised");

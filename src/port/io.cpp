@@ -1,5 +1,6 @@
 #include "port/io.hpp"
 
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -43,13 +44,18 @@ PortGraph read_port_graph(std::istream& is) {
     if (keyword == "ports") {
       if (have_header) fail("duplicate 'ports' line");
       if (!(row >> n)) fail("malformed 'ports' line");
+      if (n > std::numeric_limits<NodeId>::max()) {
+        fail("node count exceeds the NodeId range");
+      }
       have_header = true;
     } else if (keyword == "deg") {
       if (!have_header) fail("'deg' before 'ports'");
       if (have_degrees) fail("duplicate 'deg' line");
-      degrees.resize(n);
-      for (std::size_t v = 0; v < n; ++v) {
-        if (!(row >> degrees[v])) fail("too few degrees");
+      // Grows with the degrees actually present, not the declared n.
+      while (degrees.size() < n) {
+        Port degree = 0;
+        if (!(row >> degree)) fail("too few degrees");
+        degrees.push_back(degree);
       }
       builder = std::make_unique<PortGraphBuilder>(degrees);
       have_degrees = true;

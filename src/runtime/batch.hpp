@@ -10,13 +10,11 @@
 // way results come back in job order, so output is deterministic regardless
 // of thread count, shard count, or backend choice.
 //
-// Three consumption styles, all with identical per-job results:
+// Two consumption styles, with identical per-job results:
 //  * run()            — barrier on the whole batch, vector of results;
 //  * run_streaming()  — a callback receives each result as soon as it *and
 //    every earlier job* has finished (an in-order reorder buffer), so
-//    long sweeps emit output incrementally instead of all at the end;
-//  * stream()         — a pull-style BatchStream whose next() blocks for
-//    the next in-order result while the batch keeps running behind it.
+//    long sweeps emit output incrementally instead of all at the end.
 //
 // Factories are shared across jobs and threads; ProgramFactory::create()
 // is const and every factory in this library is stateless, so concurrent
@@ -64,7 +62,7 @@ struct JobSpec {
 };
 
 /// One unit of batch work.  `graph` and `factory` are non-owning and must
-/// outlive the run()/run_streaming()/stream() call.  `spec` is optional
+/// outlive the run()/run_streaming() call.  `spec` is optional
 /// and only consulted by out-of-process backends.
 struct BatchJob {
   const port::PortGraph* graph = nullptr;
@@ -72,8 +70,6 @@ struct BatchJob {
   RunOptions options;
   std::optional<JobSpec> spec;
 };
-
-class BatchStream;
 
 class BatchRunner {
  public:
@@ -106,14 +102,6 @@ class BatchRunner {
   void run_streaming(const std::vector<BatchJob>& jobs,
                      const ResultCallback& on_result) const;
 
-  /// Starts the batch on a background driver and returns a pull-style
-  /// stream of in-order results.  The BatchRunner (and every job's graph
-  /// and factory) must outlive the stream; no other run()/run_streaming()
-  /// /stream() call may execute on this runner until the stream is
-  /// destroyed (the backend is single-batch).
-  [[nodiscard]] std::unique_ptr<BatchStream> stream(
-      std::vector<BatchJob> jobs) const;
-
   /// The backend batches execute on.
   [[nodiscard]] const Executor& executor() const noexcept {
     return *executor_;
@@ -122,36 +110,6 @@ class BatchRunner {
  private:
   std::unique_ptr<InProcessExecutor> owned_;  // null when borrowing
   const Executor* executor_;                  // owned_.get() or the borrow
-};
-
-/// Pull-side of BatchRunner::stream(): next() blocks until the next job in
-/// index order has finished and yields its result, returning nullopt once
-/// the batch is exhausted.  If the next job failed, next() rethrows its
-/// exception and the stream ends (later results are discarded, matching
-/// run_streaming's prefix rule).  Destroying the stream drains the batch:
-/// undelivered jobs still execute, the backend's workers join, and only
-/// then does the destructor return.  Not thread-safe: one consumer at a
-/// time.
-class BatchStream {
- public:
-  /// One delivered result and the job index it belongs to.
-  struct Item {
-    std::size_t index = 0;
-    RunResult result;
-  };
-
-  ~BatchStream();
-  BatchStream(const BatchStream&) = delete;
-  BatchStream& operator=(const BatchStream&) = delete;
-
-  /// Blocks for the next in-order result; nullopt when the batch is done.
-  [[nodiscard]] std::optional<Item> next();
-
- private:
-  friend class BatchRunner;
-  struct Impl;
-  explicit BatchStream(std::unique_ptr<Impl> impl);
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace eds::runtime

@@ -35,9 +35,8 @@ bool ExecutionPlan::matches(const port::PortGraph& g) const {
          partner_ref_ == g.partner_table();
 }
 
-std::unique_ptr<ExecutionPolicy> make_policy(const ExecOptions& exec) {
-  if (exec.threads == 1) return std::make_unique<SequentialPolicy>();
-  return std::make_unique<ParallelPolicy>(exec.threads);
+std::unique_ptr<ThreadPool> make_policy(const ExecOptions& exec) {
+  return std::make_unique<ThreadPool>(exec.threads);
 }
 
 namespace {
@@ -141,8 +140,8 @@ std::uint64_t wake_key(Round round, std::uint32_t node) noexcept {
 /// The pooled engine state: every buffer the round loop writes lives here
 /// and is *assigned* (size + contents reset, capacity retained) at the
 /// start of each run instead of being reallocated.  One workspace exists
-/// per thread, so sequential runs, BatchRunner jobs (one job per pool lane)
-/// and BatchStream drivers each reuse their lane's arena run after run.
+/// per thread, so sequential runs and BatchRunner jobs (one job per pool
+/// lane) each reuse their lane's arena run after run.
 struct EngineWorkspace {
   /// The double-buffered transport: round r's messages live in
   /// outbox[r & 1], indexed by *sender* flat port (node v's sends occupy
@@ -311,7 +310,7 @@ void engine_stage_stats_reset() noexcept {
 RunResult run_plan(const ExecutionPlan& plan,
                    std::vector<std::unique_ptr<NodeProgram>>& programs,
                    const RunOptions& options, const std::string& name,
-                   ExecutionPolicy& policy) {
+                   ThreadPool& pool) {
   if (options.max_rounds == 0) {
     throw InvalidArgument(
         "run_synchronous: RunOptions::max_rounds must be positive");
@@ -320,7 +319,7 @@ RunResult run_plan(const ExecutionPlan& plan,
   EDS_ENSURE(programs.size() == n, "run_plan: one program per node required");
   EDS_ENSURE(n <= UINT32_MAX, "run_plan: node ids must fit in 32 bits");
 
-  const unsigned lanes = std::max(1u, policy.lanes());
+  const unsigned lanes = pool.lanes();
   const WorkspaceLease lease;
   EngineWorkspace& ws = *lease;
   ws.prepare(n, plan.total_ports(), lanes);
@@ -490,7 +489,7 @@ RunResult run_plan(const ExecutionPlan& plan,
     // itself.  Per-node state (wake, dirty, the visit entry) is touched
     // only by the shard that owns the node; asleep[] is read-only until
     // the barrier.
-    policy.for_each_shard(shards, [&](std::size_t s) {
+    pool.run(shards, [&](std::size_t s) {
       ShardScratch& sc = scratch[s];
       try {
         if (!profile) {

@@ -1,5 +1,5 @@
-// The execution engine: a compiled per-graph plan plus pluggable policies
-// that decide *how* the synchronous rounds are driven.
+// The execution engine: a compiled per-graph plan plus the round loop that
+// drives the synchronous rounds across the lanes of a ThreadPool.
 //
 // The paper's algorithms are local — O(1) or O(∆²) rounds — so essentially
 // all wall-clock time in this reproduction is simulator overhead, not
@@ -18,9 +18,9 @@
 //    rounds with nothing due and nothing in flight are skipped in O(1) but
 //    still counted.  The default next_wake (r + 1) wakes every node every
 //    round, so dense execution is the degenerate case of the same loop.
-//    Policies shard each round's ascending visit list: SequentialPolicy
-//    runs the shards inline; ParallelPolicy spreads them across a thread
-//    pool.  Shard boundaries equalize *port* counts, not node counts
+//    Each round's ascending visit list is sharded across the lanes of a
+//    ThreadPool; a one-lane pool runs the shards inline on the caller.
+//    Shard boundaries equalize *port* counts, not node counts
 //    (balanced_shard_bounds), so power-law degree sequences cannot starve
 //    all lanes but one.
 //
@@ -40,7 +40,7 @@
 //    message instead of one, ~4x slower on dense graphs — see
 //    ARCHITECTURE.md.)
 //
-// Hard guarantee, enforced by differential tests: every policy produces
+// Hard guarantee, enforced by differential tests: every lane count produces
 // bit-identical RunResults — outputs, stats, trace, and message-log order —
 // equal to the dense seed semantics.  Parallel merges always combine
 // per-shard results in shard (= node-range) order, which is exactly the
@@ -127,61 +127,15 @@ class ExecutionPlan {
   std::vector<port::PortRef> partner_ref_;  // involution as (node, port)
 };
 
-/// How the per-round stages are scheduled.  A policy is reusable across
-/// runs but not safe for concurrent use by multiple runs.
-class ExecutionPolicy {
- public:
-  virtual ~ExecutionPolicy() = default;
-
-  /// Number of lanes the stages are sharded across (1 = sequential).
-  [[nodiscard]] virtual unsigned lanes() const noexcept = 0;
-
-  /// Executes fn(s) for every shard s in [0, shards) and returns when all
-  /// calls have finished (the once-per-round barrier).  `fn` must not
-  /// throw.
-  virtual void for_each_shard(
-      std::size_t shards, const std::function<void(std::size_t)>& fn) = 0;
-};
-
-/// Every round's stage inline, on the calling thread.
-class SequentialPolicy final : public ExecutionPolicy {
- public:
-  [[nodiscard]] unsigned lanes() const noexcept override { return 1; }
-  void for_each_shard(
-      std::size_t shards,
-      const std::function<void(std::size_t)>& fn) override {
-    for (std::size_t s = 0; s < shards; ++s) fn(s);
-  }
-};
-
-/// Shards each stage's visit list across a persistent thread pool with a
-/// barrier per stage.  `threads` as in ExecOptions (0 = hardware lanes).
-class ParallelPolicy final : public ExecutionPolicy {
- public:
-  explicit ParallelPolicy(unsigned threads = 0) : pool_(threads) {}
-
-  [[nodiscard]] unsigned lanes() const noexcept override {
-    return pool_.lanes();
-  }
-  void for_each_shard(
-      std::size_t shards,
-      const std::function<void(std::size_t)>& fn) override {
-    pool_.run(shards, fn);
-  }
-
- private:
-  ThreadPool pool_;
-};
-
-/// The policy ExecOptions selects: SequentialPolicy for threads == 1,
-/// ParallelPolicy otherwise.
-[[nodiscard]] std::unique_ptr<ExecutionPolicy> make_policy(
-    const ExecOptions& exec);
+/// The lanes ExecOptions selects for a run's round stages: a one-lane
+/// pool (every stage inline on the caller, no worker thread) for
+/// threads == 1, otherwise `threads` lanes as in resolve_threads().
+[[nodiscard]] std::unique_ptr<ThreadPool> make_policy(const ExecOptions& exec);
 
 /// Drives `programs` (one per node, already constructed, not yet started)
-/// over the plan's graph until every node halts, scheduling stages with
-/// `policy`.  This is the engine core under run_synchronous; call it
-/// directly to reuse a plan or a policy (and its thread pool) across runs.
+/// over the plan's graph until every node halts, sharding each round's
+/// stage across the lanes of `pool`.  This is the engine core under
+/// run_synchronous; call it directly to reuse a plan or a pool across runs.
 ///
 /// The engine's state is pooled: both outbox buffers, the per-node wake
 /// and silence bookkeeping, the wake buckets, the visit lists and the
@@ -195,8 +149,7 @@ class ParallelPolicy final : public ExecutionPolicy {
 [[nodiscard]] RunResult run_plan(
     const ExecutionPlan& plan,
     std::vector<std::unique_ptr<NodeProgram>>& programs,
-    const RunOptions& options, const std::string& name,
-    ExecutionPolicy& policy);
+    const RunOptions& options, const std::string& name, ThreadPool& pool);
 
 /// Allocation-pressure counters for the pooled message transport
 /// (process-wide, monotonic except `workspace_bytes`).  A healthy steady
@@ -218,7 +171,7 @@ struct EngineAllocStats {
 /// enabled (process-wide, monotonic).  `exchange_ns` covers the send sweep
 /// (outbox segment writes, the send-time message count and arrival
 /// detection); `receive_ns` covers the re-silencing, involution gather and
-/// receive sweep (including the round barrier under ParallelPolicy) plus
+/// receive sweep (including the round barrier with more than one lane) plus
 /// the shard-order merge; `scan_ns` is the between-stage wake scan —
 /// arrival merging, the wake buckets and assembling the next visit list.
 /// Per profiled round, exchange_ns + receive_ns + scan_ns ≈ wall time.

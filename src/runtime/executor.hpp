@@ -1,8 +1,8 @@
 // Executor: the pluggable backend that actually runs a batch of jobs.
 //
 // BatchRunner (runtime/batch.hpp) is the *surface* of the batch layer — it
-// owns the three consumption styles (run / run_streaming / stream) and the
-// determinism contract.  An Executor is the *backend* behind that surface:
+// owns the consumption styles (run / run_streaming) and the determinism
+// contract.  An Executor is the *backend* behind that surface:
 // it takes a job list and delivers RunResults through a callback, in strict
 // job order, regardless of how or where the jobs physically execute.
 //
@@ -25,7 +25,7 @@
 //  3. The job list's graphs and factories are non-owning borrows; they must
 //     stay alive for the duration of the call.
 //
-// Together with the engine's own guarantee (every ExecutionPolicy is
+// Together with the engine's own guarantee (every lane count is
 // bit-identical), this makes the choice of executor invisible in results —
 // only wall-clock time and process topology change.
 #pragma once
@@ -57,9 +57,8 @@ class Executor {
   /// check — non-null graph and factory — applies to every backend;
   /// overrides add their own preconditions (e.g. the process-shard
   /// backend requires a JobSpec and no trace collection).  run_streaming
-  /// calls this first, and BatchRunner::stream() calls it before the
-  /// background driver starts, so misconfiguration always surfaces
-  /// up front rather than from the first next().
+  /// calls this first, so misconfiguration always surfaces before any job
+  /// starts.
   virtual void validate(const std::vector<BatchJob>& jobs) const;
 
   /// Executes every job, delivering results per the backend contract above.

@@ -70,8 +70,8 @@ RunResult run_synchronous(const port::PortGraph& g,
   std::shared_ptr<const ExecutionPlan> shared;
   std::optional<ExecutionPlan> local;
   const ExecutionPlan& plan = resolve_plan(g, options.exec, shared, local);
-  const auto policy = make_policy(options.exec);
-  return run_plan(plan, programs, options, factory.name(), *policy);
+  const auto pool = make_policy(options.exec);
+  return run_plan(plan, programs, options, factory.name(), *pool);
 }
 
 RunResult run_synchronous_programs(
@@ -95,8 +95,8 @@ RunResult run_synchronous_programs(
   std::shared_ptr<const ExecutionPlan> shared;
   std::optional<ExecutionPlan> local;
   const ExecutionPlan& plan = resolve_plan(g, options.exec, shared, local);
-  const auto policy = make_policy(options.exec);
-  return run_plan(plan, programs, options, name, *policy);
+  const auto pool = make_policy(options.exec);
+  return run_plan(plan, programs, options, name, *pool);
 }
 
 }  // namespace eds::runtime

@@ -13,10 +13,10 @@
 //
 // The actual round loop lives in the engine layer (runtime/engine.hpp):
 // run_synchronous compiles the graph into an ExecutionPlan and executes it
-// under the policy selected by RunOptions::exec — SequentialPolicy by
-// default, ParallelPolicy when more than one thread is requested.  Every
-// policy produces bit-identical RunResults (outputs, stats, trace, message
-// log order); the choice only affects wall-clock time.
+// across the ThreadPool lanes selected by RunOptions::exec — one lane, inline
+// on the caller, by default.  Every lane count produces bit-identical
+// RunResults (outputs, stats, trace, message log order); the choice only
+// affects wall-clock time.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +43,8 @@ class Executor;
 struct ExecOptions {
   /// Lanes to shard each round's fused gather/receive/send pass over
   /// (contiguous visit-list ranges balanced by port count, one barrier per
-  /// round): 1 = SequentialPolicy (default), >1 = ParallelPolicy with
-  /// that many lanes, 0 = ParallelPolicy with one lane per hardware
-  /// thread.  At the batch level (`algo::run_batch`) this is instead the
+  /// round): 1 = one lane, inline on the caller (default), >1 = a
+  /// ThreadPool with that many lanes, 0 = one lane per hardware thread.  At the batch level (`algo::run_batch`) this is instead the
   /// number of concurrent jobs of the in-process backend.
   unsigned threads = 1;
 
@@ -69,8 +68,9 @@ struct ExecOptions {
   /// instead of the round loop; the returned RunResult is the async run's
   /// `AsyncResult::run` (call run_asynchronous directly for the fault log
   /// and async counters).  The event loop is sequential, so `threads` only
-  /// parallelizes across batch jobs, never within a run.  Async runs never
-  /// cross the process-shard wire: ProcessShardExecutor rejects them.
+  /// parallelizes across batch jobs, never within a run.  Async runs cross
+  /// the process-shard wire like any other job; only a non-empty
+  /// adversarial `schedule` does not, and ProcessShardExecutor rejects it.
   std::optional<AsyncOptions> async = std::nullopt;
 
   [[nodiscard]] bool operator==(const ExecOptions&) const = default;
@@ -88,7 +88,7 @@ struct RunOptions {
   /// (for transcripts and debugging; memory grows with traffic).
   bool collect_messages = false;
 
-  /// Execution policy (thread count); does not affect results.
+  /// Engine selection (lanes, plan cache, backend, model); see ExecOptions.
   ExecOptions exec;
 };
 

@@ -538,6 +538,31 @@ TEST(Cli, WorkerReportsJobFailuresAndDiesOnGarbage) {
       << unknown.err;
 }
 
+TEST(Cli, ReadersFailTypedOnOversizedHeaders) {
+  // Declared sizes the input does not back are read errors (exit 1), not
+  // std::bad_alloc from a reservation made before any data was read.
+  const auto solve = invoke({"solve"}, "4 99999999999999\n0 1\n");
+  EXPECT_EQ(solve.code, 1);
+  EXPECT_NE(solve.err.find("fewer edges than promised"), std::string::npos)
+      << solve.err;
+  for (const char* text :
+       {"ports 99999999999\ndeg 1\n", "ports 5000000000\ndeg 1\n"}) {
+    const auto views = invoke({"views"}, text);
+    EXPECT_EQ(views.code, 1) << text;
+    EXPECT_NE(views.err.find("NodeId range"), std::string::npos) << views.err;
+  }
+  // The worker decodes a job's graph through the same reader: one error
+  // line for that job, and the worker carries on.
+  runtime::WireJob job;
+  job.algorithm = "all-edges";
+  job.graph_text = "ports 5000000000\ndeg 1\n";
+  job.max_rounds = 10;
+  const auto worker =
+      invoke({"worker"}, framed_batch({runtime::encode_wire_job(job)}));
+  EXPECT_EQ(worker.code, 0) << worker.err;
+  EXPECT_NE(worker.out.find("NodeId range"), std::string::npos) << worker.out;
+}
+
 TEST(Cli, SweepErrors) {
   EXPECT_EQ(invoke({"sweep"}).code, 2);
   EXPECT_EQ(invoke({"sweep", "nosuch"}).code, 2);

@@ -123,8 +123,7 @@ TEST(EngineSoa, BalancedShardBoundsEqualizePortCounts) {
 }
 
 TEST(EngineSoa, WorkspaceReturnsEveryPooledByteOnTeardown) {
-  // Mirror of BatchStream.DroppingAnUndrainedStreamReleasesWorkspaceBytes
-  // for the transport buffers themselves: a lane that ran the
+  // The leak check for the pooled transport buffers: a lane that ran the
   // double-buffered engine gives back every byte the gauge charged it —
   // outbox pairs, tag lanes and shard scratch included — when the thread
   // exits.

@@ -349,5 +349,14 @@ TEST(Io, OutOfRangeEndpointThrows) {
   EXPECT_THROW((void)from_edge_list_string("2 1\n0 5\n"), InvalidStructure);
 }
 
+TEST(Io, DeclaredSizesAllocateNothingUntilTheDataArrives) {
+  // An edge count far beyond the lines present is a truncated input, not
+  // a reservation; a node count beyond NodeId is rejected outright.
+  EXPECT_THROW((void)from_edge_list_string("4 99999999999999\n0 1\n"),
+               InvalidStructure);
+  EXPECT_THROW((void)from_edge_list_string("5000000000 1\n0 1\n"),
+               InvalidStructure);
+}
+
 }  // namespace
 }  // namespace eds::graph

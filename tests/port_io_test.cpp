@@ -91,5 +91,17 @@ TEST(PortIo, MalformedInputs) {
                InvalidArgument);
 }
 
+TEST(PortIo, DeclaredNodeCountAllocatesNothingUntilTheDegreesArrive) {
+  // Beyond the NodeId range: rejected before any degree is read.
+  EXPECT_THROW((void)from_port_graph_string("ports 99999999999\ndeg 1\n"),
+               InvalidStructure);
+  EXPECT_THROW((void)from_port_graph_string("ports 5000000000\ndeg 1\n"),
+               InvalidStructure);
+  // In range but absent: the degree buffer grows with the data, so a
+  // 4-billion-node claim backed by one degree fails as a short line.
+  EXPECT_THROW((void)from_port_graph_string("ports 4000000000\ndeg 1\n"),
+               InvalidStructure);
+}
+
 }  // namespace
 }  // namespace eds::port
