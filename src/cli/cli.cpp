@@ -116,13 +116,14 @@ class Args {
     for (const auto& flag : raw) {
       if (flag.rfind("--", 0) != 0) continue;
       for (const auto& rule : spec.rules) {
-        if (!accepts(rule.flags, flag.substr(2)) ||
-            (has(rule.needs) &&
-             (rule.value.empty() || get(rule.needs) == rule.value))) {
-          continue;
+        if (!accepts(rule.flags, flag.substr(2))) continue;
+        const bool met =
+            has(rule.needs) &&
+            (rule.value.empty() || get(rule.needs) == rule.value);
+        if (!met) {
+          throw UsageError(flag + " needs --" + rule.needs +
+                           (rule.value.empty() ? "" : " " + rule.value));
         }
-        throw UsageError(flag + " needs --" + rule.needs +
-                         (rule.value.empty() ? "" : " " + rule.value));
       }
     }
   }
@@ -170,7 +171,7 @@ void usage(std::ostream& out) {
          "      reads an edge list from stdin, runs the algorithm, prints\n"
          "      the solution, round/message counts, and (with --exact) the\n"
          "      approximation ratio; --dot appends Graphviz output;\n"
-         "      --threads N runs the engine's parallel policy (same result)\n"
+         "      --threads N runs each round on N lanes (same result)\n"
          "  sweep <family> [--min N] [--max N] [--step S] [--d D]\n"
          "        [--algorithm A] [--param P] [--seed S] [--threads N]\n"
          "        [--shards N] [--repeat R] [--ndjson]\n"
@@ -215,7 +216,8 @@ void usage(std::ostream& out) {
          "      --chaos crash:N|hang:N:MS|garbage:N|slow:N:MS|exit-mid:N|\n"
          "      poison:I|rand:SEED:PERMILLE injects deterministic worker\n"
          "      misbehaviour (test hook; also via EDS_WORKER_CHAOS);\n"
-         "      --model async runs the event-driven asynchronous engine:\n"
+         "      --model async runs the event-driven asynchronous engine\n"
+         "      (the flags from --delay to --adversary need it):\n"
          "      --delay fixed:T|uniform:LO:HI|geometric:MEAN[:CAP] is the\n"
          "      per-link delay model, the α-synchronizer (--synchronizer,\n"
          "      default on) makes results bit-identical to --model sync,\n"
@@ -730,9 +732,9 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
 
   // --shards N swaps the in-process pool for `edsim worker` subprocesses;
   // everything downstream (row printing, summary, exit code) is backend
-  // agnostic, which is what makes the outputs byte-identical.  Async jobs
-  // cross the wire too; adversarial searches stay in-process (their
-  // schedules are a search artifact, not wire payload).
+  // agnostic, which is what makes the outputs byte-identical.  Since
+  // schema 2 async jobs cross the wire too; adversarial searches stay
+  // in-process (their schedules are a search artifact, not wire payload).
   std::unique_ptr<runtime::ProcessShardExecutor> shard_exec;
   if (args.has("shards")) {
     if (adversary) {
@@ -1016,11 +1018,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     instances.reserve(sizes.size());
     for (const auto n : sizes) {
       if (portgraph) {
-        instances.push_back({port::random_port_graph(
-                                 std::vector<port::Port>(
-                                     n, static_cast<port::Port>(d)),
-                                 rng),
-                             n});
+        const std::vector<port::Port> degrees(n, static_cast<port::Port>(d));
+        instances.push_back({port::random_port_graph(degrees, rng), n});
         continue;
       }
       auto g = family_graph(family, n, d, rng);
