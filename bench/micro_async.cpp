@@ -58,6 +58,7 @@ void export_async(benchmark::State& state,
   state.counters["virtual_time"] = static_cast<double>(async.virtual_time);
   state.counters["delivered"] = static_cast<double>(async.delivered);
   state.counters["acks"] = static_cast<double>(async.acks);
+  state.counters["events"] = static_cast<double>(async.events);
   state.counters["lost"] = static_cast<double>(async.lost);
   state.counters["timeouts"] = static_cast<double>(async.timeouts);
 }
@@ -109,6 +110,51 @@ void BM_AsyncSynchronizer(benchmark::State& state) {
   state.counters["delay_max"] = static_cast<double>(delay.max_delay());
 }
 BENCHMARK(BM_AsyncSynchronizer)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+// The sparse schedules the synchronizer's horizon notices are for:
+// Arg(0) is odd-regular on a random 3-regular graph, n = 8192, under
+// uniform:1:9 (nodes awake in about a third of the 20 rounds); Arg(1) is
+// A(∆) on an `edsim sweep powerlaw` shaped graph, n = 4096, under fixed:1
+// (thousands of rounds, almost every node asleep).  `events` against the
+// dense 2·Σd(v)·rounds shows what silence no longer costs.
+void BM_AsyncSynchronizerSparse(benchmark::State& state) {
+  eds::Rng rng(1);
+  const bool odd_regular = state.range(0) == 0;
+  const auto pg = eds::port::with_random_ports(
+      odd_regular ? eds::graph::random_regular(8192, 3, rng)
+                  : eds::graph::random_power_law(4096, 2.5, rng),
+      rng);
+  const auto param =
+      eds::algo::resolved_param(pg, odd_regular
+                                        ? eds::algo::Algorithm::kOddRegular
+                                        : eds::algo::Algorithm::kBoundedDegree);
+  const auto factory = eds::algo::make_factory(
+      odd_regular ? eds::algo::Algorithm::kOddRegular
+                  : eds::algo::Algorithm::kBoundedDegree,
+      param);
+  eds::runtime::AsyncOptions async;
+  if (odd_regular) async.delay = {eds::runtime::DelayKind::kUniform, 1, 9};
+  async.seed = 0xA5BE7C;
+  std::uint64_t rounds = 0;
+  eds::runtime::AsyncStats last;
+  for (auto _ : state) {
+    auto result = eds::runtime::run_asynchronous(
+        pg.ports(), *factory, eds::runtime::RunOptions{}, async);
+    rounds = result.run.stats.rounds;
+    last = result.async;
+    benchmark::DoNotOptimize(result.run.stats.messages_sent);
+  }
+  export_async(state, last);
+  state.counters["n"] = static_cast<double>(pg.graph().num_nodes());
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.counters["dense_events"] =
+      2.0 * 2.0 * static_cast<double>(pg.graph().num_edges()) *
+      static_cast<double>(rounds);
+}
+BENCHMARK(BM_AsyncSynchronizerSparse)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AsyncFreeRunning(benchmark::State& state) {
   // Synchronizer off, no faults: the event loop and delay matrix without

@@ -261,6 +261,28 @@ runtime::Round BoundedDegreeProgram::next_wake(runtime::Round round) const {
   return wake;
 }
 
+runtime::Round BoundedDegreeProgram::next_send(runtime::Round round) const {
+  runtime::Round send = next_wake(round);
+  if (round < 2) return send;
+  const auto d = static_cast<runtime::Round>(delta_);
+  const runtime::Round phase2 = 2 + d * d;  // the last phase I round
+  for (port::Port p = 1; p <= view_.degree; ++p) {
+    // The neighbour behind port p proposes only in its own degree's block,
+    // only to smaller-degree targets, and in increasing port order, one
+    // target per step: it reaches me (its port q) by step q - 1 or never.
+    const port::Port i = view_.remote_degree[p - 1];
+    if (i <= view_.degree || i < 2) continue;
+    const runtime::Round first = phase2 + (i - 2) * 2 * d + 2;
+    const auto steps =
+        std::min<runtime::Round>(view_.remote_port[p - 1], d);
+    const runtime::Round last = first + 2 * (steps - 1);
+    runtime::Round respond = round < first ? first : round + 1;
+    if ((respond - first) % 2 != 0) ++respond;
+    if (respond <= last) send = std::min(send, respond);
+  }
+  return send;
+}
+
 std::vector<port::Port> BoundedDegreeProgram::output() const {
   std::vector<port::Port> out;
   if (m_port_ != 0) out.push_back(m_port_);

@@ -29,6 +29,8 @@
 // after round 2), its own phase II block while it proposes, the respond
 // round after a proposal reaches it, the M-coverage broadcast, phase III
 // if it belongs to H, and the halt round.  It sleeps through the rest.
+// Only a proposal can wake it early, so next_send also covers the respond
+// rounds of the blocks whose proposers see it as a target.
 #pragma once
 
 #include <memory>
@@ -70,6 +72,10 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   [[nodiscard]] bool halted() const override { return halted_; }
   [[nodiscard]] std::vector<port::Port> output() const override;
   [[nodiscard]] runtime::Round next_wake(runtime::Round round) const override;
+  /// next_wake, capped at the next respond round of every phase II block
+  /// in which a neighbour of higher degree could still propose to me: a
+  /// proposal arriving while I sleep is answered in the following round.
+  [[nodiscard]] runtime::Round next_send(runtime::Round round) const override;
 
   /// The normalised (odd) parameter ∆' = 2k+1.
   [[nodiscard]] static port::Port normalised_delta(port::Port max_degree) {

@@ -66,6 +66,11 @@ class OddRegularProgram final : public runtime::NodeProgram {
   [[nodiscard]] bool halted() const override { return halted_; }
   [[nodiscard]] std::vector<port::Port> output() const override;
   [[nodiscard]] runtime::Round next_wake(runtime::Round round) const override;
+  /// next_wake itself: every message goes to the partner of a scheduled
+  /// step, so nothing that arrives can make a node send earlier.
+  [[nodiscard]] runtime::Round next_send(runtime::Round round) const override {
+    return next_wake(round);
+  }
 
   /// Total rounds the schedule takes for parameter d.
   [[nodiscard]] static runtime::Round schedule_length(port::Port d) {

@@ -1,15 +1,16 @@
 #include "runtime/async.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <deque>
+#include <iterator>
 #include <limits>
 #include <optional>
-#include <queue>
 #include <sstream>
 #include <tuple>
 
 #include "runtime/plan_cache.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace eds::runtime {
@@ -17,6 +18,8 @@ namespace eds::runtime {
 namespace {
 
 constexpr Round kNoHalt = std::numeric_limits<Round>::max();
+/// The horizon of a halted sender: silent in every round from now on.
+constexpr Round kForever = std::numeric_limits<Round>::max();
 
 /// Order-independent deterministic draw: a pure hash of the run seed and
 /// structural coordinates, so loss/delay decisions never depend on event-pop
@@ -57,61 +60,181 @@ std::uint64_t sample_delay(const DelayModel& model, std::uint64_t seed,
 }
 
 enum class EventKind : std::uint8_t {
-  kPayload,     ///< an algorithm message arriving at (node, port)
-  kAck,         ///< a transport acknowledgement returning to the sender
-  kHaltNotice,  ///< "my side of this link halted after round `round`"
-  kCrash,       ///< scheduled node crash from the FaultPlan
-  kDeadline,    ///< round timeout (free-running mode only)
+  kPayload,   ///< an algorithm message of round `round` arriving at (node, port)
+  kNotice,    ///< a horizon notice arriving at (node, port): no message
+  kAck,       ///< a transport acknowledgement back at the sender's port
+  kCrash,     ///< scheduled node crash from the FaultPlan
+  kDeadline,  ///< round timeout (free-running mode only)
 };
 
+/// One timeline entry.  A payload or notice settles the rounds (after,
+/// round] of its link: a payload also carries the message of round
+/// `round`, a notice says every other round of the span was silent (see
+/// Heard).  The sender of a payload or notice is the involution partner
+/// of (node, port), so an acknowledgement needs no return address.
 struct Event {
   std::uint64_t time = 0;
   std::uint64_t prio = 0;  ///< schedule priority; 0 without a Schedule
+  std::uint64_t seq = 0;   ///< global monotone counter, the final tie-break
   port::NodeId node = 0;   ///< the node the event happens at
   Port port = 0;           ///< its local port; 0 for node-level events
-  std::uint64_t seq = 0;   ///< global monotone counter, the final tie-break
-  EventKind kind = EventKind::kPayload;
   Round round = 0;
+  Round after = 0;
+  EventKind kind = EventKind::kPayload;
   Message payload = kSilence;
-  port::NodeId from_node = 0;  ///< payload sender (for acks and the log)
-  Port from_port = 0;
+  std::uint32_t slot = 0;  ///< (node, port) as one ascending key, see push
 };
 
-/// Min-heap order for std::priority_queue: the *smallest* (time, prio,
-/// node, port, seq) pops first.  The tuple is a strict total order because
-/// seq is unique, which is what makes every run reproducible from its seed.
-/// `prio` is the adversarial-schedule hook: stamped at push time from the
-/// node's current PCT priority, always 0 without a schedule — so the empty
-/// schedule reproduces the historical (time, node, port, seq) order
-/// bit-identically.
-struct EventAfter {
-  bool operator()(const Event& x, const Event& y) const noexcept {
-    return std::tie(x.time, x.prio, x.node, x.port, x.seq) >
-           std::tie(y.time, y.prio, y.node, y.port, y.seq);
+/// The pop order: the smallest (time, prio, node, port, seq) first.  The
+/// tuple is a strict total order because seq is unique, which is what
+/// makes every run reproducible from its seed.  `prio` is the
+/// adversarial-schedule hook: stamped at push time from the node's current
+/// PCT priority, always 0 without a schedule — so the empty schedule
+/// reproduces the structural (time, node, port, seq) order.
+bool pops_before(const Event& x, const Event& y) noexcept {
+  return std::tie(x.time, x.prio, x.node, x.port, x.seq) <
+         std::tie(y.time, y.prio, y.node, y.port, y.seq);
+}
+
+/// The event queue, bucketed by virtual tick.  Every push lands at least
+/// one tick after the tick being drained (link delays, overrides and
+/// timeouts are all >= 1), so a ring of per-tick buckets covering the
+/// next `reach` ticks holds nearly everything; rarer events further out
+/// (crashes, long timeouts, demoted sends) wait in a small heap.  A tick's
+/// bucket is put in pop order when the tick opens, so pops come out in
+/// exactly pops_before order, as from one priority queue.
+///
+/// Without priorities that order within a tick is (slot, seq), and a tick
+/// is assembled in seq order already: the heap's events were pushed
+/// before any ring event of the same tick, and each source keeps seq
+/// order among equal slots.  So a sort of (slot, position) integers
+/// orders it, instead of a comparison sort of whole events.
+class Timeline {
+ public:
+  Timeline(std::uint64_t reach, bool by_slot)
+      : ring_(std::bit_ceil(std::clamp<std::uint64_t>(reach + 1, 2, 4096))),
+        mask_(ring_.size() - 1),
+        by_slot_(by_slot) {}
+
+  void push(const Event& e) {
+    EDS_ENSURE(e.time > now_ || (!opened_ && e.time == now_),
+               "run_asynchronous: an event was scheduled into the past");
+    if (e.time - now_ < ring_.size()) {
+      ring_[e.time & mask_].push_back(e);
+      ++near_;
+    } else {
+      far_.push_back(e);
+      std::push_heap(far_.begin(), far_.end(), later);
+    }
+    ++size_;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+  /// Removes and returns the first event (the timeline must not be empty).
+  Event pop() {
+    if (next_ == tick_.size()) open_next_tick();
+    --size_;
+    return tick_[next_++];
+  }
+
+ private:
+  static bool later(const Event& x, const Event& y) noexcept {
+    return pops_before(y, x);
+  }
+
+  void open_next_tick() {
+    std::uint64_t t = opened_ ? now_ + 1 : now_;
+    if (near_ == 0) {
+      t = far_.front().time;
+    } else {
+      while (ring_[t & mask_].empty() &&
+             (far_.empty() || far_.front().time != t)) {
+        ++t;
+      }
+    }
+    tick_.clear();
+    while (!far_.empty() && far_.front().time == t) {
+      std::pop_heap(far_.begin(), far_.end(), later);
+      tick_.push_back(far_.back());
+      far_.pop_back();
+    }
+    std::vector<Event>& bucket = ring_[t & mask_];
+    near_ -= bucket.size();
+    tick_.insert(tick_.end(), bucket.begin(), bucket.end());
+    bucket.clear();
+    if (by_slot_) {
+      keys_.clear();
+      for (std::size_t i = 0; i < tick_.size(); ++i) {
+        keys_.push_back(std::uint64_t{tick_[i].slot} << 32 | i);
+      }
+      std::sort(keys_.begin(), keys_.end());
+      sorted_.clear();
+      for (const std::uint64_t key : keys_) {
+        sorted_.push_back(tick_[static_cast<std::uint32_t>(key)]);
+      }
+      std::swap(tick_, sorted_);
+    } else {
+      std::sort(tick_.begin(), tick_.end(), pops_before);
+    }
+    now_ = t;
+    opened_ = true;
+    next_ = 0;
+  }
+
+  std::vector<std::vector<Event>> ring_;  ///< ring_[t & mask_]: tick t
+  std::uint64_t mask_;
+  std::vector<Event> far_;   ///< min-heap of events beyond the ring
+  std::vector<Event> tick_;  ///< the open tick, in pop order
+  bool by_slot_;             ///< every prio is 0: order ticks by slot
+  std::vector<std::uint64_t> keys_;  ///< by-slot scratch: (slot, position)
+  std::vector<Event> sorted_;        ///< by-slot scratch: the ordered tick
+  std::size_t next_ = 0;     ///< tick_[next_] pops next
+  std::uint64_t now_ = 0;    ///< the open tick
+  bool opened_ = false;      ///< a tick has been opened
+  std::size_t near_ = 0;     ///< events in the ring
+  std::size_t size_ = 0;     ///< events not yet popped
+};
+
+/// What a node knows of one inbound link: every round in (after, through]
+/// is settled — its message, if it had one, is buffered, and the rest was
+/// silent.  The α-synchronizer's links are reliable and FIFO, so each of
+/// its transmissions settles the whole prefix (after stays 0).  A
+/// free-running link may lose payloads, so there a payload settles only
+/// its own round and a halt notice only the rounds after the sender's
+/// last send.
+struct Heard {
+  Round after = 0;
+  Round through = 0;
+
+  [[nodiscard]] bool settles(Round r) const noexcept {
+    return after < r && r <= through;
   }
 };
 
-/// Per-round input assembly: one slot per port, silence until filled.  The
-/// slots use the same struct-of-arrays MessageLanes layout as the
-/// synchronous engine's inbox, so both transports exercise one storage
-/// path; receive() still gets the contiguous span<Message> the program API
-/// promises, via a gather into shared scratch.
-struct RoundBuf {
-  MessageLanes lanes;
-  std::vector<char> have;
-
-  explicit RoundBuf(Port degree) : have(degree, 0) {
-    lanes.assign_silence(degree);
-  }
+/// A buffered input: the message of `round` that arrived on `port`.
+struct Pending {
+  Round round = 0;
+  Port port = 0;
+  Message message = kSilence;
 };
 
 struct NodeState {
-  Round round = 0;            ///< round whose inputs are being assembled
+  Round round = 0;            ///< free-running: the round being assembled
   Round halt_round = kNoHalt; ///< kNoHalt while running; 0 = halted at start
   bool crashed = false;
-  Port acks_got = 0;          ///< acks received for this round's sends
-  std::deque<RoundBuf> bufs;  ///< bufs[k] holds inputs for round `round`+k
-  std::vector<Round> partner_halt;  ///< per port: partner's halt round
+  std::vector<Pending> inbox;  ///< buffered inputs, in arrival order
+  std::vector<Heard> heard;    ///< per port: the settled span of its link
+
+  // α-synchronizer only.
+  Round wake = 1;       ///< the next round the node is awake in
+  bool sent = false;    ///< send(wake) is done, receive(wake) is pending
+  Round resolved = 0;   ///< every round up to here was received or slept
+  Round promise = 0;    ///< silent through here, by next_send
+  Round announced = 0;  ///< silence through here was sent on every port
+  Round waiting = 0;    ///< the link horizon the next step waits for
+  Port lagging = 0;     ///< links whose horizon is still below `waiting`
+  std::uint32_t outstanding = 0;  ///< transmissions not yet acknowledged
 
   [[nodiscard]] bool running() const noexcept {
     return halt_round == kNoHalt && !crashed;
@@ -219,12 +342,24 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   out.crashed.assign(n, 0);
 
   std::vector<NodeState> st(n);
-  std::priority_queue<Event, std::vector<Event>, EventAfter> timeline;
+  // The ring spans the usual distance of a push: a link delay (twice, for
+  // a duplicate) plus a demoted sender's penalty, or a round timeout.
+  std::uint64_t reach = 0;
+  for (const std::uint64_t d : delays) reach = std::max(reach, d);
+  reach = 2 * reach + sched.demote_ticks;
+  if (!synchronized) reach = std::max(reach, timeout);
+  // Slots order (node, port) pairs: node v's ports 0..deg(v) take the
+  // keys offset(v) + v + port, ascending across nodes.
+  const bool by_slot = !prioritized && plan.total_ports() + n <= UINT32_MAX;
+  Timeline timeline(reach, by_slot);
   std::uint64_t seq = 0;
   const auto push = [&](Event e) {
     if (prioritized) e.prio = prio[e.node];
     e.seq = seq++;
-    timeline.push(std::move(e));
+    if (by_slot) {
+      e.slot = static_cast<std::uint32_t>(plan.offset(e.node) + e.node + e.port);
+    }
+    timeline.push(e);
   };
 
   /// Extra latency a sender's transmissions suffer: demote_ticks once the
@@ -235,55 +370,89 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
 
   std::vector<Message> stage;          // send-stage scratch
   std::vector<Message> recv;           // receive-gather scratch
+  std::vector<char> have;              // free-running readiness scratch
   std::vector<std::uint64_t> round_messages(1, 0);  // [round] -> non-silence
   Round max_fired = 0;
 
-  const auto ensure_front = [&](NodeState& s, Port deg) -> RoundBuf& {
-    if (s.bufs.empty()) s.bufs.emplace_back(deg);
-    return s.bufs.front();
+  const auto throw_round_limit = [&]() {
+    std::size_t still_running = 0;
+    for (const NodeState& other : st) still_running += other.running();
+    std::ostringstream os;
+    os << "run_asynchronous: algorithm '" << name << "' did not halt within "
+       << options.max_rounds << " rounds (" << still_running << " of " << n
+       << " nodes still running)";
+    throw ExecutionError(os.str());
   };
 
-  const auto buf_for = [&](NodeState& s, Round r, Port deg) -> RoundBuf& {
-    const std::size_t idx = r - s.round;
-    while (s.bufs.size() <= idx) s.bufs.emplace_back(deg);
-    return s.bufs[idx];
+  /// Gathers round r's inputs into `recv` — silence on every port nothing
+  /// arrived on — and drops the buffered inputs of rounds up to r.
+  const auto take_inputs = [&](NodeState& s, Round r, Port deg) {
+    if (recv.size() < deg) recv.resize(deg);
+    std::fill_n(recv.begin(), deg, kSilence);
+    for (const Pending& p : s.inbox) {
+      if (p.round == r) recv[p.port - 1] = p.message;
+    }
+    std::erase_if(s.inbox, [r](const Pending& p) { return p.round <= r; });
   };
 
-  const auto schedule_halt_notices = [&](std::size_t v, Round h,
-                                         std::uint64_t now) {
+  /// Counts and logs the non-silence messages of v's round-r send in
+  /// `stage`.  Logged at transmission (duplicates excluded), not
+  /// acceptance: the synchronous engine records every non-silence send of
+  /// a running node — including sends a halted receiver will ignore — so
+  /// this is the only recording point that keeps the transcript
+  /// bit-identical.
+  const auto record_sends = [&](std::size_t v, Round r) {
+    if (round_messages.size() <= r) round_messages.resize(r + 1, 0);
     const Port deg = plan.degree(v);
-    const std::size_t off = plan.offset(v);
     for (Port i = 1; i <= deg; ++i) {
-      const std::size_t q = off + i - 1;
-      const port::PortRef to = plan.partner_ref(q);
-      push({now + delays[q] + send_penalty(v), 0, to.node, to.port, 0,
-            EventKind::kHaltNotice, h});
+      const Message& m = stage[i - 1];
+      if (m.is_silence()) continue;
+      ++stats.messages_sent;
+      ++round_messages[r];
+      if (options.collect_messages) {
+        result.message_log.push_back(
+            {r, {static_cast<port::NodeId>(v), i},
+             plan.partner_ref(plan.offset(v) + i - 1), m});
+      }
     }
   };
 
-  const auto send_round = [&](std::size_t v, Round r, std::uint64_t now) {
+  /// Sends one payload or notice over v's port i; the synchronizer
+  /// expects its acknowledgement.
+  const auto transmit = [&](std::size_t v, Port i, EventKind kind,
+                            Round round, Round after, const Message& m,
+                            std::uint64_t now) {
+    const std::size_t q = plan.offset(v) + i - 1;
+    const port::PortRef to = plan.partner_ref(q);
+    push({now + delays[q] + send_penalty(v), 0, 0, to.node, to.port, round,
+          after, kind, m});
+    if (synchronized) ++st[v].outstanding;
+  };
+
+  /// v halted after round r: it served its ports in rounds 1..r, and
+  /// tells every partner it is silent forever.
+  const auto halt = [&](std::size_t v, Round r, std::uint64_t now) {
     NodeState& s = st[v];
     const Port deg = plan.degree(v);
+    s.halt_round = r;
+    stats.ports_served += static_cast<std::uint64_t>(deg) * r;
+    for (Port i = 1; i <= deg; ++i) {
+      transmit(v, i, EventKind::kNotice, kForever, synchronized ? 0 : r,
+               kSilence, now);
+    }
+    s.announced = kForever;
+  };
+
+  // ---- Free-running mode: dense sends, round timeouts, faults. ----------
+
+  const auto send_round = [&](std::size_t v, Round r, std::uint64_t now) {
+    const Port deg = plan.degree(v);
     const std::size_t off = plan.offset(v);
-    stats.ports_served += deg;
     stage.assign(deg, kSilence);
     programs[v]->send(r, std::span<Message>(stage.data(), deg));
-    if (round_messages.size() <= r) round_messages.resize(r + 1, 0);
+    record_sends(v, r);
     for (Port i = 1; i <= deg; ++i) {
       const std::size_t q = off + i - 1;
-      const Message& m = stage[i - 1];
-      if (!m.is_silence()) {
-        ++stats.messages_sent;
-        ++round_messages[r];
-        // Logged at transmission (duplicates excluded), not acceptance: the
-        // synchronous engine records every non-silence send of a running
-        // node — including sends a halted receiver will ignore — so this is
-        // the only recording point that keeps the transcript bit-identical.
-        if (options.collect_messages) {
-          result.message_log.push_back(
-              {r, {static_cast<port::NodeId>(v), i}, plan.partner_ref(q), m});
-        }
-      }
       if (faults.loss > 0.0 && draw01(seed, q, r, /*salt=*/1) < faults.loss) {
         out.fault_log.push_back({now, FaultKind::kLoss,
                                  static_cast<port::NodeId>(v), i, r});
@@ -292,65 +461,54 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
       }
       const port::PortRef to = plan.partner_ref(q);
       const std::uint64_t arrival = now + delays[q] + send_penalty(v);
-      push({arrival, 0, to.node, to.port, 0, EventKind::kPayload, r, m,
-            static_cast<port::NodeId>(v), i});
+      const Event payload{arrival,  0,     0,     to.node,
+                          to.port,  r,     r - 1, EventKind::kPayload,
+                          stage[i - 1]};
+      push(payload);
       if (faults.duplicate > 0.0 &&
           draw01(seed, q, r, /*salt=*/2) < faults.duplicate) {
-        push({arrival + delays[q], 0, to.node, to.port, 0, EventKind::kPayload,
-              r, m, static_cast<port::NodeId>(v), i});
+        Event copy = payload;
+        copy.time = arrival + delays[q];
+        push(copy);
         out.fault_log.push_back({now, FaultKind::kDuplicate,
                                  static_cast<port::NodeId>(v), i, r});
         ++out.async.duplicated;
       }
     }
-    if (synchronized) {
-      s.acks_got = 0;
-    } else {
-      push({now + timeout, 0, static_cast<port::NodeId>(v), 0, 0,
-            EventKind::kDeadline, r});
-    }
+    push({now + timeout, 0, 0, static_cast<port::NodeId>(v), 0, r, 0,
+          EventKind::kDeadline});
   };
 
-  // Fires receive(round) with whatever the front buffer holds (missing
-  // slots are silence), then either halts the node or advances it into the
-  // next round and sends.  Throws past max_rounds, mirroring the
-  // synchronous engine.
+  // Fires receive(round) with whatever is buffered (missing slots are
+  // silence), then either halts the node or advances it into the next
+  // round and sends.  Throws past max_rounds, mirroring the synchronous
+  // engine.
   const auto fire = [&](std::size_t v, std::uint64_t now) {
     NodeState& s = st[v];
     const Port deg = plan.degree(v);
     const Round r = s.round;
-    RoundBuf& buf = ensure_front(s, deg);
-    if (recv.size() < deg) recv.resize(deg);
-    buf.lanes.gather(0, deg, recv.data());
+    take_inputs(s, r, deg);
     programs[v]->receive(r, std::span<const Message>(recv.data(), deg));
     max_fired = std::max(max_fired, r);
-    s.bufs.pop_front();
     if (programs[v]->halted()) {
-      s.halt_round = r;
-      schedule_halt_notices(v, r, now);
+      halt(v, r, now);
       return;
     }
-    if (r + 1 > options.max_rounds) {
-      std::size_t still_running = 0;
-      for (const NodeState& other : st) still_running += other.running();
-      std::ostringstream os;
-      os << "run_asynchronous: algorithm '" << name
-         << "' did not halt within " << options.max_rounds << " rounds ("
-         << still_running << " of " << n << " nodes still running)";
-      throw ExecutionError(os.str());
-    }
+    if (r + 1 > options.max_rounds) throw_round_limit();
     s.round = r + 1;
-    ensure_front(s, deg);
     send_round(v, r + 1, now);
   };
 
-  // A node's round is ready when every port either delivered this round's
-  // message or is known to have halted before it (then it reads silence,
-  // exactly as in the synchronous engine).
+  // A round is ready when every port delivered its message or has the
+  // round settled as silence by a halt notice.
   const auto inputs_ready = [&](const NodeState& s, Port deg) {
-    const RoundBuf& buf = s.bufs.front();
+    if (have.size() < deg) have.resize(deg);
+    std::fill_n(have.begin(), deg, 0);
+    for (const Pending& p : s.inbox) {
+      if (p.round == s.round) have[p.port - 1] = 1;
+    }
     for (Port i = 0; i < deg; ++i) {
-      if (!buf.have[i] && s.partner_halt[i] >= s.round) return false;
+      if (!have[i] && !s.heard[i].settles(s.round)) return false;
     }
     return true;
   };
@@ -358,11 +516,144 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   const auto try_fire = [&](std::size_t v, std::uint64_t now) {
     NodeState& s = st[v];
     const Port deg = plan.degree(v);
-    while (s.running()) {
-      if (synchronized && s.acks_got < deg) break;
-      ensure_front(s, deg);
-      if (!inputs_ready(s, deg)) break;
-      fire(v, now);
+    while (s.running() && inputs_ready(s, deg)) fire(v, now);
+  };
+
+  // ---- α-synchronizer: sparse sends behind binding horizons. ------------
+  //
+  // A node runs the round engine's call sequence: send(w) and receive(w)
+  // in each awake round w, receive(a) alone when a non-silence message
+  // arrives in a sleep round a.  It may take its next step once every
+  // link has settled the rounds before it (links are reliable and FIFO,
+  // so a link is settled through its latest payload or notice) and every
+  // transmission it made is acknowledged.  Silence costs one notice per
+  // port, not a payload per round: after receive(r) the node tells its
+  // partners it is silent through next_send(r) − 1, or, if the links
+  // already settle the rounds up to its next wake, sends that round
+  // straight away, which settles the gap as well.  When it sleeps through
+  // rounds its links settled, it asks next_send again for the last of
+  // them and announces any further silence, so nodes whose promises are
+  // short still move in step with their partners.
+
+  const auto link_floor = [&](const NodeState& s, Port deg) {
+    Round floor = kForever;
+    for (Port i = 0; i < deg; ++i) floor = std::min(floor, s.heard[i].through);
+    return floor;
+  };
+
+  const auto announce = [&](std::size_t v, Round h, std::uint64_t now) {
+    NodeState& s = st[v];
+    if (h <= s.announced) return;
+    for (Port i = 1; i <= plan.degree(v); ++i) {
+      transmit(v, i, EventKind::kNotice, h, 0, kSilence, now);
+    }
+    s.announced = h;
+  };
+
+  const auto send_awake = [&](std::size_t v, Round w, std::uint64_t now) {
+    NodeState& s = st[v];
+    const Port deg = plan.degree(v);
+    stage.assign(deg, kSilence);
+    programs[v]->send(w, std::span<Message>(stage.data(), deg));
+    record_sends(v, w);
+    for (Port i = 1; i <= deg; ++i) {
+      const Message& m = stage[i - 1];
+      if (m != kSilence) {
+        if (w <= s.announced) {
+          throw ExecutionError(
+              "run_asynchronous: algorithm '" + name + "' sent in round " +
+              std::to_string(w) + " after promising silence through round " +
+              std::to_string(s.announced) + " (NodeProgram::next_send)");
+        }
+        transmit(v, i, EventKind::kPayload, w, 0, m, now);
+      } else if (s.announced < w) {
+        transmit(v, i, EventKind::kNotice, w, 0, kSilence, now);
+      }
+    }
+    s.announced = std::max(s.announced, w);
+    s.resolved = w - 1;
+    s.sent = true;
+  };
+
+  const auto receive_sync = [&](std::size_t v, Round r, std::uint64_t now) {
+    NodeState& s = st[v];
+    const Port deg = plan.degree(v);
+    take_inputs(s, r, deg);
+    NodeProgram& program = *programs[v];
+    program.receive(r, std::span<const Message>(recv.data(), deg));
+    max_fired = std::max(max_fired, r);
+    s.resolved = r;
+    s.sent = false;
+    if (program.halted()) {
+      halt(v, r, now);
+      return;
+    }
+    if (r >= options.max_rounds) throw_round_limit();
+    const Round wake = program.next_wake(r);
+    const Round send = program.next_send(r);
+    if (wake <= r || send <= r) {
+      throw ExecutionError("run_asynchronous: algorithm '" + name +
+                           "' declared round " +
+                           std::to_string(std::min(wake, send)) +
+                           " as its next after round " + std::to_string(r));
+    }
+    s.wake = wake;
+    s.promise = std::max(s.promise, send - 1);
+  };
+
+  /// Takes every step v can take now, then records what it waits for.
+  const auto advance = [&](std::size_t v, std::uint64_t now) {
+    NodeState& s = st[v];
+    const Port deg = plan.degree(v);
+    s.waiting = 0;
+    while (s.running() && s.outstanding == 0) {
+      const Round floor = link_floor(s, deg);
+      if (s.sent) {
+        if (floor >= s.wake) {
+          receive_sync(v, s.wake, now);
+          continue;
+        }
+        s.waiting = s.wake;
+      } else {
+        // A non-silence arrival before the wake round wakes the node for
+        // that round's receive alone; otherwise it sends the wake round
+        // once the rounds before it are settled.
+        Round arrival = kForever;
+        for (const Pending& p : s.inbox) {
+          if (!p.message.is_silence()) arrival = std::min(arrival, p.round);
+        }
+        const bool woken = arrival < s.wake;
+        const Round need = woken ? arrival : s.wake - 1;
+        if (floor >= need) {
+          if (woken) {
+            receive_sync(v, arrival, now);
+          } else {
+            if (need >= options.max_rounds) throw_round_limit();
+            send_awake(v, s.wake, now);
+          }
+          continue;
+        }
+        // Sleep through the rounds the links settled; the round after
+        // them is a sleep round too, so it is silent as well.
+        if (floor > s.resolved) {
+          s.resolved = floor;
+          if (floor >= options.max_rounds) throw_round_limit();
+          const Round send = programs[v]->next_send(floor);
+          if (send <= floor) {
+            throw ExecutionError("run_asynchronous: algorithm '" + name +
+                                 "' declared round " + std::to_string(send) +
+                                 " as its next send after round " +
+                                 std::to_string(floor));
+          }
+          s.promise = std::max(s.promise, send - 1);
+        }
+        announce(v, std::max(s.promise, s.resolved + 1), now);
+        if (s.outstanding > 0) break;
+        s.waiting = std::min(need, s.announced);
+      }
+      s.lagging = 0;
+      for (Port i = 0; i < deg; ++i) s.lagging += s.heard[i].through < s.waiting;
+      break;
     }
   };
 
@@ -370,26 +661,27 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   for (std::size_t v = 0; v < n; ++v) {
     NodeState& s = st[v];
     const Port deg = plan.degree(v);
-    s.partner_halt.assign(deg, kNoHalt);
+    s.heard.assign(deg, {});
     programs[v]->start(deg);
     if (programs[v]->halted()) {
-      s.halt_round = 0;
-      schedule_halt_notices(v, 0, 0);
+      halt(v, 0, 0);
       continue;
     }
-    s.round = 1;
-    ensure_front(s, deg);
-    send_round(v, 1, 0);
-    try_fire(v, 0);  // degree-0 nodes have no inputs to wait for
+    if (synchronized) {
+      advance(v, 0);  // degree-0 nodes have no inputs to wait for
+    } else {
+      s.round = 1;
+      send_round(v, 1, 0);
+      try_fire(v, 0);
+    }
   }
   for (const CrashEvent& crash : faults.crashes) {
-    push({crash.time, 0, crash.node, 0, 0, EventKind::kCrash, 0});
+    push({crash.time, 0, 0, crash.node, 0, 0, 0, EventKind::kCrash});
   }
 
   // --- The event loop: strictly ordered, single-threaded, deterministic.
   while (!timeline.empty()) {
-    const Event e = timeline.top();
-    timeline.pop();
+    const Event e = timeline.pop();
     const std::uint64_t now = e.time;
     out.async.virtual_time = std::max(out.async.virtual_time, now);
     ++out.async.events;
@@ -404,53 +696,62 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     }
     NodeState& s = st[e.node];
     switch (e.kind) {
-      case EventKind::kPayload: {
+      case EventKind::kPayload:
+      case EventKind::kNotice: {
         if (s.crashed) {
-          ++out.async.stale;
+          if (e.kind == EventKind::kPayload) ++out.async.stale;
           break;
         }
         if (synchronized) {
-          // Transport-level acknowledgement: receipt is confirmed whether
-          // or not the algorithm layer still listens, over the reverse
-          // direction of the same link.
+          // Transport-level acknowledgement, payload or notice: receipt
+          // is confirmed whether or not the algorithm layer still
+          // listens, over the reverse direction of the same link.
           const std::size_t back = plan.offset(e.node) + e.port - 1;
-          push({now + delays[back], 0, e.from_node, e.from_port, 0,
-                EventKind::kAck, e.round});
+          const port::PortRef from = plan.partner_ref(back);
+          push({now + delays[back], 0, 0, from.node, from.port, e.round, 0,
+                EventKind::kAck});
         }
-        if (s.halt_round != kNoHalt) break;  // halted: payload ignored
-        if (e.round < s.round) {
-          ++out.async.stale;  // late after a timeout, or a duplicate
-          break;
+        if (s.halt_round != kNoHalt) break;  // halted: nothing to settle
+        Heard& link = s.heard[e.port - 1];
+        const bool reached = link.through < s.waiting && e.round >= s.waiting;
+        link.after = std::max(link.after, e.after);
+        link.through = std::max(link.through, e.round);
+        bool early = false;
+        if (e.kind == EventKind::kPayload) {
+          if (e.round < s.round) {
+            ++out.async.stale;  // late after a timeout, or a duplicate
+            break;
+          }
+          const bool duplicate = std::any_of(
+              s.inbox.begin(), s.inbox.end(), [&](const Pending& p) {
+                return p.round == e.round && p.port == e.port;
+              });
+          if (duplicate) {
+            ++out.async.stale;  // duplicated delivery, suppressed
+            break;
+          }
+          s.inbox.push_back({e.round, e.port, e.payload});
+          ++out.async.delivered;
+          early = !e.payload.is_silence() && e.round < s.waiting;
         }
-        RoundBuf& buf = buf_for(s, e.round, plan.degree(e.node));
-        const Port idx = e.port - 1;
-        if (buf.have[idx]) {
-          ++out.async.stale;  // duplicated delivery, suppressed
-          break;
+        if (synchronized) {
+          if (early || (reached && --s.lagging == 0)) advance(e.node, now);
+        } else if (e.kind == EventKind::kNotice || e.round == s.round) {
+          try_fire(e.node, now);
         }
-        buf.have[idx] = 1;
-        buf.lanes.store(idx, e.payload);
-        ++out.async.delivered;
-        if (e.round == s.round) try_fire(e.node, now);
         break;
       }
       case EventKind::kAck: {
-        if (s.crashed) break;
         ++out.async.acks;
-        ++s.acks_got;
-        if (s.halt_round == kNoHalt) try_fire(e.node, now);
-        break;
-      }
-      case EventKind::kHaltNotice: {
-        if (s.crashed) break;
-        s.partner_halt[e.port - 1] = e.round;
-        if (s.halt_round == kNoHalt) try_fire(e.node, now);
+        if (--s.outstanding == 0) advance(e.node, now);
         break;
       }
       case EventKind::kCrash: {
         if (s.crashed || s.halt_round != kNoHalt) break;  // no-op once done
         s.crashed = true;
         out.crashed[e.node] = 1;
+        stats.ports_served +=
+            static_cast<std::uint64_t>(plan.degree(e.node)) * s.round;
         out.fault_log.push_back({now, FaultKind::kCrash, e.node, 0, 0});
         break;
       }

@@ -6,30 +6,47 @@
 // from the run's delay matrix, and nodes fire their receive step when their
 // local round's inputs are in.  Two modes:
 //
-//  * α-synchronizer (AsyncOptions::synchronizer, default).  The classic
-//    simulation layer: every payload is acknowledged by the receiving
-//    transport, and a node enters round r+1 only once (a) it holds a
-//    round-r message (or a halt notice) for every port and (b) all of its
-//    round-r sends are acknowledged.  Per-round buffering keeps early
-//    messages until their round fires, so each node observes *exactly* the
-//    message sequence of the synchronous execution — outputs, stats, trace
-//    and (order-normalized) message log are bit-identical to the round
-//    engine for every delay matrix.  This is the differential oracle: any
-//    divergence is an engine bug, not an algorithm property.
+//  * α-synchronizer (AsyncOptions::synchronizer, default).  It pays per
+//    message and per awake node-round, not per port-round.  A link
+//    carries payloads — non-silence messages, each for one round — and
+//    horizon notices, "silent through round h"; a halted node's notice
+//    has h = ∞.  Links are FIFO (the delay matrix is fixed per directed
+//    link), so a receiver knows every round of a link through its latest
+//    payload or notice, and reads the rounds without a payload as silence.
+//    Each node replays the round engine's call sequence: send(w) and
+//    receive(w) in every awake round w, receive(a) alone when a payload
+//    arrives in a sleep round a (NodeProgram::next_wake).  After
+//    receive(r) it announces silence through next_send(r) − 1, the
+//    program's binding promise — or, when its links already settle every
+//    round before its next wake w, calls send(w) straight away, so a port
+//    carries one transmission per awake round.  The model: the receiving
+//    transport acknowledges every transmission, payload or notice (below
+//    the algorithm, so also at a halted node), and a node takes its next
+//    step only once all of its transmissions are acknowledged and its
+//    links settle the rounds that step needs.  Each node therefore
+//    observes *exactly* the message sequence of the synchronous
+//    execution — outputs, stats, trace and (order-normalized) message log
+//    are bit-identical to the round engine for every delay matrix.  This
+//    is the differential oracle: any divergence is an engine bug, not an
+//    algorithm property.  AsyncStats count this traffic: `events` pops,
+//    `acks` acknowledgements, `delivered` payloads, `virtual_time` the
+//    last pop's clock.
 //
-//  * Free-running (synchronizer off).  No acknowledgements: a node waits at
-//    most AsyncOptions::round_timeout ticks for a round's inputs, then
-//    substitutes silence for the missing ports and fires anyway.  This mode
-//    admits the FaultPlan (loss, duplication, crashes) and exists to
-//    measure how the paper's algorithms degrade off the synchronous model.
+//  * Free-running (synchronizer off).  Dense: every running node sends a
+//    payload on every port in every round and no acknowledgements; a
+//    node waits at most AsyncOptions::round_timeout ticks for a round's
+//    inputs, then substitutes silence for the missing ports and fires
+//    anyway.  Only a halt travels as a notice.  This mode admits the
+//    FaultPlan (loss, duplication, crashes) and exists to measure how the
+//    paper's algorithms degrade off the synchronous model.
 //
 // Determinism: the event loop is sequential and pops a strict weak order —
 // (time, priority, node, port, seq) with seq a global monotone counter —
-// and every random draw is a pure function of the seed and structural
-// coordinates (see runtime/fault.hpp).  Equal inputs give byte-identical
-// AsyncResults, including the fault log, regardless of ExecOptions::threads
-// (which only parallelizes *across* runs at the batch layer, never within
-// one).
+// from a timeline bucketed by tick, and every random draw is a pure
+// function of the seed and structural coordinates (see runtime/fault.hpp).
+// Equal inputs give byte-identical AsyncResults, including the fault log,
+// regardless of ExecOptions::threads (which only parallelizes *across*
+// runs at the batch layer, never within one).
 //
 // The ordering hook: AsyncOptions::schedule (runtime/fault.hpp) injects an
 // adversarial perturbation into that order.  A non-empty Schedule stamps
@@ -58,8 +75,9 @@ namespace eds::runtime {
 /// model-independent ones).
 struct AsyncStats {
   std::uint64_t virtual_time = 0;  ///< clock value of the last event
-  std::uint64_t delivered = 0;     ///< payloads accepted into a round buffer
-  std::uint64_t acks = 0;          ///< acknowledgements delivered (synchronizer)
+  std::uint64_t delivered = 0;     ///< payloads accepted into an input buffer
+  std::uint64_t acks = 0;          ///< acknowledgements delivered (synchronizer,
+                                   ///< one per payload or horizon notice)
   std::uint64_t lost = 0;          ///< transmissions dropped by the FaultPlan
   std::uint64_t duplicated = 0;    ///< transmissions delivered twice
   std::uint64_t stale = 0;         ///< late/duplicate arrivals discarded

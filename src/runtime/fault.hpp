@@ -178,13 +178,14 @@ struct Schedule {
 /// when present there, run_synchronous routes the run through the
 /// event-driven engine instead of the round loop.
 struct AsyncOptions {
-  /// With the α-synchronizer (default), every payload is acknowledged and a
-  /// node enters round r+1 only after its round-r sends are acknowledged
-  /// and its round-r inputs are complete — which makes the execution
-  /// equivalent to the synchronous one for *any* delay matrix, and is the
-  /// differential oracle this subsystem exists for.  Requires a fault-free
-  /// FaultPlan (loss or crashes would deadlock the wait; the engine rejects
-  /// the combination up front).  Without the synchronizer, nodes advance on
+  /// With the α-synchronizer (default), every payload and horizon notice
+  /// is acknowledged, and a node takes its next step only once its
+  /// transmissions are acknowledged and the inputs of the rounds before
+  /// that step are settled — which makes the execution equivalent to the
+  /// synchronous one for *any* delay matrix, and is the differential
+  /// oracle this subsystem exists for (see runtime/async.hpp).  Requires a
+  /// fault-free FaultPlan (loss or crashes would deadlock the wait; the
+  /// engine rejects the combination up front).  Without the synchronizer, nodes advance on
   /// a round timeout instead, missing inputs become silence, and faults are
   /// allowed — the degradation-measurement mode.
   bool synchronizer = true;

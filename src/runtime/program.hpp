@@ -8,7 +8,9 @@
 //  * at any point after a receive it may halt and expose its output
 //    X(v) ⊆ {1, ..., degree} (the ports of its chosen edges);
 //  * after a receive it may declare when it next has something to do
-//    (next_wake), so the engine can let it sleep through idle rounds.
+//    (next_wake), so the engine can let it sleep through idle rounds, and
+//    the earliest round it may send again (next_send), so the
+//    asynchronous engine can tell its partners about the silence.
 #pragma once
 
 #include <memory>
@@ -56,9 +58,29 @@ class NodeProgram {
   /// round needs must be updated in receive() or in an awake send().
   ///
   /// The default, r + 1, never sleeps: the dense execution of the seed
-  /// semantics.  The asynchronous engine ignores the hint and drives
-  /// every round.
+  /// semantics.
+  ///
+  /// next_wake is not a promise about sends: an arrival in a sleep round
+  /// may pull the node's next send earlier than w (a proposal received in
+  /// round r' is answered in round r' + 1).  That is next_send's job.
   [[nodiscard]] virtual Round next_wake(Round r) const { return r + 1; }
+
+  /// The earliest round s > r in which this node may send anything but
+  /// kSilence, whatever arrives before then — asked by the asynchronous
+  /// engine's α-synchronizer after the same receive(r) calls as
+  /// next_wake, and for a sleep round r once its input is known to be
+  /// all silence (the state is then what receive(r) of silence would
+  /// leave).  The synchronous engine never asks.
+  ///
+  /// The contract is binding: for every round r' with r < r' < s, send(r')
+  /// writes only kSilence on every port — including after an arrival
+  /// wake in between, and including a tag-0 message with arguments, which
+  /// a receiver would otherwise see.  The synchronizer announces "silent
+  /// through s − 1" to the node's partners on the strength of it, so they
+  /// may run ahead without waiting for those rounds; a violating send
+  /// throws ExecutionError.  The default, r + 1, promises nothing and
+  /// keeps the synchronizer dense for this node.
+  [[nodiscard]] virtual Round next_send(Round r) const { return r + 1; }
 
   /// True once the node has stopped and announced its output.
   [[nodiscard]] virtual bool halted() const = 0;

@@ -259,8 +259,9 @@ TEST(AdversarySearch, DeterministicAndThreadIndependent) {
 /// reach round 1: kDelay forces per-link delays past the timeout and kClimb
 /// carries delay-override moves.  kPct cannot touch port-one — round-1
 /// sends leave at engine initialisation, before the first event pop, so a
-/// change-point demotion lands only on round-2+ sends and halt notices,
-/// which a 1-round algorithm never emits.
+/// change-point demotion lands only on round-2+ sends and on the horizon-∞
+/// notices of halting nodes; a 1-round algorithm sends nothing after round
+/// 1, and a notice settles only the rounds after its sender's last send.
 void expect_strategies_dominate_tenfold_random(const PortGraph& g,
                                                const ProgramFactory& factory,
                                                const std::string& label,

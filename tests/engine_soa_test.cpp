@@ -168,22 +168,5 @@ TEST(EngineSoa, StatsResetResamplesProfilingFlag) {
       << "profiling off must stick after a reset as well";
 }
 
-TEST(EngineSoa, MessageLanesStoreLoadAndSilence) {
-  // A lane with a mixed silence pattern (including negative tags): a
-  // stored slot loads back with its arguments, and silence() clears it.
-  MessageLanes lanes;
-  lanes.assign_silence(1000);
-  auto rng = test::make_rng(0x50A7);
-  for (std::size_t q = 0; q < 1000; ++q) {
-    const auto roll = rng.next_u64() % 4;
-    const std::int32_t tag =
-        roll == 0 ? 0 : (roll == 1 ? -7 : static_cast<std::int32_t>(q + 1));
-    lanes.store(q, msg(tag, 1, 2, 3));
-  }
-  EXPECT_EQ(lanes.load(5).arg[2], 3);
-  lanes.silence(5);
-  EXPECT_TRUE(lanes.load(5) == kSilence);
-}
-
 }  // namespace
 }  // namespace eds::runtime

@@ -6,15 +6,20 @@
 // results: (a) every algorithm, on every graph family and lane count, must
 // equal reference_run bit for bit — outputs, stats, trace and message log;
 // (b) the SleepChecked decorator runs each program densely and asserts
-// that every send in a round the program declared as sleep is silent; and
-// (c) handcrafted scripts pin the engine's wake mechanics one at a time.
-// The random instances follow EDS_FUZZ_SEED.
+// that every send in a round the program declared as sleep is silent, and
+// every send before a promised next_send horizon too; and (c) handcrafted
+// scripts pin the engine's wake mechanics one at a time.  The asynchronous
+// engine's α-synchronizer runs the same sparse schedule behind horizon
+// notices, so every case also runs under AsyncPolicy on four delay
+// matrices and must equal the oracle — and, for the scripts, make exactly
+// the round engine's calls.  The random instances follow EDS_FUZZ_SEED.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -27,6 +32,7 @@
 #include "idmodel/forest_matching.hpp"
 #include "port/ported_graph.hpp"
 #include "port/random_port_graph.hpp"
+#include "runtime/async.hpp"
 #include "runtime/runner.hpp"
 #include "test_util.hpp"
 
@@ -72,12 +78,68 @@ class ForestMatchingFactory final : public ProgramFactory {
   mutable std::size_t next_ = 0;
 };
 
+/// The delay matrices the async oracle sweeps: the degenerate one, a
+/// high-variance uniform, a heavy-tailed geometric, and a uniform draw
+/// with every third link forced slow by a per-link override.
+std::vector<AsyncOptions> async_matrices(const PortGraph& g) {
+  std::vector<AsyncOptions> out;
+  for (const char* spec : {"fixed:1", "uniform:1:9", "geometric:5"}) {
+    AsyncOptions async;
+    async.delay = parse_delay_model(spec);
+    async.seed = 0xA5;
+    out.push_back(async);
+  }
+  AsyncOptions async;
+  async.delay = parse_delay_model("uniform:1:4");
+  async.seed = 0xA6;
+  std::uint32_t ports = 0;
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    ports += g.degree(static_cast<port::NodeId>(v));
+  }
+  for (std::uint32_t q = 0; q < ports; q += 3) {
+    async.schedule.delay_overrides.push_back({q, 13 + q % 7});
+  }
+  out.push_back(async);
+  return out;
+}
+
+std::string describe(const AsyncOptions& async) {
+  return format_delay_model(async.delay) +
+         (async.schedule.delay_overrides.empty() ? "" : "+overrides");
+}
+
+/// The synchronizer's run with its message log in the oracle's (round,
+/// sender) order; the async log arrives in delivery order.
+RunResult run_synchronized(const PortGraph& g, const ProgramFactory& factory,
+                           const RunOptions& options,
+                           const AsyncOptions& async) {
+  RunResult got = run_asynchronous(g, factory, options, async).run;
+  std::sort(got.message_log.begin(), got.message_log.end(),
+            [](const DeliveredMessage& x, const DeliveredMessage& y) {
+              return std::tie(x.round, x.from.node, x.from.port) <
+                     std::tie(y.round, y.from.node, y.from.port);
+            });
+  return got;
+}
+
+/// What the SleepChecked decorator checked on one program.
+struct Checked {
+  std::uint64_t sleep_sends = 0;
+  std::uint64_t horizon_sends = 0;
+
+  Checked& operator+=(const Checked& other) {
+    sleep_sends += other.sleep_sends;
+    horizon_sends += other.horizon_sends;
+    return *this;
+  }
+};
+
 /// (a) and (b) for one program on one graph: the engine at every lane
-/// count, and the SleepChecked decorator, must both reproduce the oracle.
-/// Returns the number of declared-sleep sends the decorator checked.
-std::uint64_t expect_matches_oracle(const PortGraph& g,
-                                    const ProgramFactory& factory,
-                                    const std::string& label) {
+/// count, the α-synchronizer on every delay matrix, and the SleepChecked
+/// decorator must all reproduce the oracle.  Returns what the decorator
+/// checked.
+Checked expect_matches_oracle(const PortGraph& g, const ProgramFactory& factory,
+                              const std::string& label) {
   RunOptions options;
   options.collect_trace = true;
   options.collect_messages = true;
@@ -94,20 +156,30 @@ std::uint64_t expect_matches_oracle(const PortGraph& g,
         << ", log " << got.message_log.size() << " vs "
         << expected.message_log.size() << ")";
   }
-  const test::SleepCheckedFactory checked(factory);
   options.exec.threads = 1;
+  for (const AsyncOptions& async : async_matrices(g)) {
+    RunResult got;
+    EXPECT_NO_THROW(got = run_synchronized(g, factory, options, async))
+        << label << ": async " << describe(async);
+    EXPECT_TRUE(got == expected)
+        << label << ": async " << describe(async) << " diverged from the "
+        << "dense oracle (rounds " << got.stats.rounds << ", messages "
+        << got.stats.messages_sent << ", ports served "
+        << got.stats.ports_served << ")";
+  }
+  const test::SleepCheckedFactory checked(factory);
   RunResult dense;
   EXPECT_NO_THROW(dense = run_synchronous(g, checked, options)) << label;
   EXPECT_TRUE(dense == expected)
       << label << ": the sleep-checked dense run diverged from the oracle";
-  return checked.sleep_sends();
+  return {checked.sleep_sends(), checked.horizon_sends()};
 }
 
 /// Every algorithm that runs on arbitrary graphs of maximum degree ∆.
-/// Returns the sleep sends bounded-degree declared (the one program here
-/// with a non-trivial next_wake).
-std::uint64_t expect_all_programs_match(const PortGraph& g, bool simple,
-                                        const std::string& label) {
+/// Returns what the decorator checked on bounded-degree (the one program
+/// here with a non-trivial next_wake and next_send).
+Checked expect_all_programs_match(const PortGraph& g, bool simple,
+                                  const std::string& label) {
   const Port delta = max_degree(g);
   const auto sleeps = expect_matches_oracle(
       g, algo::BoundedDegreeFactory(std::max<Port>(delta, 2)),
@@ -126,13 +198,16 @@ std::uint64_t expect_all_programs_match(const PortGraph& g, bool simple,
 
 TEST(EngineSparse, PowerLawGraphs) {
   auto rng = test::make_rng(0x5A01);
-  std::uint64_t sleeps = 0;
+  Checked checked;
   for (int trial = 0; trial < 3; ++trial) {
     const auto pg =
         port::with_random_ports(graph::random_power_law(150, 2.1, rng), rng);
-    sleeps += expect_all_programs_match(pg.ports(), true, "power-law");
+    checked += expect_all_programs_match(pg.ports(), true, "power-law");
   }
-  EXPECT_GT(sleeps, 0u) << "bounded-degree never declared a sleep round";
+  EXPECT_GT(checked.sleep_sends, 0u)
+      << "bounded-degree never declared a sleep round";
+  EXPECT_GT(checked.horizon_sends, 0u)
+      << "bounded-degree never promised a send horizon";
 }
 
 TEST(EngineSparse, StarGraphs) {
@@ -171,20 +246,23 @@ TEST(EngineSparse, OddRegularOnRegularGraphs) {
   // on random regular graphs, under every pair order (each one maps the
   // active pairs to different rounds).
   auto rng = test::make_rng(0x5A05);
-  std::uint64_t sleeps = 0;
+  Checked checked;
   for (const Port d : {1u, 3u, 5u}) {
     const auto pg = test::random_ported_regular(24, d, rng);
     for (const auto order : {algo::PairOrder::kLexicographic,
                              algo::PairOrder::kDiagonal,
                              algo::PairOrder::kReverse}) {
-      sleeps += expect_matches_oracle(
+      checked += expect_matches_oracle(
           pg.ports(), algo::OddRegularFactory(d, order),
           "odd-regular d=" + std::to_string(d));
     }
     expect_all_programs_match(pg.ports(), true,
                               "regular d=" + std::to_string(d));
   }
-  EXPECT_GT(sleeps, 0u) << "odd-regular never declared a sleep round";
+  EXPECT_GT(checked.sleep_sends, 0u)
+      << "odd-regular never declared a sleep round";
+  EXPECT_GT(checked.horizon_sends, 0u)
+      << "odd-regular never promised a send horizon";
 }
 
 TEST(EngineSparse, PairPositionInvertsEverySchedule) {
@@ -247,6 +325,11 @@ class ScriptedProgram final : public NodeProgram {
   [[nodiscard]] Round next_wake(Round round) const override {
     return *std::upper_bound(script_.runs.begin(), script_.runs.end(), round);
   }
+  /// A script sends only in rounds it runs, and an arrival never changes
+  /// which rounds those are: the wake is a binding send horizon.
+  [[nodiscard]] Round next_send(Round round) const override {
+    return next_wake(round);
+  }
   [[nodiscard]] bool halted() const override { return halted_; }
   [[nodiscard]] std::vector<Port> output() const override {
     auto ports = heard_;
@@ -284,8 +367,10 @@ class ScriptedFactory final : public ProgramFactory {
   mutable std::size_t next_ = 0;
 };
 
-/// Runs `scripts` on `g` densely (the oracle) and on the engine at every
-/// lane count; demands identical results and returns the engine's calls.
+/// Runs `scripts` on `g` densely (the oracle), on the engine at every lane
+/// count and on the α-synchronizer under every delay matrix; demands
+/// identical results, and identical calls from both engines, and returns
+/// the engine's calls.
 CallLog run_scripts(const PortGraph& g, const std::vector<Script>& scripts) {
   RunOptions options;
   options.collect_trace = true;
@@ -297,6 +382,14 @@ CallLog run_scripts(const PortGraph& g, const std::vector<Script>& scripts) {
     const auto got =
         run_synchronous(g, ScriptedFactory(scripts, &calls), options);
     EXPECT_TRUE(got == expected) << "threads=" << threads;
+  }
+  options.exec.threads = 1;
+  for (const AsyncOptions& async : async_matrices(g)) {
+    CallLog async_calls;
+    const auto got = run_synchronized(
+        g, ScriptedFactory(scripts, &async_calls), options, async);
+    EXPECT_TRUE(got == expected) << "async " << describe(async);
+    EXPECT_EQ(async_calls, calls) << "async " << describe(async);
   }
   return calls;
 }

@@ -119,24 +119,46 @@ class RelayFactory final : public runtime::ProgramFactory {
   runtime::Round base_;
 };
 
-/// Check mode for the NodeProgram::next_wake contract.  The wrapped
-/// program runs densely — the decorator keeps the default next_wake, so
-/// the engine calls send() and receive() every round — while the decorator
-/// tracks the wake the wrapped program declares exactly as the sleeping
-/// engine would: re-asked after the receive of a due round, or of a round
-/// in which a non-silence message arrived.  Every send() in a declared
-/// sleep round must write only silence; a violation throws ExecutionError
-/// out of the run.  Results must still equal the undecorated program's.
+/// Check mode for the NodeProgram::next_wake and next_send contracts.
+/// The wrapped program runs densely — the decorator keeps the default
+/// next_wake and next_send, so either engine calls send() and receive()
+/// every round — while the decorator tracks what the wrapped program
+/// declares:
+///  * the wake, exactly as the sleeping engine would: re-asked after the
+///    receive of a due round, or of a round in which a non-silence message
+///    arrived.  Every send() in a declared sleep round must write only
+///    silence.
+///  * the send horizon, asked after every receive (a dense receive of a
+///    sleep round is the silent round the synchronizer may ask about) and
+///    kept as the furthest promise so far: the promise is binding whatever
+///    arrives, so an arrival wake does not lift it.  Every send() before
+///    the horizon must write only kSilence.
+/// A violation of either throws ExecutionError out of the run.  Results
+/// must still equal the undecorated program's.
 class SleepCheckedProgram final : public runtime::NodeProgram {
  public:
   SleepCheckedProgram(std::unique_ptr<runtime::NodeProgram> inner,
-                      std::shared_ptr<std::atomic<std::uint64_t>> checked)
-      : inner_(std::move(inner)), checked_(std::move(checked)) {}
+                      std::shared_ptr<std::atomic<std::uint64_t>> checked,
+                      std::shared_ptr<std::atomic<std::uint64_t>> promised)
+      : inner_(std::move(inner)),
+        checked_(std::move(checked)),
+        promised_(std::move(promised)) {}
 
   void start(port::Port degree) override { inner_->start(degree); }
   void send(runtime::Round round,
             std::span<runtime::Message> out) override {
     inner_->send(round, out);
+    if (round < horizon_) {
+      for (const auto& m : out) {
+        if (m != runtime::kSilence) {
+          throw ExecutionError(
+              "SleepChecked: a message was sent in round " +
+              std::to_string(round) + ", inside the silence promised until " +
+              "round " + std::to_string(horizon_));
+        }
+      }
+      promised_->fetch_add(1, std::memory_order_relaxed);
+    }
     if (round >= due_) return;
     for (const auto& m : out) {
       if (!m.is_silence()) {
@@ -156,6 +178,7 @@ class SleepCheckedProgram final : public runtime::NodeProgram {
         std::any_of(in.begin(), in.end(),
                     [](const runtime::Message& m) { return !m.is_silence(); });
     if (round >= due_ || arrival) due_ = inner_->next_wake(round);
+    horizon_ = std::max(horizon_, inner_->next_send(round));
   }
   [[nodiscard]] bool halted() const override { return inner_->halted(); }
   [[nodiscard]] std::vector<port::Port> output() const override {
@@ -165,28 +188,37 @@ class SleepCheckedProgram final : public runtime::NodeProgram {
  private:
   std::unique_ptr<runtime::NodeProgram> inner_;
   std::shared_ptr<std::atomic<std::uint64_t>> checked_;
+  std::shared_ptr<std::atomic<std::uint64_t>> promised_;
   runtime::Round due_ = 1;
+  runtime::Round horizon_ = 1;
 };
 
 /// Wraps every program of `inner` in SleepCheckedProgram; sleep_sends()
-/// counts the declared-sleep sends it checked, so a test can tell a
-/// vacuous check from a passing one.
+/// and horizon_sends() count the declared-sleep sends and the sends before
+/// a promised horizon it checked, so a test can tell a vacuous check from
+/// a passing one.
 class SleepCheckedFactory final : public runtime::ProgramFactory {
  public:
   explicit SleepCheckedFactory(const runtime::ProgramFactory& inner)
       : inner_(inner) {}
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create()
       const override {
-    return std::make_unique<SleepCheckedProgram>(inner_.create(), checked_);
+    return std::make_unique<SleepCheckedProgram>(inner_.create(), checked_,
+                                                 promised_);
   }
   [[nodiscard]] std::string name() const override { return inner_.name(); }
   [[nodiscard]] std::uint64_t sleep_sends() const {
     return checked_->load(std::memory_order_relaxed);
   }
+  [[nodiscard]] std::uint64_t horizon_sends() const {
+    return promised_->load(std::memory_order_relaxed);
+  }
 
  private:
   const runtime::ProgramFactory& inner_;
   std::shared_ptr<std::atomic<std::uint64_t>> checked_ =
+      std::make_shared<std::atomic<std::uint64_t>>(0);
+  std::shared_ptr<std::atomic<std::uint64_t>> promised_ =
       std::make_shared<std::atomic<std::uint64_t>>(0);
 };
 
@@ -302,7 +334,7 @@ inline runtime::RunResult reference_run(const port::PortGraph& g,
     std::fill(outbox.begin(), outbox.end(), kSilence);
     for (std::size_t v = 0; v < n; ++v) {
       const auto deg = g.degree(static_cast<port::NodeId>(v));
-      const std::span<Message> out(&outbox[offset[v]], deg);
+      const std::span<Message> out(outbox.data() + offset[v], deg);
       if (halted[v]) continue;
       programs[v]->send(round, out);
       result.stats.ports_served += deg;
@@ -329,7 +361,7 @@ inline runtime::RunResult reference_run(const port::PortGraph& g,
     for (std::size_t v = 0; v < n; ++v) {
       if (halted[v]) continue;
       const auto deg = g.degree(static_cast<port::NodeId>(v));
-      const std::span<const Message> in(&inbox[offset[v]], deg);
+      const std::span<const Message> in(inbox.data() + offset[v], deg);
       programs[v]->receive(round, in);
       if (programs[v]->halted()) {
         halted[v] = true;
