@@ -575,6 +575,18 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     s.sent = true;
   };
 
+  /// Raises v's promise by next_send(r), which must lie after r.
+  const auto ask_next_send = [&](std::size_t v, Round r) {
+    const Round send = programs[v]->next_send(r);
+    if (send <= r) {
+      throw ExecutionError("run_asynchronous: algorithm '" + name +
+                           "' declared round " + std::to_string(send) +
+                           " as its next send after round " +
+                           std::to_string(r));
+    }
+    st[v].promise = std::max(st[v].promise, send - 1);
+  };
+
   const auto receive_sync = [&](std::size_t v, Round r, std::uint64_t now) {
     NodeState& s = st[v];
     const Port deg = plan.degree(v);
@@ -590,15 +602,13 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     }
     if (r >= options.max_rounds) throw_round_limit();
     const Round wake = program.next_wake(r);
-    const Round send = program.next_send(r);
-    if (wake <= r || send <= r) {
+    if (wake <= r) {
       throw ExecutionError("run_asynchronous: algorithm '" + name +
-                           "' declared round " +
-                           std::to_string(std::min(wake, send)) +
-                           " as its next after round " + std::to_string(r));
+                           "' asked to wake in round " + std::to_string(wake) +
+                           " after round " + std::to_string(r));
     }
     s.wake = wake;
-    s.promise = std::max(s.promise, send - 1);
+    ask_next_send(v, r);
   };
 
   /// Takes every step v can take now, then records what it waits for.
@@ -638,14 +648,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
         if (floor > s.resolved) {
           s.resolved = floor;
           if (floor >= options.max_rounds) throw_round_limit();
-          const Round send = programs[v]->next_send(floor);
-          if (send <= floor) {
-            throw ExecutionError("run_asynchronous: algorithm '" + name +
-                                 "' declared round " + std::to_string(send) +
-                                 " as its next send after round " +
-                                 std::to_string(floor));
-          }
-          s.promise = std::max(s.promise, send - 1);
+          ask_next_send(v, floor);
         }
         announce(v, std::max(s.promise, s.resolved + 1), now);
         if (s.outstanding > 0) break;

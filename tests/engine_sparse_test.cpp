@@ -528,5 +528,46 @@ TEST(EngineSparse, WakeNotAfterTheCurrentRoundIsRejected) {
                ExecutionError);
 }
 
+TEST(EngineSparse, BrokenSendPromiseFailsLoudly) {
+  // Both nodes wake in round 5 and message each other, after promising
+  // silence through round 9.  The synchronizer announced that promise to
+  // the partner, which may already have read round 5 as silent, so the
+  // send must fail; the SleepChecked decorator flags it on the round
+  // engine too.
+  class Liar final : public NodeProgram {
+   public:
+    void start(Port) override {}
+    void send(Round round, std::span<Message> out) override {
+      if (round == 5) out[0] = msg(9);
+    }
+    void receive(Round round, std::span<const Message>) override {
+      halted_ = round >= 5;
+    }
+    [[nodiscard]] Round next_wake(Round) const override { return 5; }
+    [[nodiscard]] Round next_send(Round) const override { return 10; }
+    [[nodiscard]] bool halted() const override { return halted_; }
+    [[nodiscard]] std::vector<Port> output() const override { return {}; }
+
+   private:
+    bool halted_ = false;
+  };
+  class LiarFactory final : public ProgramFactory {
+   public:
+    [[nodiscard]] std::unique_ptr<NodeProgram> create() const override {
+      return std::make_unique<Liar>();
+    }
+    [[nodiscard]] std::string name() const override { return "liar"; }
+  };
+  PortGraphBuilder b(std::vector<Port>{1, 1});
+  b.connect({0, 1}, {1, 1});
+  const auto g = b.build();
+  const LiarFactory liar;
+  EXPECT_NO_THROW((void)run_synchronous(g, liar));
+  EXPECT_THROW((void)run_asynchronous(g, liar, {}, AsyncOptions{}),
+               ExecutionError);
+  EXPECT_THROW((void)run_synchronous(g, test::SleepCheckedFactory(liar)),
+               ExecutionError);
+}
+
 }  // namespace
 }  // namespace eds::runtime
