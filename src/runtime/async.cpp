@@ -70,7 +70,7 @@ enum class EventKind : std::uint8_t {
 /// One timeline entry.  A payload or notice settles the rounds (after,
 /// round] of its link: a payload also carries the message of round
 /// `round`, a notice says every other round of the span was silent (see
-/// Heard).  The sender of a payload or notice is the involution partner
+/// Link).  The sender of a payload or notice is the involution partner
 /// of (node, port), so an acknowledgement needs no return address.
 struct Event {
   std::uint64_t time = 0;
@@ -196,16 +196,18 @@ class Timeline {
   std::size_t size_ = 0;     ///< events not yet popped
 };
 
-/// What a node knows of one inbound link: every round in (after, through]
-/// is settled — its message, if it had one, is buffered, and the rest was
+/// One port of a node.  Inbound, every round in (after, through] is
+/// settled — its message, if it had one, is buffered, and the rest was
 /// silent.  The α-synchronizer's links are reliable and FIFO, so each of
 /// its transmissions settles the whole prefix (after stays 0).  A
 /// free-running link may lose payloads, so there a payload settles only
 /// its own round and a halt notice only the rounds after the sender's
-/// last send.
-struct Heard {
+/// last send.  Outbound, the synchronizer keeps how far it has settled
+/// the partner's view of this node.
+struct Link {
   Round after = 0;
   Round through = 0;
+  Round told = 0;  ///< synchronizer: the latest round sent on this port
 
   [[nodiscard]] bool settles(Round r) const noexcept {
     return after < r && r <= through;
@@ -224,14 +226,14 @@ struct NodeState {
   Round halt_round = kNoHalt; ///< kNoHalt while running; 0 = halted at start
   bool crashed = false;
   std::vector<Pending> inbox;  ///< buffered inputs, in arrival order
-  std::vector<Heard> heard;    ///< per port: the settled span of its link
+  std::vector<Link> links;     ///< per port, see Link
 
   // α-synchronizer only.
   Round wake = 1;       ///< the next round the node is awake in
   bool sent = false;    ///< send(wake) is done, receive(wake) is pending
   Round resolved = 0;   ///< every round up to here was received or slept
   Round promise = 0;    ///< silent through here, by next_send
-  Round announced = 0;  ///< silence through here was sent on every port
+  Round announced = 0;  ///< the furthest silence promised to a partner
   Round waiting = 0;    ///< the link horizon the next step waits for
   Port lagging = 0;     ///< links whose horizon is still below `waiting`
   std::uint32_t outstanding = 0;  ///< transmissions not yet acknowledged
@@ -426,7 +428,29 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     const port::PortRef to = plan.partner_ref(q);
     push({now + delays[q] + send_penalty(v), 0, 0, to.node, to.port, round,
           after, kind, m});
-    if (synchronized) ++st[v].outstanding;
+    if (synchronized) {
+      ++st[v].outstanding;
+      st[v].links[i - 1].told = round;
+    }
+  };
+
+  /// Whether "silent through round h" must go out on port i.  The
+  /// synchronizer leaves it out when the partner knows it already, and
+  /// when the partner has told this node as much of its own rounds: the
+  /// partner then learns of the silence from this node's next
+  /// transmission that reaches further.  That cannot stall a run.  Were
+  /// every running node blocked, take one, u, whose horizon H (the
+  /// furthest round it announced or sent) is least.  Its links settle
+  /// less than H, so a running partner p has told it less than H.  p's
+  /// horizon is at least H, so p left u out when it reached it, because u
+  /// had told p that much before: p's horizon is H too, and reached
+  /// strictly later than u's.  The same holds for p, so the blocked nodes
+  /// would form a chain strictly forward in time, which a finite graph
+  /// closes into a cycle.  A halted partner's horizon is ∞: it is sent
+  /// nothing at all.
+  const auto needs_notice = [&](const NodeState& s, Port i, Round h) {
+    const Link& link = s.links[i - 1];
+    return !synchronized || (link.told < h && link.through < h);
   };
 
   /// v halted after round r: it served its ports in rounds 1..r, and
@@ -437,6 +461,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     s.halt_round = r;
     stats.ports_served += static_cast<std::uint64_t>(deg) * r;
     for (Port i = 1; i <= deg; ++i) {
+      if (!needs_notice(s, i, kForever)) continue;
       transmit(v, i, EventKind::kNotice, kForever, synchronized ? 0 : r,
                kSilence, now);
     }
@@ -508,7 +533,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
       if (p.round == s.round) have[p.port - 1] = 1;
     }
     for (Port i = 0; i < deg; ++i) {
-      if (!have[i] && !s.heard[i].settles(s.round)) return false;
+      if (!have[i] && !s.links[i].settles(s.round)) return false;
     }
     return true;
   };
@@ -533,21 +558,25 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   // straight away, which settles the gap as well.  When it sleeps through
   // rounds its links settled, it asks next_send again for the last of
   // them and announces any further silence, so nodes whose promises are
-  // short still move in step with their partners.
+  // short still move in step with their partners.  A notice goes only to
+  // partners that do not know as much already (needs_notice), so a port
+  // carries about one transmission per awake round.
 
   const auto link_floor = [&](const NodeState& s, Port deg) {
     Round floor = kForever;
-    for (Port i = 0; i < deg; ++i) floor = std::min(floor, s.heard[i].through);
+    for (Port i = 0; i < deg; ++i) floor = std::min(floor, s.links[i].through);
     return floor;
   };
 
+  /// Tells every partner that v is silent through round h.
   const auto announce = [&](std::size_t v, Round h, std::uint64_t now) {
     NodeState& s = st[v];
-    if (h <= s.announced) return;
     for (Port i = 1; i <= plan.degree(v); ++i) {
-      transmit(v, i, EventKind::kNotice, h, 0, kSilence, now);
+      if (needs_notice(s, i, h)) {
+        transmit(v, i, EventKind::kNotice, h, 0, kSilence, now);
+      }
     }
-    s.announced = h;
+    s.announced = std::max(s.announced, h);
   };
 
   const auto send_awake = [&](std::size_t v, Round w, std::uint64_t now) {
@@ -558,16 +587,17 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     record_sends(v, w);
     for (Port i = 1; i <= deg; ++i) {
       const Message& m = stage[i - 1];
-      if (m != kSilence) {
-        if (w <= s.announced) {
-          throw ExecutionError(
-              "run_asynchronous: algorithm '" + name + "' sent in round " +
-              std::to_string(w) + " after promising silence through round " +
-              std::to_string(s.announced) + " (NodeProgram::next_send)");
+      if (m == kSilence) {
+        if (needs_notice(s, i, w)) {
+          transmit(v, i, EventKind::kNotice, w, 0, kSilence, now);
         }
+      } else if (w <= s.announced) {
+        throw ExecutionError(
+            "run_asynchronous: algorithm '" + name + "' sent in round " +
+            std::to_string(w) + " after promising silence through round " +
+            std::to_string(s.announced) + " (NodeProgram::next_send)");
+      } else if (s.links[i - 1].through != kForever) {
         transmit(v, i, EventKind::kPayload, w, 0, m, now);
-      } else if (s.announced < w) {
-        transmit(v, i, EventKind::kNotice, w, 0, kSilence, now);
       }
     }
     s.announced = std::max(s.announced, w);
@@ -655,7 +685,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
         s.waiting = std::min(need, s.announced);
       }
       s.lagging = 0;
-      for (Port i = 0; i < deg; ++i) s.lagging += s.heard[i].through < s.waiting;
+      for (Port i = 0; i < deg; ++i) s.lagging += s.links[i].through < s.waiting;
       break;
     }
   };
@@ -664,7 +694,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   for (std::size_t v = 0; v < n; ++v) {
     NodeState& s = st[v];
     const Port deg = plan.degree(v);
-    s.heard.assign(deg, {});
+    s.links.assign(deg, {});
     programs[v]->start(deg);
     if (programs[v]->halted()) {
       halt(v, 0, 0);
@@ -715,7 +745,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
                 EventKind::kAck});
         }
         if (s.halt_round != kNoHalt) break;  // halted: nothing to settle
-        Heard& link = s.heard[e.port - 1];
+        Link& link = s.links[e.port - 1];
         const bool reached = link.through < s.waiting && e.round >= s.waiting;
         link.after = std::max(link.after, e.after);
         link.through = std::max(link.through, e.round);

@@ -18,8 +18,11 @@
 //    arrives in a sleep round a (NodeProgram::next_wake).  After
 //    receive(r) it announces silence through next_send(r) − 1, the
 //    program's binding promise — or, when its links already settle every
-//    round before its next wake w, calls send(w) straight away, so a port
-//    carries one transmission per awake round.  The model: the receiving
+//    round before its next wake w, calls send(w) straight away.  A notice
+//    is left out on a port whose partner has announced as far itself (it
+//    learns of the silence from the next transmission that reaches
+//    further), and a halted partner is sent nothing, so a port carries
+//    about one transmission per awake round.  The model: the receiving
 //    transport acknowledges every transmission, payload or notice (below
 //    the algorithm, so also at a halted node), and a node takes its next
 //    step only once all of its transmissions are acknowledged and its

@@ -7,8 +7,11 @@
 // port in every round, 2 · Σ d(v) · rounds events — is what the engine
 // paid before horizons.  On fixed seeds, a heavy-tailed A(∆) run must stay
 // a hundredfold below it and odd-regular, whose nodes are awake in about
-// a third of the rounds, below two thirds of it — each with a RunResult
-// equal to the round engine's.
+// a third of the rounds, below two fifths of it — each with a RunResult
+// equal to the round engine's.  Two fifths needs about one transmission
+// per port and awake round: a notice announcing each silent gap plus the
+// payload or notice of the awake round itself pops half of the dense
+// count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,7 +75,7 @@ TEST(AsyncTraffic, PowerLawBoundedDegreeIsAHundredfoldBelowDense) {
       << "events " << events << ", dense " << dense;
 }
 
-TEST(AsyncTraffic, OddRegularStaysBelowTwoThirdsOfDense) {
+TEST(AsyncTraffic, OddRegularStaysBelowTwoFifthsOfDense) {
   Rng rng(1);
   const auto pg =
       port::with_random_ports(graph::random_regular(8192, 3, rng), rng);
@@ -81,7 +84,7 @@ TEST(AsyncTraffic, OddRegularStaysBelowTwoThirdsOfDense) {
   const auto [events, dense] =
       events_and_dense(pg.ports(), algo::OddRegularFactory(3), async);
   EXPECT_EQ(dense, 983040u);
-  EXPECT_LE(events * 3, dense * 2)
+  EXPECT_LE(events * 5, dense * 2)
       << "events " << events << ", dense " << dense;
 }
 

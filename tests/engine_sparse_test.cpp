@@ -8,11 +8,13 @@
 // (b) the SleepChecked decorator runs each program densely and asserts
 // that every send in a round the program declared as sleep is silent, and
 // every send before a promised next_send horizon too; and (c) handcrafted
-// scripts pin the engine's wake mechanics one at a time.  The asynchronous
-// engine's α-synchronizer runs the same sparse schedule behind horizon
-// notices, so every case also runs under AsyncPolicy on four delay
-// matrices and must equal the oracle — and, for the scripts, make exactly
-// the round engine's calls.  The random instances follow EDS_FUZZ_SEED.
+// scripts pin the engine's wake mechanics one at a time, and random
+// scripts mixing kinds of send promise check that none of them stalls the
+// synchronizer.  The asynchronous engine's α-synchronizer runs the same
+// sparse schedule behind horizon notices, so every case also runs under
+// AsyncPolicy on four delay matrices and must equal the oracle — and, for
+// the scripts, make exactly the round engine's calls.  The random
+// instances follow EDS_FUZZ_SEED.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -282,6 +284,11 @@ TEST(EngineSparse, PairPositionInvertsEverySchedule) {
 
 // ---- (c) handcrafted wake mechanics -------------------------------------
 
+/// What a script declares as its next_send: its next run round (kWake),
+/// the next round it sends in (kSend, reaching past runs it spends
+/// silent), or the next round (kNone, no promise).
+enum class Promise { kWake, kSend, kNone };
+
 /// One scripted node: the rounds after round 1 in which it runs (its halt
 /// round last), and the (round, port) pairs it sends a message on — always
 /// in a round it runs; tag 9 carrying the round, or, for a negative port,
@@ -291,6 +298,7 @@ TEST(EngineSparse, PairPositionInvertsEverySchedule) {
 struct Script {
   std::vector<Round> runs;
   std::vector<std::pair<Round, int>> sends;
+  Promise promise = Promise::kWake;
 };
 
 /// The calls the engine made on each node, in order: "s<r>" for send(r),
@@ -326,9 +334,23 @@ class ScriptedProgram final : public NodeProgram {
     return *std::upper_bound(script_.runs.begin(), script_.runs.end(), round);
   }
   /// A script sends only in rounds it runs, and an arrival never changes
-  /// which rounds those are: the wake is a binding send horizon.
+  /// which rounds those are: the wake, and the next send round, are
+  /// binding send horizons.
   [[nodiscard]] Round next_send(Round round) const override {
-    return next_wake(round);
+    switch (script_.promise) {
+      case Promise::kWake:
+        return next_wake(round);
+      case Promise::kSend: {
+        Round next = script_.runs.back() + 1;
+        for (const auto& [at, port] : script_.sends) {
+          if (at > round) next = std::min(next, at);
+        }
+        return next;
+      }
+      case Promise::kNone:
+        break;
+    }
+    return round + 1;
   }
   [[nodiscard]] bool halted() const override { return halted_; }
   [[nodiscard]] std::vector<Port> output() const override {
@@ -476,6 +498,46 @@ TEST(EngineSparse, IdleGapIsSkippedButTraced) {
   }
   EXPECT_EQ(result.trace.back().messages, 1u);
   EXPECT_EQ(result.stats.ports_served, 40u + 40u);
+}
+
+TEST(EngineSparse, RandomScriptsWithMixedPromises) {
+  // Random multigraphs whose nodes run random scripts and mix the three
+  // kinds of send promise, so that horizons of very different reach meet
+  // on one link and the synchronizer leaves many notices out.  Every run
+  // must finish, equal the oracle and make the round engine's calls.
+  auto rng = test::make_rng(0x5A07);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Port> degrees(3 + rng.below(10));
+    for (auto& d : degrees) d = static_cast<Port>(rng.below(5));
+    const auto g = port::random_port_graph(degrees, rng);
+    std::vector<Script> scripts(degrees.size());
+    for (Script& script : scripts) {
+      for (Round r = 2; r <= 30; ++r) {
+        if (rng.below(4) == 0) script.runs.push_back(r);
+      }
+      script.runs.push_back(31 + rng.below(10));
+      script.promise = static_cast<Promise>(rng.below(3));
+    }
+    // A tag-0 message wakes no sleeper, so it only goes to a partner that
+    // runs in its round.
+    const auto runs_in = [&](port::NodeId u, Round r) {
+      return std::binary_search(scripts[u].runs.begin(),
+                                scripts[u].runs.end(), r);
+    };
+    for (port::NodeId v = 0; v < scripts.size(); ++v) {
+      for (const Round r : scripts[v].runs) {
+        for (Port i = 1; i <= degrees[v]; ++i) {
+          if (rng.below(3) != 0) continue;
+          const int port = static_cast<int>(i);
+          const bool tag0 =
+              rng.below(4) == 0 && runs_in(g.partner(v, i).node, r);
+          scripts[v].sends.emplace_back(r, tag0 ? -port : port);
+        }
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    (void)run_scripts(g, scripts);
+  }
 }
 
 TEST(EngineSparse, WakePastTheRoundCapFailsLikeTheDenseEngine) {
