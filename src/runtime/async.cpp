@@ -17,8 +17,8 @@ namespace eds::runtime {
 
 namespace {
 
-constexpr Round kNoHalt = std::numeric_limits<Round>::max();
-/// The horizon of a halted sender: silent in every round from now on.
+/// The round that never comes: the halt round of a running node, and the
+/// horizon of a halted sender (silent in every round from now on).
 constexpr Round kForever = std::numeric_limits<Round>::max();
 
 /// Order-independent deterministic draw: a pure hash of the run seed and
@@ -82,7 +82,6 @@ struct Event {
   Round after = 0;
   EventKind kind = EventKind::kPayload;
   Message payload = kSilence;
-  std::uint32_t slot = 0;  ///< (node, port) as one ascending key, see push
 };
 
 /// The pop order: the smallest (time, prio, node, port, seq) first.  The
@@ -103,18 +102,11 @@ bool pops_before(const Event& x, const Event& y) noexcept {
 /// (crashes, long timeouts, demoted sends) wait in a small heap.  A tick's
 /// bucket is put in pop order when the tick opens, so pops come out in
 /// exactly pops_before order, as from one priority queue.
-///
-/// Without priorities that order within a tick is (slot, seq), and a tick
-/// is assembled in seq order already: the heap's events were pushed
-/// before any ring event of the same tick, and each source keeps seq
-/// order among equal slots.  So a sort of (slot, position) integers
-/// orders it, instead of a comparison sort of whole events.
 class Timeline {
  public:
-  Timeline(std::uint64_t reach, bool by_slot)
+  explicit Timeline(std::uint64_t reach)
       : ring_(std::bit_ceil(std::clamp<std::uint64_t>(reach + 1, 2, 4096))),
-        mask_(ring_.size() - 1),
-        by_slot_(by_slot) {}
+        mask_(ring_.size() - 1) {}
 
   void push(const Event& e) {
     EDS_ENSURE(e.time > now_ || (!opened_ && e.time == now_),
@@ -163,20 +155,7 @@ class Timeline {
     near_ -= bucket.size();
     tick_.insert(tick_.end(), bucket.begin(), bucket.end());
     bucket.clear();
-    if (by_slot_) {
-      keys_.clear();
-      for (std::size_t i = 0; i < tick_.size(); ++i) {
-        keys_.push_back(std::uint64_t{tick_[i].slot} << 32 | i);
-      }
-      std::sort(keys_.begin(), keys_.end());
-      sorted_.clear();
-      for (const std::uint64_t key : keys_) {
-        sorted_.push_back(tick_[static_cast<std::uint32_t>(key)]);
-      }
-      std::swap(tick_, sorted_);
-    } else {
-      std::sort(tick_.begin(), tick_.end(), pops_before);
-    }
+    std::sort(tick_.begin(), tick_.end(), pops_before);
     now_ = t;
     opened_ = true;
     next_ = 0;
@@ -186,9 +165,6 @@ class Timeline {
   std::uint64_t mask_;
   std::vector<Event> far_;   ///< min-heap of events beyond the ring
   std::vector<Event> tick_;  ///< the open tick, in pop order
-  bool by_slot_;             ///< every prio is 0: order ticks by slot
-  std::vector<std::uint64_t> keys_;  ///< by-slot scratch: (slot, position)
-  std::vector<Event> sorted_;        ///< by-slot scratch: the ordered tick
   std::size_t next_ = 0;     ///< tick_[next_] pops next
   std::uint64_t now_ = 0;    ///< the open tick
   bool opened_ = false;      ///< a tick has been opened
@@ -223,7 +199,7 @@ struct Pending {
 
 struct NodeState {
   Round round = 0;            ///< free-running: the round being assembled
-  Round halt_round = kNoHalt; ///< kNoHalt while running; 0 = halted at start
+  Round halt_round = kForever;  ///< kForever while running; 0 = halted at start
   bool crashed = false;
   std::vector<Pending> inbox;  ///< buffered inputs, in arrival order
   std::vector<Link> links;     ///< per port, see Link
@@ -239,7 +215,7 @@ struct NodeState {
   std::uint32_t outstanding = 0;  ///< transmissions not yet acknowledged
 
   [[nodiscard]] bool running() const noexcept {
-    return halt_round == kNoHalt && !crashed;
+    return halt_round == kForever && !crashed;
   }
 };
 
@@ -350,17 +326,11 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   for (const std::uint64_t d : delays) reach = std::max(reach, d);
   reach = 2 * reach + sched.demote_ticks;
   if (!synchronized) reach = std::max(reach, timeout);
-  // Slots order (node, port) pairs: node v's ports 0..deg(v) take the
-  // keys offset(v) + v + port, ascending across nodes.
-  const bool by_slot = !prioritized && plan.total_ports() + n <= UINT32_MAX;
-  Timeline timeline(reach, by_slot);
+  Timeline timeline(reach);
   std::uint64_t seq = 0;
   const auto push = [&](Event e) {
     if (prioritized) e.prio = prio[e.node];
     e.seq = seq++;
-    if (by_slot) {
-      e.slot = static_cast<std::uint32_t>(plan.offset(e.node) + e.node + e.port);
-    }
     timeline.push(e);
   };
 
@@ -744,7 +714,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
           push({now + delays[back], 0, 0, from.node, from.port, e.round, 0,
                 EventKind::kAck});
         }
-        if (s.halt_round != kNoHalt) break;  // halted: nothing to settle
+        if (s.halt_round != kForever) break;  // halted: nothing to settle
         Link& link = s.links[e.port - 1];
         const bool reached = link.through < s.waiting && e.round >= s.waiting;
         link.after = std::max(link.after, e.after);
@@ -780,7 +750,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
         break;
       }
       case EventKind::kCrash: {
-        if (s.crashed || s.halt_round != kNoHalt) break;  // no-op once done
+        if (s.crashed || s.halt_round != kForever) break;  // no-op once done
         s.crashed = true;
         out.crashed[e.node] = 1;
         stats.ports_served +=
@@ -820,7 +790,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
 
   result.outputs.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
-    if (st[v].halt_round == kNoHalt) continue;  // crashed: empty output
+    if (st[v].halt_round == kForever) continue;  // crashed: empty output
     auto ports = programs[v]->output();
     std::sort(ports.begin(), ports.end());
     const Port deg = plan.degree(v);
