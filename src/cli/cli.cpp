@@ -200,18 +200,18 @@ void usage(std::ostream& out) {
          "      \"schema\":2;\n"
          "      --shards N fans the jobs across N `edsim worker`\n"
          "      subprocesses instead of threads (0 = one per hardware\n"
-         "      thread; output is byte-identical either way; workers are\n"
-         "      pooled — they stay warm between batches with per-shard\n"
-         "      plan caches, summed in the summary); sharded sweeps are\n"
+         "      thread; output is byte-identical either way; each batch\n"
+         "      forks its own workers, whose per-shard plan caches are\n"
+         "      summed in the summary); sharded sweeps are\n"
          "      resilient: a job orphaned by a worker death is retried up\n"
          "      to --retries K times (default 2, 0 = strict fail-fast) with\n"
          "      exponential backoff from --retry-backoff-ms B (default 10),\n"
          "      --job-timeout-ms T kills a worker stuck on one job and\n"
          "      --batch-timeout-ms T bounds the whole batch (0 = off),\n"
-         "      --breaker-deaths D quarantines the pool after D worker\n"
-         "      deaths in one batch (default 8, 0 = off) and\n"
-         "      --fallback-inprocess degrades a quarantined pool to\n"
-         "      in-process execution instead of failing; retry/deadline/\n"
+         "      --breaker-deaths D stops retrying after D worker deaths\n"
+         "      in one batch (default 8, 0 = off) and\n"
+         "      --fallback-inprocess then runs the remaining jobs\n"
+         "      in-process instead of failing them; retry/deadline/\n"
          "      quarantine counters appear in the summary when non-zero;\n"
          "      --chaos crash:N|hang:N:MS|garbage:N|slow:N:MS|exit-mid:N|\n"
          "      poison:I|rand:SEED:PERMILLE injects deterministic worker\n"
@@ -894,10 +894,10 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
             << " quarantines=" << shard_stats.pool_quarantines
             << " fallback-jobs=" << shard_stats.fallback_jobs
             << " summaries-lost=" << shard_stats.summaries_lost << '\n';
-        // A lost summary is a worker that died before reporting its batch
-        // delta: the plan-cache line above under-counts that worker's
-        // compiles/hits (the wire only carries counters in the batch-end
-        // summary), which this counter makes attributable.
+        // A lost summary is a worker that died before reporting its
+        // counters: the plan-cache line above under-counts that worker's
+        // compiles/hits (the wire only carries counters in the summary a
+        // worker writes at exit), which this counter makes attributable.
       }
     }
   };
@@ -1208,21 +1208,17 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   }
 }
 
-/// Hidden subcommand behind `edsim sweep --shards`: one shard of a
-/// ProcessShardExecutor pool.  Speaks the framed schema-2 NDJSON protocol
-/// of runtime/shard.hpp on stdin/stdout: batches arrive as batch_begin /
-/// job lines / batch_end, each job answers with one result (or error)
-/// line, flushed per job so the parent can stream, and each batch_end
-/// answers with one worker_summary carrying the batch's cache-counter
-/// deltas plus the process-lifetime totals.  The PlanCache (the per-shard
-/// cache of the design) and the engine workspaces behind it live for the
-/// *process*, not the batch — that persistence is the whole point of the
-/// warm pool.  Stdin EOF between batches ends the worker cleanly.
+/// Hidden subcommand behind `edsim sweep --shards`: one shard of one
+/// ProcessShardExecutor pass.  Speaks the schema-2 NDJSON protocol of
+/// runtime/shard.hpp on stdin/stdout: each job line answers with one
+/// result (or error) line, flushed per job so the parent can stream, all
+/// under one PlanCache (the per-shard cache of the design).  At stdin EOF
+/// the worker writes one worker_summary with its job and cache counters
+/// and exits 0.
 ///
 /// A job that fails its run produces an error line and the worker carries
-/// on: draining the batch is the parent's prefix-rule contract.  Malformed
-/// or out-of-frame lines (including a job line before any batch_begin)
-/// are protocol failures: exit 2, loudly.
+/// on: draining the batch is the parent's prefix-rule contract.  Any line
+/// that is not a job line is a protocol failure: exit 2, loudly.
 ///
 /// Chaos hooks (the deterministic misbehaviour injectors behind the
 /// resilience layer's tests): `--chaos SPEC` wins, then the
@@ -1244,13 +1240,14 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
   }
 
   runtime::PlanCache cache;
-  std::uint64_t total_jobs = 0;
+  std::uint64_t jobs = 0;
 
-  // Runs one job under the persistent cache.  Returns 0 to keep serving, or the exit code a chaos action demands.
+  // Runs one job under the shared cache.  Returns 0 to keep serving, or
+  // the exit code a chaos action demands.
   // Chaos actions *return* instead of _exit so the in-process run_cli
   // tests observe them exactly like a forked worker's exit status.
   const auto run_job = [&](const runtime::WireJob& job) -> int {
-    const auto action = runtime::chaos_action(chaos, total_jobs + 1, job.index);
+    const auto action = runtime::chaos_action(chaos, jobs + 1, job.index);
     if (action.mode == runtime::ChaosSpec::Mode::kPoison) {
       return 13;  // die on sight: no answer, no summary, every time
     }
@@ -1279,7 +1276,7 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
       // catch-everything per-job semantics.
       answer = runtime::encode_wire_error(job.index, e.what());
     }
-    ++total_jobs;
+    ++jobs;
     switch (action.mode) {
       case runtime::ChaosSpec::Mode::kGarbage:
         // The real answer is swallowed; the parent reads a non-protocol
@@ -1317,16 +1314,12 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
 
   std::string line;
   std::size_t line_no = 0;
-  bool batch_open = false;
-  std::uint64_t batch_id = 0;
-  std::uint64_t batch_jobs = 0;
-  runtime::PlanCache::Stats batch_base;  // cache counters at batch_begin
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    runtime::ParentLine parsed;
+    runtime::WireJob job;
     try {
-      parsed = runtime::decode_parent_line(line);
+      job = runtime::decode_wire_job(line);
     } catch (const Error& e) {
       // A malformed line is a protocol failure, not a job failure: die
       // loudly — naming the line and a snippet of what arrived — and let
@@ -1336,50 +1329,17 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
           << e.what() << '\n';
       return 2;
     }
-    switch (parsed.kind) {
-      case runtime::ParentLine::Kind::kBatchBegin:
-        if (batch_open) {
-          err << "worker: unexpected batch_begin\n";
-          return 2;
-        }
-        batch_open = true;
-        batch_id = parsed.batch_id;
-        batch_jobs = 0;
-        batch_base = cache.stats();
-        break;
-      case runtime::ParentLine::Kind::kJob:
-        if (!batch_open) {
-          err << "worker: job line outside a batch\n";
-          return 2;
-        }
-        if (const int rc = run_job(parsed.job); rc != 0) {
-          return rc;  // a chaos action fired: die as instructed
-        }
-        ++batch_jobs;
-        break;
-      case runtime::ParentLine::Kind::kBatchEnd: {
-        if (!batch_open || parsed.batch_id != batch_id) {
-          err << "worker: unexpected batch_end\n";
-          return 2;
-        }
-        const auto now = cache.stats();
-        runtime::WorkerSummary summary;
-        summary.batch_id = batch_id;
-        summary.jobs = batch_jobs;
-        summary.plans_compiled = now.misses - batch_base.misses;
-        summary.plan_hits = now.hits - batch_base.hits;
-        summary.total_jobs = total_jobs;
-        summary.total_compiled = now.misses;
-        summary.total_hits = now.hits;
-        out << runtime::encode_worker_summary(summary) << '\n';
-        out.flush();
-        batch_open = false;
-        break;
-      }
+    if (const int rc = run_job(job); rc != 0) {
+      return rc;  // a chaos action fired: die as instructed
     }
   }
-  // EOF ends the worker with no trailing line: every batch already got
-  // its summary.
+  const auto stats = cache.stats();
+  runtime::WorkerSummary summary;
+  summary.jobs = jobs;
+  summary.plans_compiled = stats.misses;
+  summary.plan_hits = stats.hits;
+  out << runtime::encode_worker_summary(summary) << '\n';
+  out.flush();
   return 0;
 }
 

@@ -5,11 +5,9 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <tuple>
 
-#include "runtime/plan_cache.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -21,17 +19,7 @@ namespace {
 /// horizon of a halted sender (silent in every round from now on).
 constexpr Round kForever = std::numeric_limits<Round>::max();
 
-/// Order-independent deterministic draw: a pure hash of the run seed and
-/// structural coordinates, so loss/delay decisions never depend on event-pop
-/// order or thread count.
-std::uint64_t draw_bits(std::uint64_t seed, std::uint64_t x, std::uint64_t y,
-                        std::uint64_t salt) {
-  std::uint64_t state = seed;
-  state = splitmix64(state) ^ (x + 0x9E3779B97F4A7C15ULL * salt);
-  state = splitmix64(state) ^ y;
-  return splitmix64(state);
-}
-
+/// draw_bits (util/rng.hpp) as a uniform double in [0, 1).
 double draw01(std::uint64_t seed, std::uint64_t x, std::uint64_t y,
               std::uint64_t salt) {
   return static_cast<double>(draw_bits(seed, x, y, salt) >> 11) * 0x1.0p-53;
@@ -809,42 +797,15 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   return out;
 }
 
-namespace {
-
-/// Plan resolution, same contract as the synchronous path: borrow from the
-/// configured cache or compile locally.
-const ExecutionPlan& resolve_async_plan(
-    const port::PortGraph& g, const ExecOptions& exec,
-    std::shared_ptr<const ExecutionPlan>& shared,
-    std::optional<ExecutionPlan>& local) {
-  if (exec.plan_cache != nullptr) {
-    shared = exec.plan_cache->get(g);
-    return *shared;
-  }
-  local.emplace(g);
-  return *local;
-}
-
-}  // namespace
-
 AsyncResult run_asynchronous(const port::PortGraph& g,
                              const ProgramFactory& factory,
                              const RunOptions& options,
                              const AsyncOptions& async) {
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(g.num_nodes());
-  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
-    programs.push_back(factory.create());
-    if (!programs.back()) {
-      throw ExecutionError("run_asynchronous: factory returned null program");
-    }
-  }
-  std::shared_ptr<const ExecutionPlan> shared;
-  std::optional<ExecutionPlan> local;
-  const ExecutionPlan& plan =
-      resolve_async_plan(g, options.exec, shared, local);
+  auto programs =
+      detail::create_programs(factory, g.num_nodes(), "run_asynchronous");
+  const auto plan = detail::resolve_plan(g, options.exec);
   const AsyncPolicy policy(async);
-  return policy.run(plan, programs, options, factory.name());
+  return policy.run(*plan, programs, options, factory.name());
 }
 
 AsyncResult run_asynchronous_programs(
@@ -859,12 +820,9 @@ AsyncResult run_asynchronous_programs(
   for (const auto& p : programs) {
     if (!p) throw InvalidArgument("run_asynchronous_programs: null program");
   }
-  std::shared_ptr<const ExecutionPlan> shared;
-  std::optional<ExecutionPlan> local;
-  const ExecutionPlan& plan =
-      resolve_async_plan(g, options.exec, shared, local);
+  const auto plan = detail::resolve_plan(g, options.exec);
   const AsyncPolicy policy(async);
-  return policy.run(plan, programs, options, name);
+  return policy.run(*plan, programs, options, name);
 }
 
 }  // namespace eds::runtime

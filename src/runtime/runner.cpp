@@ -1,6 +1,5 @@
 #include "runtime/runner.hpp"
 
-#include <optional>
 #include <sstream>
 
 #include "runtime/async.hpp"
@@ -9,23 +8,29 @@
 
 namespace eds::runtime {
 
-namespace {
+namespace detail {
 
-/// The plan for this run: borrowed from the requested cache, or compiled
-/// locally (into `local`) when no cache is configured.
-const ExecutionPlan& resolve_plan(
-    const port::PortGraph& g, const ExecOptions& exec,
-    std::shared_ptr<const ExecutionPlan>& shared,
-    std::optional<ExecutionPlan>& local) {
-  if (exec.plan_cache != nullptr) {
-    shared = exec.plan_cache->get(g);
-    return *shared;
+std::vector<std::unique_ptr<NodeProgram>> create_programs(
+    const ProgramFactory& factory, std::size_t n, const char* caller) {
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  programs.reserve(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    programs.push_back(factory.create());
+    if (!programs.back()) {
+      throw ExecutionError(std::string(caller) +
+                           ": factory returned null program");
+    }
   }
-  local.emplace(g);
-  return *local;
+  return programs;
 }
 
-}  // namespace
+std::shared_ptr<const ExecutionPlan> resolve_plan(const port::PortGraph& g,
+                                                  const ExecOptions& exec) {
+  if (exec.plan_cache != nullptr) return exec.plan_cache->get(g);
+  return std::make_shared<const ExecutionPlan>(g);
+}
+
+}  // namespace detail
 
 std::string format_transcript(const RunResult& result) {
   std::ostringstream os;
@@ -59,19 +64,11 @@ RunResult run_synchronous(const port::PortGraph& g,
     // event-driven engine (see runtime/async.hpp for the full result).
     return run_asynchronous(g, factory, options, *options.exec.async).run;
   }
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(g.num_nodes());
-  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
-    programs.push_back(factory.create());
-    if (!programs.back()) {
-      throw ExecutionError("run_synchronous: factory returned null program");
-    }
-  }
-  std::shared_ptr<const ExecutionPlan> shared;
-  std::optional<ExecutionPlan> local;
-  const ExecutionPlan& plan = resolve_plan(g, options.exec, shared, local);
+  auto programs =
+      detail::create_programs(factory, g.num_nodes(), "run_synchronous");
+  const auto plan = detail::resolve_plan(g, options.exec);
   const auto pool = make_policy(options.exec);
-  return run_plan(plan, programs, options, factory.name(), *pool);
+  return run_plan(*plan, programs, options, factory.name(), *pool);
 }
 
 RunResult run_synchronous_programs(
@@ -92,11 +89,9 @@ RunResult run_synchronous_programs(
       throw InvalidArgument("run_synchronous_programs: null program");
     }
   }
-  std::shared_ptr<const ExecutionPlan> shared;
-  std::optional<ExecutionPlan> local;
-  const ExecutionPlan& plan = resolve_plan(g, options.exec, shared, local);
+  const auto plan = detail::resolve_plan(g, options.exec);
   const auto pool = make_policy(options.exec);
-  return run_plan(plan, programs, options, name, *pool);
+  return run_plan(*plan, programs, options, name, *pool);
 }
 
 }  // namespace eds::runtime

@@ -33,6 +33,7 @@ namespace eds::runtime {
 
 class PlanCache;
 class Executor;
+class ExecutionPlan;
 
 /// Execution-engine selection (scheduling, plan reuse, batch backend, and
 /// the execution *model*).  Everything except `async` never affects
@@ -161,5 +162,18 @@ struct RunResult {
     const port::PortGraph& g,
     std::vector<std::unique_ptr<NodeProgram>> programs,
     const RunOptions& options = {}, const std::string& name = "custom");
+
+namespace detail {
+/// One program per node of an n-node graph from `factory`; a null program
+/// is an ExecutionError naming `caller`.  Shared by the sync and async
+/// entry points.
+[[nodiscard]] std::vector<std::unique_ptr<NodeProgram>> create_programs(
+    const ProgramFactory& factory, std::size_t n, const char* caller);
+
+/// The plan for one run on `g`: shared through exec.plan_cache when one is
+/// configured, otherwise compiled for this run alone.
+[[nodiscard]] std::shared_ptr<const ExecutionPlan> resolve_plan(
+    const port::PortGraph& g, const ExecOptions& exec);
+}  // namespace detail
 
 }  // namespace eds::runtime

@@ -5,8 +5,9 @@
 #include <sstream>
 #include <utility>
 
-#include "runtime/worker_pool.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace eds::runtime {
 
@@ -307,8 +308,20 @@ std::string encode_job_line(std::size_t index, const std::string& algorithm,
   return out;
 }
 
-/// Parses a job body after its `"job":{"index":` key literal.
-WireJob decode_job_body(Cursor& c) {
+}  // namespace
+
+std::string encode_wire_job(const WireJob& job) {
+  std::string escaped;
+  escaped.reserve(job.graph_text.size());
+  append_escaped(escaped, job.graph_text);
+  return encode_job_line(job.index, job.algorithm, job.param, job.threads,
+                         job.max_rounds, job.async, escaped);
+}
+
+WireJob decode_wire_job(const std::string& line) {
+  Cursor c(line);
+  consume_prefix(c);
+  c.lit("\"job\":{\"index\":");
   WireJob job;
   job.index = static_cast<std::size_t>(c.uint());
   c.lit(",\"algorithm\":");
@@ -328,65 +341,6 @@ WireJob decode_job_body(Cursor& c) {
   c.lit("}}");
   c.end();
   return job;
-}
-
-}  // namespace
-
-std::string encode_wire_job(const WireJob& job) {
-  std::string escaped;
-  escaped.reserve(job.graph_text.size());
-  append_escaped(escaped, job.graph_text);
-  return encode_job_line(job.index, job.algorithm, job.param, job.threads,
-                         job.max_rounds, job.async, escaped);
-}
-
-WireJob decode_wire_job(const std::string& line) {
-  Cursor c(line);
-  consume_prefix(c);
-  c.lit("\"job\":{\"index\":");
-  return decode_job_body(c);
-}
-
-std::string encode_batch_begin(std::uint64_t batch_id) {
-  std::string out;
-  append_prefix(out);
-  out += "\"batch_begin\":{\"batch\":";
-  out += std::to_string(batch_id);
-  out += "}}";
-  return out;
-}
-
-std::string encode_batch_end(std::uint64_t batch_id) {
-  std::string out;
-  append_prefix(out);
-  out += "\"batch_end\":{\"batch\":";
-  out += std::to_string(batch_id);
-  out += "}}";
-  return out;
-}
-
-ParentLine decode_parent_line(const std::string& line) {
-  Cursor c(line);
-  ParentLine parsed;
-  consume_prefix(c);
-  if (c.try_lit("\"batch_begin\":{\"batch\":")) {
-    parsed.kind = ParentLine::Kind::kBatchBegin;
-    parsed.batch_id = c.uint();
-    c.lit("}}");
-    c.end();
-    return parsed;
-  }
-  if (c.try_lit("\"batch_end\":{\"batch\":")) {
-    parsed.kind = ParentLine::Kind::kBatchEnd;
-    parsed.batch_id = c.uint();
-    c.lit("}}");
-    c.end();
-    return parsed;
-  }
-  c.lit("\"job\":{\"index\":");
-  parsed.kind = ParentLine::Kind::kJob;
-  parsed.job = decode_job_body(c);
-  return parsed;
 }
 
 std::string encode_wire_result(std::size_t index, const RunResult& result) {
@@ -429,20 +383,12 @@ std::string encode_wire_error(std::size_t index, const std::string& message) {
 std::string encode_worker_summary(const WorkerSummary& summary) {
   std::string out;
   append_prefix(out);
-  out += "\"worker_summary\":{\"batch\":";
-  out += std::to_string(summary.batch_id);
-  out += ",\"jobs\":";
+  out += "\"worker_summary\":{\"jobs\":";
   out += std::to_string(summary.jobs);
   out += ",\"plans_compiled\":";
   out += std::to_string(summary.plans_compiled);
   out += ",\"plan_hits\":";
   out += std::to_string(summary.plan_hits);
-  out += ",\"total_jobs\":";
-  out += std::to_string(summary.total_jobs);
-  out += ",\"total_compiled\":";
-  out += std::to_string(summary.total_compiled);
-  out += ",\"total_hits\":";
-  out += std::to_string(summary.total_hits);
   out += "}}";
   return out;
 }
@@ -497,21 +443,13 @@ WorkerLine decode_worker_line(const std::string& line) {
     c.end();
     return parsed;
   }
-  c.lit("\"worker_summary\":{\"batch\":");
+  c.lit("\"worker_summary\":{\"jobs\":");
   parsed.kind = WorkerLine::Kind::kSummary;
-  parsed.summary.batch_id = c.uint();
-  c.lit(",\"jobs\":");
   parsed.summary.jobs = c.uint();
   c.lit(",\"plans_compiled\":");
   parsed.summary.plans_compiled = c.uint();
   c.lit(",\"plan_hits\":");
   parsed.summary.plan_hits = c.uint();
-  c.lit(",\"total_jobs\":");
-  parsed.summary.total_jobs = c.uint();
-  c.lit(",\"total_compiled\":");
-  parsed.summary.total_compiled = c.uint();
-  c.lit(",\"total_hits\":");
-  parsed.summary.total_hits = c.uint();
   c.lit("}}");
   c.end();
   return parsed;
@@ -562,14 +500,8 @@ namespace {
   return std::stoull(field);
 }
 
-/// splitmix64: the same tiny deterministic mixer the fault layer uses —
-/// full-period, seedable, identical on every platform.
-[[nodiscard]] std::uint64_t chaos_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+/// One splitmix64 step (util/rng.hpp) as a pure function of `x`.
+[[nodiscard]] std::uint64_t chaos_mix(std::uint64_t x) { return splitmix64(x); }
 
 }  // namespace
 
@@ -720,9 +652,9 @@ ChaosAction chaos_action(const ChaosSpec& spec, std::uint64_t job_ordinal,
 }
 
 // ---------------------------------------------------------------------------
-// The executor itself: validation + stats surface over one WorkerPool.  The
-// process machinery (fork/exec, framing, reader/writer threads, teardown)
-// lives in worker_pool.cpp.
+// The executor's validation and stats surface.  run_streaming and the
+// process machinery behind it (fork/exec, reader/writer threads, retry
+// passes, teardown) live in worker_pool.cpp.
 
 ProcessShardExecutor::ProcessShardExecutor(
     std::vector<std::string> worker_command, unsigned shards)
@@ -730,23 +662,23 @@ ProcessShardExecutor::ProcessShardExecutor(
 
 ProcessShardExecutor::ProcessShardExecutor(
     std::vector<std::string> worker_command, unsigned shards, Options options)
-    : pool_(std::make_unique<WorkerPool>(std::move(worker_command), shards,
-                                         options)),
-      shards_(pool_->shards()) {}
-
-ProcessShardExecutor::~ProcessShardExecutor() = default;
+    : worker_command_(std::move(worker_command)),
+      shards_(resolve_threads(shards)),
+      options_(options) {
+#if defined(_WIN32)
+  throw InvalidArgument(
+      "ProcessShardExecutor: process sharding requires a POSIX platform");
+#endif
+  if (worker_command_.empty()) {
+    throw InvalidArgument(
+        "ProcessShardExecutor: worker command must not be empty");
+  }
+}
 
 ProcessShardExecutor::Stats ProcessShardExecutor::stats() const {
-  return pool_->stats();
+  const std::lock_guard<std::mutex> lock(stats_mutex_);
+  return stats_;
 }
-
-std::size_t ProcessShardExecutor::live_workers() const {
-  return pool_->live_workers();
-}
-
-void ProcessShardExecutor::drain() const { pool_->drain(); }
-
-bool ProcessShardExecutor::quarantined() const { return pool_->quarantined(); }
 
 void ProcessShardExecutor::validate(const std::vector<BatchJob>& jobs) const {
   Executor::validate(jobs);
@@ -768,14 +700,6 @@ void ProcessShardExecutor::validate(const std::vector<BatchJob>& jobs) const {
           "wire; run scheduled jobs on the in-process backend");
     }
   }
-}
-
-void ProcessShardExecutor::run_streaming(const std::vector<BatchJob>& jobs,
-                                         const ResultCallback& on_result) const {
-  validate(jobs);
-  if (jobs.empty()) return;
-  // The pool serializes batches internally, so concurrent callers queue.
-  pool_->run_batch(jobs, on_result);
 }
 
 }  // namespace eds::runtime

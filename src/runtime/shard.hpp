@@ -3,11 +3,11 @@
 // A thread pool stops scaling at one machine's cores and shares one address
 // space; process shards are the next rung.  This backend streams each job to
 // a worker process (normally `edsim worker`) as one NDJSON line on stdin and
-// reads one NDJSON result line per job from its stdout.  The workers are
-// *pooled*: a runtime::WorkerPool (worker_pool.hpp) keeps the fleet alive
-// across batches, so repeated sweeps pay fork/exec and plan-cache warmup
-// once instead of per batch; drain() retires the fleet and the next batch
-// forks a cold one.  The Executor contract is preserved exactly:
+// reads one NDJSON result line per job from its stdout.  Each batch brings
+// its own fleet: run_streaming forks one worker per shard that has jobs,
+// closes the worker's stdin after its last job line, and reaps it at EOF,
+// so no worker outlives the call that forked it.  The Executor contract is
+// preserved exactly:
 //
 //  * Deterministic job-order merge — every result line carries its job
 //    index and lands in the shared reorder buffer, so delivery is the
@@ -15,44 +15,37 @@
 //  * Resilience on worker death — by default a worker that exits (or
 //    breaks protocol) mid-batch no longer fails its unfinished jobs: the
 //    in-flight job is charged one attempt and the orphans are re-queued
-//    to a healthy/respawned worker with exponential backoff, so the batch
-//    completes byte-identical to an in-process run (retries are visible
-//    in stats(), not in results).  A job that keeps killing workers is
-//    *poisoned* once its attempt budget (Options::max_retries) runs out
-//    and fails alone, carrying every attempt's exit status; optional job
-//    and batch deadlines kill hung workers instead of stalling; a
-//    crash-loop breaker quarantines the pool, optionally degrading to
-//    in-process execution.  Setting max_retries to zero restores the
+//    to a fresh worker with exponential backoff, so the batch completes
+//    byte-identical to an in-process run (retries are visible in stats(),
+//    not in results).  A job that keeps killing workers is *poisoned* once
+//    its attempt budget (Options::max_retries) runs out and fails alone,
+//    carrying every attempt's exit status; optional job and batch
+//    deadlines kill hung workers instead of stalling; a crash-loop breaker
+//    gives up on the fleet for the rest of the batch, optionally degrading
+//    to in-process execution.  Setting max_retries to zero restores the
 //    strict prefix rule: every unfinished job of a dead shard fails with
 //    an ExecutionError naming the exit status, results before the lowest
 //    failure are delivered, and a shard that answers all its jobs but
-//    then deviates fails the batch after full delivery.  Either way the
-//    next batch transparently respawns dead slots (workers_respawned).
+//    then deviates fails the batch after full delivery.
 //  * Per-shard plan caches — each worker keeps its own PlanCache and
-//    reports compiled/hit counters in a per-batch summary line; jobs are
+//    reports compiled/hit counters in its closing summary line; jobs are
 //    routed by JobSpec::group (the graph's structural hash), so one
-//    structure is compiled by exactly one worker and the aggregated
-//    counters match a single-process sweep (absent cache eviction).
-//    Because the cache outlives the batch, a warm pool turns repeated
-//    structures into hits across batches, not just within one.
+//    structure is compiled by exactly one worker and the summed counters
+//    match a single-process sweep (absent cache eviction).
 //
 // The wire format (`schema` 2) is NDJSON with a fixed field order — a
 // private protocol between same-version binaries (the parent always forks
 // its own `edsim`), versioned so a foreign schema is rejected loudly
-// instead of misparsed.  Batches are framed
-// explicitly so one worker process can serve many batches:
+// instead of misparsed.  Three line kinds:
 //
-//   parent -> worker:  {"schema":2,"batch_begin":{"batch":B}}
-//                      {"schema":2,"job":{"index":I,"algorithm":"T",
+//   parent -> worker:  {"schema":2,"job":{"index":I,"algorithm":"T",
 //                       "param":P,"threads":N,"max_rounds":R,
 //                       ["async":{…},]"graph":"…"}}
-//                      {"schema":2,"batch_end":{"batch":B}}
 //   worker -> parent:  {"schema":2,"result":{"index":I,"rounds":R,
 //                       "messages":M,"ports_served":S,"outputs":[[…],…]}}
 //                      {"schema":2,"error":{"index":I,"message":"…"}}
-//                      {"schema":2,"worker_summary":{"batch":B,"jobs":J,
-//                       "plans_compiled":C,"plan_hits":H,"total_jobs":TJ,
-//                       "total_compiled":TC,"total_hits":TH}}
+//                      {"schema":2,"worker_summary":{"jobs":J,
+//                       "plans_compiled":C,"plan_hits":H}}
 //
 // The optional `async` object serializes AsyncOptions (canonical delay
 // spec, seed, loss/duplication probabilities at max_digits10 so they
@@ -62,15 +55,15 @@
 //
 // Workers process jobs sequentially in arrival order and flush after every
 // line, so the parent can interleave writing and reading without deadlock.
-// A worker answers `batch_end` with one `worker_summary` carrying per-batch
-// AND cumulative cache counters, then waits for the next `batch_begin`;
-// stdin EOF ends the process cleanly (exit 0).  Any other schema, and any
-// job line outside a batch, is a protocol failure.
+// At stdin EOF a worker writes one `worker_summary` with its cache
+// counters and exits 0.  Any other schema or line kind is a protocol
+// failure (exit 2), which is also how a parent and worker of different
+// versions fail loudly on each other's first line.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -80,8 +73,6 @@
 #include "runtime/fault.hpp"
 
 namespace eds::runtime {
-
-class WorkerPool;
 
 /// The NDJSON protocol version spoken by ProcessShardExecutor and
 /// `edsim worker` (and stamped on `edsim sweep --ndjson` output).  It is
@@ -101,17 +92,12 @@ struct WireJob {
   std::string graph_text;    ///< port::write_port_graph text form
 };
 
-/// Worker-side counters reported in the summary line that ends a batch:
-/// the batch's own deltas plus cumulative process-lifetime totals, which
-/// is how a warm pool proves its caches stayed hot across batches.
+/// Worker-side counters reported in the summary line a worker writes at
+/// stdin EOF, just before it exits.
 struct WorkerSummary {
-  std::uint64_t batch_id = 0;        ///< echoed batch id
-  std::uint64_t jobs = 0;            ///< result/error lines in this batch
-  std::uint64_t plans_compiled = 0;  ///< PlanCache misses in this batch
-  std::uint64_t plan_hits = 0;       ///< PlanCache hits in this batch
-  std::uint64_t total_jobs = 0;      ///< jobs over the worker's lifetime
-  std::uint64_t total_compiled = 0;  ///< lifetime PlanCache misses
-  std::uint64_t total_hits = 0;      ///< lifetime PlanCache hits
+  std::uint64_t jobs = 0;            ///< result/error lines written
+  std::uint64_t plans_compiled = 0;  ///< PlanCache misses
+  std::uint64_t plan_hits = 0;       ///< PlanCache hits
 };
 
 /// One parsed line of worker output.
@@ -124,22 +110,11 @@ struct WorkerLine {
   WorkerSummary summary;   ///< kSummary
 };
 
-/// One parsed line of parent input, as seen by the worker main loop.
-struct ParentLine {
-  enum class Kind { kJob, kBatchBegin, kBatchEnd };
-  Kind kind = Kind::kJob;
-  WireJob job;                 ///< kJob
-  std::uint64_t batch_id = 0;  ///< kBatchBegin / kBatchEnd
-};
-
 /// Wire codecs.  Encoders emit exactly one line (no trailing newline);
 /// decoders are strict — any deviation from the fixed shape, including an
 /// unknown schema version, throws InvalidArgument.
 [[nodiscard]] std::string encode_wire_job(const WireJob& job);
 [[nodiscard]] WireJob decode_wire_job(const std::string& line);
-[[nodiscard]] std::string encode_batch_begin(std::uint64_t batch_id);
-[[nodiscard]] std::string encode_batch_end(std::uint64_t batch_id);
-[[nodiscard]] ParentLine decode_parent_line(const std::string& line);
 [[nodiscard]] std::string encode_wire_result(std::size_t index,
                                              const RunResult& result);
 [[nodiscard]] std::string encode_wire_error(std::size_t index,
@@ -170,7 +145,7 @@ void wire_escape(std::string& out, const std::string& text);
 
 /// One parsed `--chaos` specification.
 ///
-///   crash:N        exit 7 after answering the Nth job (process-cumulative)
+///   crash:N        exit 7 after answering the worker's Nth job
 ///   hang:N:MS      sleep MS ms before answering the Nth job
 ///   garbage:N      emit a non-protocol line instead of the Nth result and
 ///                  keep running (the parent kills on the violation)
@@ -208,7 +183,8 @@ struct ChaosSpec {
 [[nodiscard]] std::string format_chaos_spec(const ChaosSpec& spec);
 
 /// The action a worker applies to one job: a pure function of the spec,
-/// the 1-based process-cumulative job ordinal, and the job's wire index.
+/// the job's 1-based ordinal within the worker's lifetime (one pass of
+/// one batch), and the job's wire index.
 /// kCrash in the result means "die after answering this job"; kNone means
 /// behave normally.
 struct ChaosAction {
@@ -223,18 +199,15 @@ struct ChaosAction {
 /// platform without fork/pipe throws InvalidArgument.
 class ProcessShardExecutor final : public Executor {
  public:
-  /// Aggregate counters across every run_streaming call (monotonic).
-  /// plans_compiled/plan_hits sum the per-batch worker summaries, so a
-  /// sweep can report cache effectiveness exactly as an in-process run
-  /// would; workers_spawned counts every fork (a respawn increments both
-  /// it and workers_respawned), so a warm second batch shows a spawn
-  /// delta of zero.
+  /// Counters summed over every run_streaming call.  plans_compiled and
+  /// plan_hits sum the worker summaries, so a sweep can report cache
+  /// effectiveness exactly as an in-process run would; workers_spawned
+  /// counts every fork (a respawn increments both it and
+  /// workers_respawned).
   struct Stats {
     std::uint64_t jobs_shipped = 0;       ///< job shipments incl. retries
-    std::uint64_t batches_run = 0;
     std::uint64_t workers_spawned = 0;
-    std::uint64_t workers_respawned = 0;  ///< replacements for dead workers
-    std::uint64_t workers_reaped = 0;     ///< idle-timeout retirements
+    std::uint64_t workers_respawned = 0;  ///< forks that replace a dead worker
     std::uint64_t plans_compiled = 0;
     std::uint64_t plan_hits = 0;
     // Resilience counters (all zero on a clean run, so the observable
@@ -245,15 +218,11 @@ class ProcessShardExecutor final : public Executor {
     std::uint64_t batch_timeouts = 0;   ///< batches cut off at the deadline
     std::uint64_t pool_quarantines = 0; ///< crash-loop breaker trips
     std::uint64_t fallback_jobs = 0;    ///< jobs rerouted in-process
-    std::uint64_t summaries_lost = 0;   ///< batch summaries a death swallowed
+    std::uint64_t summaries_lost = 0;   ///< worker summaries a death swallowed
   };
 
-  /// Pool behaviour knobs, shared with WorkerPool (see worker_pool.hpp
-  /// for the lifecycle details).
+  /// Resilience knobs; every one applies within a single batch.
   struct Options {
-    /// A warm worker untouched for this long is retired at the start of
-    /// the next batch (0 = never).
-    std::uint64_t idle_timeout_ms = 5 * 60 * 1000;
     /// Attempt budget per job beyond the first try.  A job orphaned by a
     /// worker death is re-queued (with backoff) until the budget runs out,
     /// at which point it is *poisoned*: it fails alone with per-attempt
@@ -272,27 +241,27 @@ class ProcessShardExecutor final : public Executor {
     /// hanging.  0 = no batch deadline.
     std::uint64_t batch_timeout_ms = 0;
     /// Crash-loop breaker: more worker deaths than this inside one batch
-    /// quarantines the pool (0 = breaker off).  A quarantined pool fails
-    /// fast — or degrades gracefully when fallback_inprocess is set —
-    /// until drain() resets it.
+    /// stops the retries (0 = breaker off).  The batch's remaining jobs
+    /// then fail fast — or run in-process when fallback_inprocess is set.
+    /// The next batch starts afresh.
     std::uint64_t breaker_deaths = 8;
-    /// When the breaker trips (or a quarantined pool receives a batch),
-    /// reroute the remaining jobs through in-process execution instead of
-    /// failing them.  Results stay bit-identical by construction: workers
-    /// run the same run_synchronous the fallback calls.
+    /// When the breaker trips, reroute the remaining jobs through
+    /// in-process execution instead of failing them.  Results stay
+    /// bit-identical by construction: workers run the same run_synchronous
+    /// the fallback calls.
     bool fallback_inprocess = false;
   };
 
   /// `worker_command` is the argv of one shard process (e.g.
   /// {"/path/to/edsim", "worker"}); it must speak the wire protocol above.
   /// `shards` as in ExecOptions::threads: 0 = one shard per hardware
-  /// thread.  Workers are spawned lazily — a shard no batch has routed a
-  /// job to is never forked — so an idle executor holds no processes.
+  /// thread.  A batch forks a worker only for a shard it routes jobs to,
+  /// and reaps it before run_streaming returns, so an executor holds no
+  /// processes between batches.
   explicit ProcessShardExecutor(std::vector<std::string> worker_command,
                                 unsigned shards = 0);
   ProcessShardExecutor(std::vector<std::string> worker_command,
                        unsigned shards, Options options);
-  ~ProcessShardExecutor() override;
 
   /// Every job must carry a JobSpec and must not request trace or message
   /// collection (those RunResult fields do not cross the wire).  Async
@@ -300,30 +269,23 @@ class ProcessShardExecutor final : public Executor {
   void validate(const std::vector<BatchJob>& jobs) const override;
 
   /// Throws InvalidArgument (via validate) before anything is spawned.
-  /// Batches are serialized: concurrent callers queue on the pool.
+  /// Batches are serialized: concurrent callers queue.  Defined with the
+  /// process machinery in worker_pool.cpp.
   void run_streaming(const std::vector<BatchJob>& jobs,
                      const ResultCallback& on_result) const override;
 
   /// Shard count after resolving 0 to the hardware thread count.
   [[nodiscard]] unsigned shards() const noexcept { return shards_; }
 
-  /// Worker processes currently alive and warm (0 before the first batch
-  /// or after an idle reap or drain()).
-  [[nodiscard]] std::size_t live_workers() const;
-
-  /// Retires the warm workers now (clean EOF + reap); the next batch
-  /// respawns lazily, with cold plan caches.  Also lifts a quarantine.
-  void drain() const;
-
-  /// True while the fleet is quarantined by the crash-loop breaker.
-  /// drain() resets it.
-  [[nodiscard]] bool quarantined() const;
-
   [[nodiscard]] Stats stats() const;
 
  private:
-  std::unique_ptr<WorkerPool> pool_;
+  std::vector<std::string> worker_command_;
   unsigned shards_;
+  Options options_;
+  mutable std::mutex batch_mutex_;  ///< one batch at a time
+  mutable std::mutex stats_mutex_;
+  mutable Stats stats_;             ///< stats_mutex_
 };
 
 }  // namespace eds::runtime

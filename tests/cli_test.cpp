@@ -457,16 +457,17 @@ TEST(Cli, ShardedSweepOutputMatchesGoldenPins) {
   });
 }
 
-/// `jobs` as one framed batch on the worker's stdin.
-std::string framed_batch(const std::vector<std::string>& jobs) {
-  std::string text = runtime::encode_batch_begin(1) + "\n";
+/// `jobs` as the worker's stdin: one job line each.
+std::string job_lines(const std::vector<std::string>& jobs) {
+  std::string text;
   for (const auto& job : jobs) text += job + "\n";
-  return text + runtime::encode_batch_end(1) + "\n";
+  return text;
 }
 
 TEST(Cli, WorkerSpeaksTheWireProtocol) {
   // Two jobs on the same 2-node structure: two result lines (flushed in
-  // order) plus a summary showing one compiled plan and one cache hit.
+  // order) plus, at EOF, a summary showing one compiled plan and one
+  // cache hit.
   runtime::WireJob job;
   job.algorithm = "all-edges";
   job.param = 0;
@@ -478,7 +479,7 @@ TEST(Cli, WorkerSpeaksTheWireProtocol) {
   job.index = 1;
   const auto line1 = runtime::encode_wire_job(job);
 
-  const auto run = invoke({"worker"}, framed_batch({line0, line1}));
+  const auto run = invoke({"worker"}, job_lines({line0, line1}));
   ASSERT_EQ(run.code, 0) << run.err;
   std::istringstream lines(run.out);
   std::string line;
@@ -499,12 +500,15 @@ TEST(Cli, WorkerSpeaksTheWireProtocol) {
   EXPECT_EQ(parsed[2].summary.plans_compiled, 1u);
   EXPECT_EQ(parsed[2].summary.plan_hits, 1u);
 
-  // A job line before any batch_begin is a protocol failure, not a job.
-  const auto unframed = invoke({"worker"}, line0 + "\n");
-  EXPECT_EQ(unframed.code, 2);
-  EXPECT_NE(unframed.err.find("outside a batch"), std::string::npos)
-      << unframed.err;
-  EXPECT_TRUE(unframed.out.empty()) << unframed.out;
+  // A batch frame from the retired framed protocol is not a job line: a
+  // protocol failure, reported before any output.
+  const auto framed = invoke(
+      {"worker"}, "{\"schema\":2,\"batch_begin\":{\"batch\":1}}\n" +
+                      line0 + "\n");
+  EXPECT_EQ(framed.code, 2);
+  EXPECT_NE(framed.err.find("malformed parent line 1"), std::string::npos)
+      << framed.err;
+  EXPECT_TRUE(framed.out.empty()) << framed.out;
 }
 
 TEST(Cli, WorkerReportsJobFailuresAndDiesOnGarbage) {
@@ -513,7 +517,7 @@ TEST(Cli, WorkerReportsJobFailuresAndDiesOnGarbage) {
   job.graph_text = "ports 2\ndeg 1 1\nconn 0 1 1 1\n";
   job.max_rounds = 10;
   const auto run =
-      invoke({"worker"}, framed_batch({runtime::encode_wire_job(job)}));
+      invoke({"worker"}, job_lines({runtime::encode_wire_job(job)}));
   ASSERT_EQ(run.code, 0) << "a failed job is an error line, not a dead worker";
   EXPECT_NE(run.out.find("\"error\""), std::string::npos) << run.out;
   EXPECT_NE(run.out.find("\"worker_summary\""), std::string::npos);
@@ -526,13 +530,13 @@ TEST(Cli, WorkerReportsJobFailuresAndDiesOnGarbage) {
   ok.algorithm = "all-edges";
   const auto wire = runtime::encode_wire_job(ok);
   const auto killed =
-      invoke({"worker", "--chaos", "crash:1"}, framed_batch({wire, wire}));
+      invoke({"worker", "--chaos", "crash:1"}, job_lines({wire, wire}));
   EXPECT_EQ(killed.code, 7);
   EXPECT_EQ(killed.out.find("\"worker_summary\""), std::string::npos);
 
   // The worker accepts --chaos and nothing else.
   const auto unknown = invoke({"worker", "--crash-after", "1"},
-                              framed_batch({wire}));
+                              job_lines({wire}));
   EXPECT_EQ(unknown.code, 2);
   EXPECT_NE(unknown.err.find("--crash-after"), std::string::npos)
       << unknown.err;
@@ -558,7 +562,7 @@ TEST(Cli, ReadersFailTypedOnOversizedHeaders) {
   job.graph_text = "ports 5000000000\ndeg 1\n";
   job.max_rounds = 10;
   const auto worker =
-      invoke({"worker"}, framed_batch({runtime::encode_wire_job(job)}));
+      invoke({"worker"}, job_lines({runtime::encode_wire_job(job)}));
   EXPECT_EQ(worker.code, 0) << worker.err;
   EXPECT_NE(worker.out.find("NodeId range"), std::string::npos) << worker.out;
 }

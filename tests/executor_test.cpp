@@ -9,8 +9,11 @@
 // executable.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "algo/driver.hpp"
 #include "graph/generators.hpp"
@@ -108,6 +111,21 @@ TEST(WireCodec, ErrorAndSummaryRoundTrip) {
   EXPECT_EQ(parsed.summary.jobs, 11u);
   EXPECT_EQ(parsed.summary.plans_compiled, 4u);
   EXPECT_EQ(parsed.summary.plan_hits, 7u);
+  EXPECT_EQ(encode_worker_summary(summary),
+            "{\"schema\":2,\"worker_summary\":{\"jobs\":11,"
+            "\"plans_compiled\":4,\"plan_hits\":7}}");
+
+  // The framed protocol's lines are foreign now: a batch-stamped summary
+  // with lifetime totals, and a batch frame where a job line belongs.
+  EXPECT_THROW((void)decode_worker_line(
+                   "{\"schema\":2,\"worker_summary\":{\"batch\":1,"
+                   "\"jobs\":1,\"plans_compiled\":1,\"plan_hits\":0,"
+                   "\"total_jobs\":1,\"total_compiled\":1,"
+                   "\"total_hits\":0}}"),
+               InvalidArgument);
+  EXPECT_THROW(
+      (void)decode_wire_job("{\"schema\":2,\"batch_begin\":{\"batch\":1}}"),
+      InvalidArgument);
 }
 
 TEST(WireCodec, RejectsForeignSchemaAndMalformedLines) {
@@ -123,8 +141,6 @@ TEST(WireCodec, RejectsForeignSchemaAndMalformedLines) {
     auto foreign_line = line;
     foreign_line.replace(pos, 10, foreign);
     EXPECT_THROW((void)decode_wire_job(foreign_line), InvalidArgument)
-        << foreign;
-    EXPECT_THROW((void)decode_parent_line(foreign_line), InvalidArgument)
         << foreign;
   }
 
@@ -360,6 +376,67 @@ TEST(ProcessShardExecutor, NonsenseWorkerCommandFailsEveryJobCleanly) {
                    jobs, [&](std::size_t, RunResult&&) { ++delivered; }),
                ExecutionError);
   EXPECT_EQ(delivered, 0u);
+}
+
+/// True when this process has no child at all, exited or running:
+/// waitpid reports ECHILD only then.
+bool no_children_left() {
+  int status = 0;
+  return ::waitpid(-1, &status, WNOHANG) < 0 && errno == ECHILD;
+}
+
+TEST(ProcessShardExecutor, NoWorkerOutlivesItsBatch) {
+  REQUIRE_EDSIM_OR_SKIP(bin);
+  ASSERT_TRUE(no_children_left()) << "the test needs a childless process";
+  auto rng = test::make_rng(0x0B17);
+  const auto a = test::random_ported_regular(12, 3, rng);
+  const auto b = port::with_canonical_ports(graph::cycle(8));
+  const auto bounded = algo::make_factory(algo::Algorithm::kBoundedDegree, 3);
+  const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
+  std::vector<BatchJob> jobs;
+  for (int r = 0; r < 2; ++r) {
+    jobs.push_back(shippable_job(a.ports(), *bounded, "bounded-degree", 3));
+    jobs.push_back(shippable_job(b.ports(), *port_one, "port-one", 0));
+  }
+  const auto expected = InProcessExecutor(1).run(jobs);
+  const auto expect_expected = [&](const std::vector<RunResult>& got,
+                                   const char* what) {
+    ASSERT_EQ(got.size(), expected.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i] == expected[i]) << what << ": job " << i;
+    }
+  };
+
+  // A clean batch, twice on one executor: the second batch forks a fresh
+  // fleet, and its results are bit-identical to the first's.
+  const ProcessShardExecutor clean({bin, "worker"}, 2);
+  expect_expected(clean.run(jobs), "clean batch");
+  EXPECT_TRUE(no_children_left()) << "after a clean batch";
+  const auto first_spawned = clean.stats().workers_spawned;
+  EXPECT_GE(first_spawned, 1u);
+  expect_expected(clean.run(jobs), "second batch");
+  EXPECT_TRUE(no_children_left()) << "after the second batch";
+  EXPECT_EQ(clean.stats().workers_spawned, 2 * first_spawned)
+      << "the second batch forks its own workers";
+  EXPECT_EQ(clean.stats().workers_respawned, 0u);
+
+  // A job error: bounded-degree cannot finish within one round.
+  auto failing = jobs;
+  failing[2].options.max_rounds = 1;
+  EXPECT_THROW((void)clean.run(failing), ExecutionError);
+  EXPECT_TRUE(no_children_left()) << "after a batch with a job error";
+
+  // A retried worker death: crash:2 kills the one worker after its second
+  // answer, the retry pass forks a replacement for jobs 2 and 3, and that
+  // one dies after its second answer too — once every job is delivered.
+  ProcessShardExecutor::Options options;
+  options.retry_backoff_ms = 1;
+  const ProcessShardExecutor chaotic({bin, "worker", "--chaos", "crash:2"}, 1,
+                                     options);
+  expect_expected(chaotic.run(jobs), "chaos batch");
+  EXPECT_TRUE(no_children_left()) << "after a batch with a retried death";
+  EXPECT_EQ(chaotic.stats().jobs_retried, 2u);
+  EXPECT_EQ(chaotic.stats().workers_respawned, 1u);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// The warm worker pool behind ProcessShardExecutor: warm reuse (fork
-// once, serve many batches, keep plan caches hot), transparent respawn
-// after a mid-batch death, idle reaping, drain/destructor teardown, and
-// the batch framing + async payload codecs that carry it all.  The
-// differential anchors: warm, drained (cold) and in-process runs must be
-// bit-identical, for sync and async jobs alike.
+// The worker fleet behind ProcessShardExecutor: one fleet per batch,
+// transparent respawn after a mid-batch death, and the async payload codec
+// that lets `--model async` jobs cross the wire.  The differential
+// anchors: repeated batches and in-process runs must be bit-identical,
+// for sync and async jobs alike.
 //
 // Tests that fork real worker subprocesses resolve the edsim binary from
 // the EDSIM_BIN_PATH compile definition (set by tests/CMakeLists.txt) with
@@ -11,10 +10,7 @@
 // executable.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algo/driver.hpp"
@@ -26,7 +22,6 @@
 #include "runtime/fault.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/shard.hpp"
-#include "runtime/worker_pool.hpp"
 #include "util/error.hpp"
 #include "test_util.hpp"
 
@@ -67,25 +62,7 @@ std::vector<RunResult> collect(const Executor& executor,
 }
 
 // ---------------------------------------------------------------------------
-// Batch framing and async payload codecs.
-
-TEST(WireCodecV2, BatchFramingRoundTrips) {
-  const auto begin = decode_parent_line(encode_batch_begin(42));
-  EXPECT_EQ(begin.kind, ParentLine::Kind::kBatchBegin);
-  EXPECT_EQ(begin.batch_id, 42u);
-
-  const auto end = decode_parent_line(encode_batch_end(42));
-  EXPECT_EQ(end.kind, ParentLine::Kind::kBatchEnd);
-  EXPECT_EQ(end.batch_id, 42u);
-
-  // Any schema but the current one is a protocol error.
-  EXPECT_THROW((void)decode_parent_line("{\"schema\":1,\"batch_begin\":"
-                                        "{\"batch\":1}}"),
-               InvalidArgument);
-  EXPECT_THROW((void)decode_parent_line("{\"schema\":9,\"batch_begin\":"
-                                        "{\"batch\":1}}"),
-               InvalidArgument);
-}
+// The async payload and summary codecs.
 
 TEST(WireCodecV2, AsyncJobRoundTripsBitExactly) {
   WireJob job;
@@ -107,10 +84,7 @@ TEST(WireCodecV2, AsyncJobRoundTripsBitExactly) {
   async.faults.crashes = {{2, 17}, {5, 3}};
   job.async = async;
 
-  const auto line = encode_wire_job(job);
-  const auto parsed = decode_parent_line(line);
-  ASSERT_EQ(parsed.kind, ParentLine::Kind::kJob);
-  const auto& back = parsed.job;
+  const auto back = decode_wire_job(encode_wire_job(job));
   ASSERT_TRUE(back.async.has_value());
   EXPECT_EQ(back.async->synchronizer, async.synchronizer);
   EXPECT_EQ(back.async->delay.kind, async.delay.kind);
@@ -126,66 +100,31 @@ TEST(WireCodecV2, AsyncJobRoundTripsBitExactly) {
   EXPECT_TRUE(back.async->schedule.empty());
 }
 
+// The summary a worker writes at stdin EOF carries that worker's totals and
+// nothing else: its one batch is its whole life, so the batch id and the
+// lifetime total_* fields of the framed protocol are gone, and a summary
+// stamped with them is a foreign line.
 TEST(WireCodecV2, SummaryCarriesBatchIdAndTotals) {
   WorkerSummary summary;
-  summary.batch_id = 7;
-  summary.jobs = 4;
-  summary.plans_compiled = 1;
-  summary.plan_hits = 3;
-  summary.total_jobs = 12;
-  summary.total_compiled = 2;
-  summary.total_hits = 10;
+  summary.jobs = 12;
+  summary.plans_compiled = 2;
+  summary.plan_hits = 10;
   const auto parsed = decode_worker_line(encode_worker_summary(summary));
   ASSERT_EQ(parsed.kind, WorkerLine::Kind::kSummary);
-  EXPECT_EQ(parsed.summary.batch_id, 7u);
-  EXPECT_EQ(parsed.summary.jobs, 4u);
-  EXPECT_EQ(parsed.summary.plans_compiled, 1u);
-  EXPECT_EQ(parsed.summary.plan_hits, 3u);
-  EXPECT_EQ(parsed.summary.total_jobs, 12u);
-  EXPECT_EQ(parsed.summary.total_compiled, 2u);
-  EXPECT_EQ(parsed.summary.total_hits, 10u);
-}
+  EXPECT_EQ(parsed.summary.jobs, 12u);
+  EXPECT_EQ(parsed.summary.plans_compiled, 2u);
+  EXPECT_EQ(parsed.summary.plan_hits, 10u);
 
-// ---------------------------------------------------------------------------
-// Warm reuse: the point of the pool.
-
-TEST(WorkerPool, SecondIdenticalBatchIsWarmAndAllHits) {
-  REQUIRE_EDSIM_OR_SKIP(bin);
-  auto rng = test::make_rng(0x9001);
-  const auto a = test::random_ported_regular(12, 3, rng);
-  const auto b = test::random_ported_regular(16, 3, rng);
-  const auto bounded = algo::make_factory(algo::Algorithm::kBoundedDegree, 3);
-  std::vector<BatchJob> jobs{
-      shippable_job(a.ports(), *bounded, "bounded-degree", 3),
-      shippable_job(b.ports(), *bounded, "bounded-degree", 3),
-      shippable_job(a.ports(), *bounded, "bounded-degree", 3),
-  };
-
-  const ProcessShardExecutor executor({bin, "worker"}, 2);
-  const auto first = collect(executor, jobs);
-  const auto cold = executor.stats();
-  EXPECT_EQ(cold.batches_run, 1u);
-  EXPECT_GE(cold.workers_spawned, 1u);
-  EXPECT_EQ(cold.workers_respawned, 0u);
-  EXPECT_EQ(cold.plans_compiled, 2u);
-  EXPECT_EQ(cold.plan_hits, 1u);
-  EXPECT_GE(executor.live_workers(), 1u) << "workers must stay warm";
-
-  // Same batch again: no forks, no compilations — every job is a cache
-  // hit inside a reused worker.  Results stay bit-identical.
-  const auto second = collect(executor, jobs);
-  const auto warm = executor.stats();
-  EXPECT_EQ(warm.workers_spawned, cold.workers_spawned)
-      << "a warm batch must not fork";
-  EXPECT_EQ(warm.workers_respawned, 0u);
-  EXPECT_EQ(warm.plans_compiled, cold.plans_compiled)
-      << "warm caches compile nothing new";
-  EXPECT_EQ(warm.plan_hits, cold.plan_hits + jobs.size());
-  EXPECT_EQ(warm.batches_run, 2u);
-  EXPECT_EQ(warm.jobs_shipped, 2 * jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_TRUE(first[i] == second[i]) << "warmth must not change results";
-  }
+  EXPECT_THROW((void)decode_worker_line(
+                   "{\"schema\":2,\"worker_summary\":{\"batch\":7,"
+                   "\"jobs\":4,\"plans_compiled\":1,\"plan_hits\":3,"
+                   "\"total_jobs\":12,\"total_compiled\":2,"
+                   "\"total_hits\":10}}"),
+               InvalidArgument);
+  EXPECT_THROW((void)decode_worker_line(
+                   "{\"schema\":2,\"worker_summary\":{\"batch\":7,"
+                   "\"jobs\":4,\"plans_compiled\":1,\"plan_hits\":3}}"),
+               InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,11 +147,9 @@ TEST(WorkerPool, PooledUnpooledAndInProcessAreBitIdentical) {
   const auto expected = InProcessExecutor(2).run(jobs);
   for (const unsigned shards : {1u, 3u}) {
     const ProcessShardExecutor executor({bin, "worker"}, shards);
-    // Three passes through one executor: the first forks a cold fleet, the
-    // second reuses it warm, the third runs on the cold fleet drain()
-    // leaves behind.  None may change a bit.
+    // Three batches through one executor, each on the fleet it forks for
+    // itself.  None may change a bit.
     for (int pass = 0; pass < 3; ++pass) {
-      if (pass == 2) executor.drain();
       const auto got = collect(executor, jobs);
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_TRUE(got[i] == expected[i])
@@ -267,18 +204,18 @@ TEST(WorkerPool, AsyncJobsCrossTheWireBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Death, respawn, reap, drain.
+// Death and respawn.
 
 TEST(WorkerPool, MidBatchDeathRetriesTheOrphansAndTheBatchSucceeds) {
   REQUIRE_EDSIM_OR_SKIP(bin);
   const auto pg = port::with_canonical_ports(graph::cycle(8));
   const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
 
-  // --chaos crash:2 kills the worker after its second result ever.  Under the resilient default the batch no
-  // longer fails: the in-flight job is charged an attempt and re-queued
-  // to a respawned worker — whose fresh crash counter is not yet
-  // exhausted — so all three jobs are delivered, in order, with the
-  // retry visible only in stats().
+  // --chaos crash:2 kills the worker after its second result.  Under the
+  // resilient default the batch does not fail: the in-flight job is
+  // charged an attempt and re-queued to a respawned worker — whose fresh
+  // crash counter is not yet exhausted — so all three jobs are delivered,
+  // in order, with the retry visible only in stats().
   ProcessShardExecutor::Options options;
   options.retry_backoff_ms = 1;
   const ProcessShardExecutor executor({bin, "worker", "--chaos", "crash:2"},
@@ -290,8 +227,6 @@ TEST(WorkerPool, MidBatchDeathRetriesTheOrphansAndTheBatchSucceeds) {
     delivered.push_back(i);
   });
   EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(executor.live_workers(), 1u)
-      << "the retry pass's respawned worker stays warm";
 
   auto stats = executor.stats();
   EXPECT_EQ(stats.workers_spawned, 2u);
@@ -300,114 +235,20 @@ TEST(WorkerPool, MidBatchDeathRetriesTheOrphansAndTheBatchSucceeds) {
   EXPECT_EQ(stats.jobs_retried, 1u) << "only the orphaned job is re-shipped";
   EXPECT_EQ(stats.jobs_shipped, 4u) << "3 jobs + 1 retry shipment";
   EXPECT_EQ(stats.jobs_poisoned, 0u);
-  EXPECT_EQ(stats.summaries_lost, 1u)
-      << "the dead worker's batch summary is gone; its totals are not";
+  EXPECT_EQ(stats.summaries_lost, 1u) << "the dead worker's summary is gone";
 
-  // The respawned worker answered one job; its next result is its second
-  // ever, so it dies again — *after* delivering everything.  A
-  // post-completion death is absorbed (summaries_lost), not fatal.
+  // A two-job batch forks a fresh worker, which dies right *after*
+  // delivering everything.  A post-completion death is absorbed
+  // (summaries_lost), not fatal, and it is not a respawn.
   const std::vector<BatchJob> batch2(
-      1, shippable_job(pg.ports(), *port_one, "port-one", 0));
+      2, shippable_job(pg.ports(), *port_one, "port-one", 0));
   EXPECT_NO_THROW((void)collect(executor, batch2))
       << "a post-completion death must not fail a fully delivered batch";
   stats = executor.stats();
+  EXPECT_EQ(stats.workers_spawned, 3u);
+  EXPECT_EQ(stats.workers_respawned, 1u);
   EXPECT_EQ(stats.summaries_lost, 2u);
   EXPECT_EQ(stats.jobs_retried, 1u) << "nothing was orphaned in batch 2";
-}
-
-TEST(WorkerPool, IdleReapRetiresWarmWorkersWithoutCountingRespawns) {
-  REQUIRE_EDSIM_OR_SKIP(bin);
-  const auto pg = port::with_canonical_ports(graph::cycle(6));
-  const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
-  const std::vector<BatchJob> jobs(
-      2, shippable_job(pg.ports(), *port_one, "port-one", 0));
-
-  WorkerPool::Options options;
-  options.idle_timeout_ms = 1;
-  WorkerPool pool({bin, "worker"}, 1, options);
-  pool.run_batch(jobs, [](std::size_t, RunResult&&) {});
-  EXPECT_EQ(pool.live_workers(), 1u);
-
-  // Anything past the 1 ms timeout is idle; the reap is a *clean*
-  // retirement, so the next batch's fork is a plain spawn, not a respawn.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  pool.reap_idle();
-  EXPECT_EQ(pool.live_workers(), 0u);
-  auto stats = pool.stats();
-  EXPECT_EQ(stats.workers_reaped, 1u);
-  EXPECT_EQ(stats.workers_respawned, 0u);
-
-  pool.run_batch(jobs, [](std::size_t, RunResult&&) {});
-  stats = pool.stats();
-  EXPECT_EQ(stats.workers_spawned, 2u);
-  EXPECT_EQ(stats.workers_respawned, 0u)
-      << "a reaped slot is empty, not dead — refilling it is not a respawn";
-}
-
-TEST(WorkerPool, DrainRetiresEverythingAndThePoolStaysUsable) {
-  REQUIRE_EDSIM_OR_SKIP(bin);
-  const auto pg = port::with_canonical_ports(graph::cycle(6));
-  const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
-  const std::vector<BatchJob> jobs(
-      3, shippable_job(pg.ports(), *port_one, "port-one", 0));
-
-  const ProcessShardExecutor executor({bin, "worker"}, 2);
-  (void)collect(executor, jobs);
-  EXPECT_GE(executor.live_workers(), 1u);
-  executor.drain();
-  EXPECT_EQ(executor.live_workers(), 0u);
-  EXPECT_GE(executor.stats().workers_reaped, 1u);
-  // Lazy respawn: the drained executor serves the next batch normally.
-  (void)collect(executor, jobs);
-  EXPECT_GE(executor.live_workers(), 1u);
-  // Destructor teardown of the still-warm fleet runs at scope exit —
-  // ASan/TSan CI verifies no fd or process leaks behind it.
-}
-
-// A long-haul dose of the steady state: many small batches through one
-// pool must never respawn a worker, and the shared plan caches must only
-// get hotter — cache hits strictly monotone, compilations frozen after
-// the first batch.  The per-push run keeps a small dose; nightly CI
-// raises EDS_POOL_SOAK_BATCHES to soak the pool for hundreds of batches.
-TEST(WorkerPool, SoakManySmallBatchesZeroRespawnsMonotoneHits) {
-  REQUIRE_EDSIM_OR_SKIP(bin);
-  std::size_t batches = 12;
-  if (const char* env = std::getenv("EDS_POOL_SOAK_BATCHES")) {
-    batches = static_cast<std::size_t>(std::stoull(env));
-  }
-  auto rng = test::make_rng(0x50AC);
-  const auto a = test::random_ported_regular(10, 3, rng);
-  const auto b = port::with_canonical_ports(graph::cycle(7));
-  const auto bounded = algo::make_factory(algo::Algorithm::kBoundedDegree, 3);
-  const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
-  const std::vector<BatchJob> jobs{
-      shippable_job(a.ports(), *bounded, "bounded-degree", 3),
-      shippable_job(b.ports(), *port_one, "port-one", 0),
-  };
-
-  const ProcessShardExecutor executor({bin, "worker"}, 2);
-  const auto reference = collect(executor, jobs);
-  const auto cold = executor.stats();
-  auto previous = cold;
-  for (std::size_t batch = 1; batch < batches; ++batch) {
-    const auto got = collect(executor, jobs);
-    const auto now = executor.stats();
-    ASSERT_EQ(now.workers_respawned, 0u)
-        << "soak batch " << batch << " respawned a worker";
-    ASSERT_EQ(now.workers_spawned, cold.workers_spawned)
-        << "soak batch " << batch << " forked";
-    ASSERT_EQ(now.plans_compiled, cold.plans_compiled)
-        << "soak batch " << batch << " recompiled a plan";
-    ASSERT_GT(now.plan_hits, previous.plan_hits)
-        << "cache hits must grow every batch";
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      ASSERT_TRUE(reference[i] == got[i])
-          << "soak batch " << batch << " drifted on job " << i;
-    }
-    previous = now;
-  }
-  EXPECT_EQ(previous.batches_run, batches);
-  EXPECT_EQ(previous.jobs_shipped, batches * jobs.size());
 }
 
 }  // namespace
