@@ -17,6 +17,7 @@
 
 #include "algo/driver.hpp"
 #include "graph/generators.hpp"
+#include "port/io.hpp"
 #include "port/ported_graph.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
@@ -301,6 +302,31 @@ void BM_WithRandomPorts(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * g.num_edges()));
 }
 BENCHMARK(BM_WithRandomPorts);
+
+void BM_PortGraphText(benchmark::State& state) {
+  // The port-graph text codec, the graph segment of every --shards job
+  // line: Arg 0 writes a randomly numbered 512 x 512 torus (262,144 nodes,
+  // 1,048,576 ports) with to_port_graph_string, Arg 1 parses that text
+  // back with from_port_graph_string.
+  const bool read = state.range(0) != 0;
+  eds::Rng rng(10);
+  const auto pg = eds::port::with_random_ports(eds::graph::torus(512, 512), rng);
+  const auto text = eds::port::to_port_graph_string(pg.ports());
+  for (auto _ : state) {
+    if (read) {
+      const auto g = eds::port::from_port_graph_string(text);
+      benchmark::DoNotOptimize(g.num_ports());
+    } else {
+      const auto written = eds::port::to_port_graph_string(pg.ports());
+      benchmark::DoNotOptimize(written.size());
+    }
+  }
+  state.counters["n"] = static_cast<double>(pg.ports().num_nodes());
+  state.counters["bytes"] = static_cast<double>(text.size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_PortGraphText)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_BatchSweep(benchmark::State& state) {
   // Batch throughput: 32 independent jobs (random 4-regular, n = 512)

@@ -1,95 +1,198 @@
 #include "port/io.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
+#include <istream>
 #include <limits>
-#include <memory>
-#include <sstream>
+#include <optional>
+#include <ostream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace eds::port {
 
-void write_port_graph(std::ostream& os, const PortGraph& g) {
-  os << "ports " << g.num_nodes() << '\n';
-  os << "deg";
-  for (NodeId v = 0; v < g.num_nodes(); ++v) os << ' ' << g.degree(v);
-  os << '\n';
-  for (const auto& pe : g.port_edges()) {
-    if (pe.directed_loop) {
-      os << "loop " << pe.a.node << ' ' << pe.a.port << '\n';
-    } else {
-      os << "conn " << pe.a.node << ' ' << pe.a.port << ' ' << pe.b.node << ' '
-         << pe.b.port << '\n';
-    }
-  }
+namespace {
+
+/// Appends `value` in decimal after a space.
+char* put(char* p, std::uint64_t value) {
+  *p++ = ' ';
+  return std::to_chars(p, p + 20, value).ptr;
 }
 
-PortGraph read_port_graph(std::istream& is) {
-  std::string line;
-  auto fail = [](const std::string& why) -> void {
-    throw InvalidStructure("read_port_graph: " + why);
+/// Cursor over one record: fields are separated by whitespace as
+/// std::isspace classifies it in the "C" locale.
+class Fields {
+ public:
+  explicit Fields(std::string_view line)
+      : p_(line.data()), end_(p_ + line.size()) {}
+
+  /// The next whitespace-delimited token (empty at the end of the line).
+  std::string_view token() {
+    skip_space();
+    const char* start = p_;
+    while (p_ != end_ && !is_space(*p_)) ++p_;
+    return {start, static_cast<std::size_t>(p_ - start)};
+  }
+
+  /// The next unsigned decimal, or nothing if no digit follows the
+  /// whitespace or the value does not fit T.  Reading stops after the
+  /// last digit, so whatever follows the last field is never looked at.
+  template <typename T>
+  std::optional<T> number() {
+    skip_space();
+    T value{};
+    const auto [ptr, ec] = std::from_chars(p_, end_, value);
+    if (ec != std::errc()) return std::nullopt;
+    p_ = ptr;
+    return value;
+  }
+
+  /// Bytes left on the line.
+  [[nodiscard]] std::size_t remaining() const {
+    return static_cast<std::size_t>(end_ - p_);
+  }
+
+ private:
+  static bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+  void skip_space() {
+    while (p_ != end_ && is_space(*p_)) ++p_;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+}  // namespace
+
+std::string to_port_graph_string(const PortGraph& g) {
+  const std::size_t n = g.num_nodes();
+  std::string out;
+  // A degree takes at most 11 bytes, and a port at most 27 bytes of
+  // records (a loop record names one port, a conn record two).
+  out.reserve(32 + 11 * n + 27 * g.num_ports());
+  // Long enough for the longest record, "conn" and four 20-digit fields.
+  char buf[96];
+
+  out += "ports";
+  out.append(buf, put(buf, n));
+  out += "\ndeg";
+  for (NodeId v = 0; v < n; ++v) out.append(buf, put(buf, g.degree(v)));
+  out += '\n';
+  // The records of port_edges(), in its order: each pair once, from its
+  // smaller end, and each fixed point.
+  for (NodeId v = 0; v < n; ++v) {
+    for (Port i = 1; i <= g.degree(v); ++i) {
+      const PortRef there = g.partner(v, i);
+      char* p = buf;
+      if (there.node == v && there.port == i) {
+        std::memcpy(p, "loop", 4);
+        p = put(put(p + 4, v), i);
+      } else if (std::pair(v, i) < std::pair(there.node, there.port)) {
+        std::memcpy(p, "conn", 4);
+        p = put(put(put(put(p + 4, v), i), there.node), there.port);
+      } else {
+        continue;
+      }
+      *p++ = '\n';
+      out.append(buf, p);
+    }
+  }
+  return out;
+}
+
+PortGraph from_port_graph_string(const std::string& text) {
+  auto fail = [](const char* why) -> void {
+    throw InvalidStructure(std::string("read_port_graph: ") + why);
   };
 
   std::size_t n = 0;
   bool have_header = false;
-  bool have_degrees = false;
-  std::vector<Port> degrees;
-  std::unique_ptr<PortGraphBuilder> builder;
+  std::optional<PortGraphBuilder> builder;
 
-  while (std::getline(is, line)) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p != end) {
+    const char* eol = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    if (eol == nullptr) eol = end;
+    const std::string_view line(p, static_cast<std::size_t>(eol - p));
+    p = eol == end ? end : eol + 1;
+
     const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '#') continue;
-    std::istringstream row(line);
-    std::string keyword;
-    row >> keyword;
+    if (pos == std::string_view::npos || line[pos] == '#') continue;
+    Fields row(line);
+    const std::string_view keyword = row.token();
 
     if (keyword == "ports") {
       if (have_header) fail("duplicate 'ports' line");
-      if (!(row >> n)) fail("malformed 'ports' line");
+      const auto count = row.number<std::size_t>();
+      if (!count) fail("malformed 'ports' line");
+      n = *count;
       if (n > std::numeric_limits<NodeId>::max()) {
         fail("node count exceeds the NodeId range");
       }
       have_header = true;
     } else if (keyword == "deg") {
       if (!have_header) fail("'deg' before 'ports'");
-      if (have_degrees) fail("duplicate 'deg' line");
-      // Grows with the degrees actually present, not the declared n.
+      if (builder) fail("duplicate 'deg' line");
+      // Grows with the degrees actually present, not the declared n: each
+      // takes at least two bytes of the line.
+      std::vector<Port> degrees;
+      degrees.reserve(std::min(n, row.remaining() / 2 + 1));
+      std::size_t ports = 0;
       while (degrees.size() < n) {
-        Port degree = 0;
-        if (!(row >> degree)) fail("too few degrees");
-        degrees.push_back(degree);
+        const auto degree = row.number<Port>();
+        if (!degree) fail("too few degrees");
+        degrees.push_back(*degree);
+        ports += *degree;
       }
-      builder = std::make_unique<PortGraphBuilder>(degrees);
-      have_degrees = true;
+      // Every port is named by a later record, and each takes at least
+      // four bytes of them (a conn record names two ports in at least
+      // twelve, a loop record one in at least eight): more ports than
+      // that cannot all be assigned, so none is allocated.
+      if (ports > static_cast<std::size_t>(end - p) / 4) {
+        fail("more ports than the remaining records can assign");
+      }
+      builder.emplace(std::move(degrees));
     } else if (keyword == "conn") {
-      if (!have_degrees) fail("'conn' before 'deg'");
-      NodeId v = 0;
-      NodeId u = 0;
-      Port i = 0;
-      Port j = 0;
-      if (!(row >> v >> i >> u >> j)) fail("malformed 'conn' line");
-      builder->connect({v, i}, {u, j});
+      if (!builder) fail("'conn' before 'deg'");
+      const auto v = row.number<NodeId>();
+      const auto i = v ? row.number<Port>() : std::nullopt;
+      const auto u = i ? row.number<NodeId>() : std::nullopt;
+      const auto j = u ? row.number<Port>() : std::nullopt;
+      if (!j) fail("malformed 'conn' line");
+      builder->connect({*v, *i}, {*u, *j});
     } else if (keyword == "loop") {
-      if (!have_degrees) fail("'loop' before 'deg'");
-      NodeId v = 0;
-      Port i = 0;
-      if (!(row >> v >> i)) fail("malformed 'loop' line");
-      builder->fix({v, i});
+      if (!builder) fail("'loop' before 'deg'");
+      const auto v = row.number<NodeId>();
+      const auto i = v ? row.number<Port>() : std::nullopt;
+      if (!i) fail("malformed 'loop' line");
+      builder->fix({*v, *i});
     } else {
-      fail("unknown keyword '" + keyword + "'");
+      throw InvalidStructure("read_port_graph: unknown keyword '" +
+                             std::string(keyword) + "'");
     }
   }
-  if (!have_degrees) fail("missing 'deg' line");
-  return builder->build();
+  if (!builder) fail("missing 'deg' line");
+  return std::move(*builder).build();
 }
 
-std::string to_port_graph_string(const PortGraph& g) {
-  std::ostringstream os;
-  write_port_graph(os, g);
-  return os.str();
+void write_port_graph(std::ostream& os, const PortGraph& g) {
+  const std::string text = to_port_graph_string(g);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
-PortGraph from_port_graph_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_port_graph(is);
+PortGraph read_port_graph(std::istream& is) {
+  std::string text;
+  char chunk[1 << 16];
+  while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(is.gcount()));
+  }
+  return from_port_graph_string(text);
 }
 
 }  // namespace eds::port

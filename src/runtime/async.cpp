@@ -426,13 +426,48 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     s.announced = kForever;
   };
 
+  /// v stops for good while assembling its round, as a scheduled crash
+  /// stops it: its partners hear nothing more, and its output is empty.
+  const auto stop = [&](std::size_t v, std::uint64_t now) {
+    NodeState& s = st[v];
+    s.crashed = true;
+    out.crashed[v] = 1;
+    stats.ports_served += static_cast<std::uint64_t>(plan.degree(v)) * s.round;
+    out.fault_log.push_back(
+        {now, FaultKind::kCrash, static_cast<port::NodeId>(v), 0, 0});
+  };
+
+  /// Makes one call into v's program; false if v crashed in it.  Lost,
+  /// doubled or missing messages can hand a program inputs its protocol
+  /// never produces (a round without the hello it expects), and it throws.
+  /// Under a non-empty FaultPlan the node then stops like a crashed one,
+  /// and the run reports the damage in its outputs.  Without faults a
+  /// throw is a bug, and it ends the run.
+  const auto guarded = [&](std::size_t v, std::uint64_t now, auto&& call) {
+    if (faults.empty()) {
+      call();
+      return true;
+    }
+    try {
+      call();
+    } catch (const Error&) {
+      stop(v, now);
+      return false;
+    }
+    return true;
+  };
+
   // ---- Free-running mode: dense sends, round timeouts, faults. ----------
 
   const auto send_round = [&](std::size_t v, Round r, std::uint64_t now) {
     const Port deg = plan.degree(v);
     const std::size_t off = plan.offset(v);
     stage.assign(deg, kSilence);
-    programs[v]->send(r, std::span<Message>(stage.data(), deg));
+    if (!guarded(v, now, [&] {
+          programs[v]->send(r, std::span<Message>(stage.data(), deg));
+        })) {
+      return;
+    }
     record_sends(v, r);
     for (Port i = 1; i <= deg; ++i) {
       const std::size_t q = off + i - 1;
@@ -471,7 +506,11 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     const Port deg = plan.degree(v);
     const Round r = s.round;
     take_inputs(s, r, deg);
-    programs[v]->receive(r, std::span<const Message>(recv.data(), deg));
+    if (!guarded(v, now, [&] {
+          programs[v]->receive(r, std::span<const Message>(recv.data(), deg));
+        })) {
+      return;
+    }
     max_fired = std::max(max_fired, r);
     if (programs[v]->halted()) {
       halt(v, r, now);
@@ -739,11 +778,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
       }
       case EventKind::kCrash: {
         if (s.crashed || s.halt_round != kForever) break;  // no-op once done
-        s.crashed = true;
-        out.crashed[e.node] = 1;
-        stats.ports_served +=
-            static_cast<std::uint64_t>(plan.degree(e.node)) * s.round;
-        out.fault_log.push_back({now, FaultKind::kCrash, e.node, 0, 0});
+        stop(e.node, now);
         break;
       }
       case EventKind::kDeadline: {

@@ -41,7 +41,10 @@
 //    inputs, then substitutes silence for the missing ports and fires
 //    anyway.  Only a halt travels as a notice.  This mode admits the
 //    FaultPlan (loss, duplication, crashes) and exists to measure how the
-//    paper's algorithms degrade off the synchronous model.
+//    paper's algorithms degrade off the synchronous model.  Under a
+//    non-empty FaultPlan a program that throws (a handshake meeting the
+//    silence a fault left) stops like a crashed node; without faults the
+//    throw ends the run.
 //
 // Determinism: the event loop is sequential and pops a strict weak order —
 // (time, priority, node, port, seq) with seq a global monotone counter —

@@ -19,9 +19,22 @@ namespace {
 // implementation, so a strict sequential parser is both sufficient and the
 // cheapest way to reject malformed input loudly.
 
+/// Whether JSON lets `c` stand for itself inside a string.
+bool plain(char c) {
+  return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+}
+
+/// Appends `s` JSON-escaped.  Runs of plain characters go in one append
+/// each, so a graph text costs about one pass over its bytes.
 void append_escaped(std::string& out, const std::string& s) {
   static constexpr char kHex[] = "0123456789abcdef";
-  for (const char c : s) {
+  std::size_t k = 0;
+  while (true) {
+    const std::size_t run = k;
+    while (k < s.size() && plain(s[k])) ++k;
+    out.append(s, run, k - run);
+    if (k == s.size()) return;
+    const char c = s[k++];
     switch (c) {
       case '"':
         out += "\\\"";
@@ -39,13 +52,9 @@ void append_escaped(std::string& out, const std::string& s) {
         out += "\\r";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
+        out += kHex[static_cast<unsigned char>(c) & 0xF];
     }
   }
 }
@@ -136,13 +145,12 @@ class Cursor {
     lit("\"");
     std::string out;
     while (true) {
+      // Copy the run up to the next quote or backslash in one append.
+      const std::size_t run = pos_;
+      while (pos_ < s_.size() && s_[pos_] != '"' && s_[pos_] != '\\') ++pos_;
+      out.append(s_, run, pos_ - run);
       if (pos_ >= s_.size()) throw InvalidArgument("wire: unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (s_[pos_++] == '"') return out;
       if (pos_ >= s_.size()) throw InvalidArgument("wire: dangling escape");
       const char esc = s_[pos_++];
       switch (esc) {

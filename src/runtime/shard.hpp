@@ -55,6 +55,12 @@
 //
 // Workers process jobs sequentially in arrival order and flush after every
 // line, so the parent can interleave writing and reading without deadlock.
+// `edsim` runs its standard streams unsynced from C stdio
+// (std::ios::sync_with_stdio(false) in main), so a worker's std::getline
+// copies a job line out of its stream buffer in blocks instead of taking
+// it from C stdio a character at a time.  The graph segment is the
+// port/io.hpp text, escaped and unescaped a run of plain bytes at a time,
+// so every stage of the path costs time in proportion to the line's bytes.
 // At stdin EOF a worker writes one `worker_summary` with its cache
 // counters and exits 0.  Any other schema or line kind is a protocol
 // failure (exit 2), which is also how a parent and worker of different

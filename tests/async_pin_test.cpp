@@ -118,10 +118,11 @@ std::shared_ptr<const ProgramFactory> algorithm(Algorithm alg, Port param) {
   return algo::make_factory(alg, param);
 }
 
-/// The paper's protocol algorithms fail loudly when a fault feeds them
-/// silence (AsyncFaults.ProtocolAlgorithmsDetectFaultInducedSilence), so
-/// they run only where nothing is lost: fault-free, duplicated, or with
-/// timeouts longer than every delay.  Lossy and crashing cases run the
+/// The paper's protocol algorithms detect it when a fault feeds them
+/// silence, and the detecting node stops
+/// (AsyncFaults.ProtocolAlgorithmsDetectFaultInducedSilence), so they run
+/// only where nothing is lost: fault-free, duplicated, or with timeouts
+/// longer than every delay.  Lossy and crashing cases run the
 /// silence-tolerant programs.
 std::vector<Pin> pins() {
   std::vector<Pin> out;

@@ -815,8 +815,8 @@ TEST(Cli, SweepModelAsyncEchoesConfigInSummary) {
 TEST(Cli, SweepModelAsyncFaultyIsDeterministicAcrossThreadCounts) {
   // Fault injection draws from per-job seeds fixed at construction, so a
   // faulty sweep is byte-identical between --threads 1 and --threads 8.
-  // port-one: the one protocol that tolerates fault-induced silence (the
-  // handshake algorithms detect it and abort the job, by design).
+  // port-one: the one protocol that tolerates fault-induced silence (in
+  // the handshake algorithms the detecting nodes stop, see below).
   const std::vector<std::string> base{
       "sweep",   "regular", "--min",  "8",     "--max", "32",
       "--d",     "3",       "--seed", "7",     "--ndjson",
@@ -832,6 +832,26 @@ TEST(Cli, SweepModelAsyncFaultyIsDeterministicAcrossThreadCounts) {
   ASSERT_EQ(a.code, 0) << a.err;
   ASSERT_EQ(b.code, 0) << b.err;
   EXPECT_EQ(a.out, b.out);
+}
+
+TEST(Cli, SweepModelAsyncFaultyHandshakesReportInconsistentRows) {
+  // A fault leaves a handshake algorithm silence where it expects a
+  // message; the node that detects it stops like a crashed one, and the
+  // sweep reports the damage as an inconsistent row instead of aborting.
+  const std::vector<std::string> base{
+      "sweep", "regular", "--d", "3", "--min", "2048", "--max", "2048",
+      "--model", "async", "--delay", "uniform:1:9", "--ndjson"};
+  for (const auto& faults : std::vector<std::vector<std::string>>{
+           {"--loss", "0.01"},
+           {"--dup", "0.01", "--crash", "2"},
+           {"--algorithm", "double-cover", "--loss", "0.01"}}) {
+    auto args = base;
+    args.insert(args.end(), faults.begin(), faults.end());
+    const auto run = invoke(args);
+    EXPECT_EQ(run.code, 0) << faults.front() << ": " << run.err;
+    EXPECT_NE(run.out.find("\"consistent\":false"), std::string::npos)
+        << faults.front() << ": " << run.out;
+  }
 }
 
 TEST(Cli, SweepModelAsyncRejections) {

@@ -9,9 +9,16 @@
 // streams (e.g. `EDS_FUZZ_SEED=42 ctest -L fuzz`).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "algo/double_cover.hpp"
 #include "algo/driver.hpp"
 #include "algo/port_one.hpp"
+#include "graph/generators.hpp"
+#include "port/io.hpp"
+#include "port/ported_graph.hpp"
 #include "port/random_port_graph.hpp"
 #include "port/views.hpp"
 #include "runtime/outputs.hpp"
@@ -142,6 +149,102 @@ TEST(Fuzz, DirectedLoopSelectionIsSelfConsistent) {
   runtime::RunResult result;
   result.outputs = {{1}};
   EXPECT_EQ(runtime::validated_selection_size(g, result), 1u);
+}
+
+/// The reader's verdict on `text`: the canonical text of the graph it
+/// parsed to, or "!" and the type of a typed rejection.  Anything else it
+/// throws escapes and fails the test.
+std::string read_verdict(const std::string& text) {
+  try {
+    return port::to_port_graph_string(port::from_port_graph_string(text));
+  } catch (const InvalidStructure&) {
+    return "!InvalidStructure";
+  } catch (const InvalidArgument&) {
+    return "!InvalidArgument";
+  }
+}
+
+/// One random edit of `text`: a byte replaced, inserted or deleted, a
+/// slice duplicated, or the tail cut off.  Replacement bytes come half
+/// from the grammar's own alphabet, half from all 256 values.
+void mutate(std::string& text, Rng& rng) {
+  static constexpr char kAlphabet[] = "0123456789 \t\r\n#+-connloopdegports";
+  const auto byte = [&rng]() {
+    if (rng.chance(0.5)) {
+      return kAlphabet[rng.below(sizeof kAlphabet - 1)];
+    }
+    return static_cast<char>(rng.below(256));
+  };
+  const std::size_t at = rng.below(text.size() + 1);
+  switch (rng.below(5)) {
+    case 0:
+      if (at < text.size()) text[at] = byte();
+      break;
+    case 1:
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), byte());
+      break;
+    case 2:
+      if (at < text.size()) text.erase(at, 1);
+      break;
+    case 3: {
+      const std::size_t len = rng.below(16);
+      text.insert(at, text.substr(at, len));
+      break;
+    }
+    default:
+      text.resize(at);
+  }
+}
+
+TEST(Fuzz, PortGraphReaderTakesMutatedTextsOrRejectsThemTyped) {
+  // Valid texts to start from: multigraphs with loops, a randomly numbered
+  // torus, and the grammar's optional forms (comments, CRLF, tabs, no
+  // final newline).
+  auto rng = test::make_rng(7);
+  std::vector<std::string> seeds;
+  for (int k = 0; k < 4; ++k) {
+    seeds.push_back(port::to_port_graph_string(
+        port::random_port_graph(random_degrees(rng, 6, 4), rng, 0.3)));
+  }
+  seeds.push_back(port::to_port_graph_string(
+      port::with_random_ports(graph::torus(3, 4), rng).ports()));
+  seeds.push_back(
+      "# one edge and a loop\r\nports\t3\r\n  deg 1 1 1\r\n"
+      "\t# records\nconn 0 1 1 1\nloop 2 1");
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string text = seeds[rng.below(seeds.size())];
+    const auto edits = 1 + rng.below(4);
+    for (std::uint64_t e = 0; e < edits; ++e) mutate(text, rng);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", input \"" + text +
+                 "\"");
+
+    const std::string verdict = read_verdict(text);
+    if (verdict.front() == '!') {
+      ++rejected;
+    } else {
+      // An accepted text parses to a graph whose text round-trips byte
+      // for byte.
+      ++accepted;
+      ASSERT_EQ(read_verdict(verdict), verdict);
+    }
+    // The stream reader is the string reader behind a read to EOF.
+    std::istringstream is(text);
+    std::string streamed;
+    try {
+      streamed = port::to_port_graph_string(port::read_port_graph(is));
+    } catch (const InvalidStructure&) {
+      streamed = "!InvalidStructure";
+    } catch (const InvalidArgument&) {
+      streamed = "!InvalidArgument";
+    }
+    ASSERT_EQ(streamed, verdict);
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 }  // namespace
