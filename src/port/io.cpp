@@ -21,50 +21,37 @@ char* put(char* p, std::uint64_t value) {
   return std::to_chars(p, p + 20, value).ptr;
 }
 
-/// Cursor over one record: fields are separated by whitespace as
-/// std::isspace classifies it in the "C" locale.
-class Fields {
- public:
-  explicit Fields(std::string_view line)
-      : p_(line.data()), end_(p_ + line.size()) {}
+/// Whitespace as std::isspace classifies it in the "C" locale.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
-  /// The next whitespace-delimited token (empty at the end of the line).
-  std::string_view token() {
-    skip_space();
-    const char* start = p_;
-    while (p_ != end_ && !is_space(*p_)) ++p_;
-    return {start, static_cast<std::size_t>(p_ - start)};
-  }
+/// Drops the whitespace `line` starts with.
+void skip_space(std::string_view& line) {
+  while (!line.empty() && is_space(line.front())) line.remove_prefix(1);
+}
 
-  /// The next unsigned decimal, or nothing if no digit follows the
-  /// whitespace or the value does not fit T.  Reading stops after the
-  /// last digit, so whatever follows the last field is never looked at.
-  template <typename T>
-  std::optional<T> number() {
-    skip_space();
-    T value{};
-    const auto [ptr, ec] = std::from_chars(p_, end_, value);
-    if (ec != std::errc()) return std::nullopt;
-    p_ = ptr;
-    return value;
-  }
+/// Takes the next whitespace-delimited token off `line` (empty at its end).
+std::string_view token(std::string_view& line) {
+  skip_space(line);
+  std::size_t k = 0;
+  while (k < line.size() && !is_space(line[k])) ++k;
+  const auto taken = line.substr(0, k);
+  line.remove_prefix(k);
+  return taken;
+}
 
-  /// Bytes left on the line.
-  [[nodiscard]] std::size_t remaining() const {
-    return static_cast<std::size_t>(end_ - p_);
-  }
-
- private:
-  static bool is_space(char c) {
-    return c == ' ' || (c >= '\t' && c <= '\r');
-  }
-  void skip_space() {
-    while (p_ != end_ && is_space(*p_)) ++p_;
-  }
-
-  const char* p_;
-  const char* end_;
-};
+/// Takes the next unsigned decimal off `line`, or nothing if no digit
+/// follows the whitespace or the value does not fit T.  It ends after its
+/// last digit, so whatever follows a record's last field is never read.
+template <typename T>
+std::optional<T> number(std::string_view& line) {
+  skip_space(line);
+  T value{};
+  const auto [ptr, ec] =
+      std::from_chars(line.data(), line.data() + line.size(), value);
+  if (ec != std::errc()) return std::nullopt;
+  line.remove_prefix(static_cast<std::size_t>(ptr - line.data()));
+  return value;
+}
 
 }  // namespace
 
@@ -105,31 +92,27 @@ std::string to_port_graph_string(const PortGraph& g) {
 }
 
 PortGraph from_port_graph_string(const std::string& text) {
-  auto fail = [](const char* why) -> void {
-    throw InvalidStructure(std::string("read_port_graph: ") + why);
+  auto fail = [](const std::string& why) -> void {
+    throw InvalidStructure("read_port_graph: " + why);
   };
 
   std::size_t n = 0;
   bool have_header = false;
   std::optional<PortGraphBuilder> builder;
 
-  const char* p = text.data();
-  const char* const end = p + text.size();
-  while (p != end) {
-    const char* eol = static_cast<const char*>(
-        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
-    if (eol == nullptr) eol = end;
-    const std::string_view line(p, static_cast<std::size_t>(eol - p));
-    p = eol == end ? end : eol + 1;
+  std::string_view rest(text);
+  while (!rest.empty()) {
+    const std::size_t eol = rest.find('\n');
+    std::string_view row = rest.substr(0, eol);
+    rest.remove_prefix(eol == std::string_view::npos ? rest.size() : eol + 1);
 
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string_view::npos || line[pos] == '#') continue;
-    Fields row(line);
-    const std::string_view keyword = row.token();
+    const auto pos = row.find_first_not_of(" \t\r");
+    if (pos == std::string_view::npos || row[pos] == '#') continue;
+    const std::string_view keyword = token(row);
 
     if (keyword == "ports") {
       if (have_header) fail("duplicate 'ports' line");
-      const auto count = row.number<std::size_t>();
+      const auto count = number<std::size_t>(row);
       if (!count) fail("malformed 'ports' line");
       n = *count;
       if (n > std::numeric_limits<NodeId>::max()) {
@@ -142,10 +125,10 @@ PortGraph from_port_graph_string(const std::string& text) {
       // Grows with the degrees actually present, not the declared n: each
       // takes at least two bytes of the line.
       std::vector<Port> degrees;
-      degrees.reserve(std::min(n, row.remaining() / 2 + 1));
+      degrees.reserve(std::min(n, row.size() / 2 + 1));
       std::size_t ports = 0;
       while (degrees.size() < n) {
-        const auto degree = row.number<Port>();
+        const auto degree = number<Port>(row);
         if (!degree) fail("too few degrees");
         degrees.push_back(*degree);
         ports += *degree;
@@ -154,27 +137,26 @@ PortGraph from_port_graph_string(const std::string& text) {
       // four bytes of them (a conn record names two ports in at least
       // twelve, a loop record one in at least eight): more ports than
       // that cannot all be assigned, so none is allocated.
-      if (ports > static_cast<std::size_t>(end - p) / 4) {
+      if (ports > rest.size() / 4) {
         fail("more ports than the remaining records can assign");
       }
       builder.emplace(std::move(degrees));
     } else if (keyword == "conn") {
       if (!builder) fail("'conn' before 'deg'");
-      const auto v = row.number<NodeId>();
-      const auto i = v ? row.number<Port>() : std::nullopt;
-      const auto u = i ? row.number<NodeId>() : std::nullopt;
-      const auto j = u ? row.number<Port>() : std::nullopt;
+      const auto v = number<NodeId>(row);
+      const auto i = v ? number<Port>(row) : std::nullopt;
+      const auto u = i ? number<NodeId>(row) : std::nullopt;
+      const auto j = u ? number<Port>(row) : std::nullopt;
       if (!j) fail("malformed 'conn' line");
       builder->connect({*v, *i}, {*u, *j});
     } else if (keyword == "loop") {
       if (!builder) fail("'loop' before 'deg'");
-      const auto v = row.number<NodeId>();
-      const auto i = v ? row.number<Port>() : std::nullopt;
+      const auto v = number<NodeId>(row);
+      const auto i = v ? number<Port>(row) : std::nullopt;
       if (!i) fail("malformed 'loop' line");
       builder->fix({*v, *i});
     } else {
-      throw InvalidStructure("read_port_graph: unknown keyword '" +
-                             std::string(keyword) + "'");
+      fail("unknown keyword '" + std::string(keyword) + "'");
     }
   }
   if (!builder) fail("missing 'deg' line");
