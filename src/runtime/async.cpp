@@ -444,17 +444,14 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   /// and the run reports the damage in its outputs.  Without faults a
   /// throw is a bug, and it ends the run.
   const auto guarded = [&](std::size_t v, std::uint64_t now, auto&& call) {
-    if (faults.empty()) {
-      call();
-      return true;
-    }
     try {
       call();
+      return true;
     } catch (const Error&) {
+      if (faults.empty()) throw;
       stop(v, now);
       return false;
     }
-    return true;
   };
 
   // ---- Free-running mode: dense sends, round timeouts, faults. ----------

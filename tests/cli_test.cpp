@@ -441,8 +441,7 @@ TEST(Cli, SweepOutputMatchesGoldenPins) {
       {{"portgraph", "--d", "3", "--min", "4", "--max", "16", "--model", "async", "--loss", "0.3", "--algorithm", "port-one"},
        0xa4376974b19e02edULL, 0, 0xfcc0c9b4382853bdULL, 0},
       // Lossy odd-regular: its handshakes meet lost messages, and the
-      // detecting nodes stop like crashed ones, so the sweep completes
-      // (it aborted with exit 1 until faulty handshakes became data).
+      // detecting nodes stop like crashed ones, so the sweep completes.
       {{"regular", "--d", "3", "--min", "8", "--max", "32", "--model", "async", "--loss", "0.3"},
        0xb51301c58e371ae8ULL, 0, 0x373a310d2fa1f240ULL, 0},
       {{"cycle", "--min", "2", "--max", "2"},

@@ -142,6 +142,23 @@ TEST(PortIo, DeclaredNodeCountAllocatesNothingUntilTheDegreesArrive) {
                InvalidStructure);
 }
 
+TEST(PortIo, DegreesTheRecordsCannotAssignAllocateNothing) {
+  // Every port needs a record, and each takes at least four bytes of the
+  // text after the 'deg' line: four billion ports behind no records are
+  // refused before any port is allocated.
+  EXPECT_EQ(rejection("ports 1\ndeg 4000000000\n"),
+            "read_port_graph: more ports than the remaining records can "
+            "assign");
+  EXPECT_EQ(rejection("ports 2\ndeg 4000000000 4000000000\nloop 0 1\n"),
+            "read_port_graph: more ports than the remaining records can "
+            "assign");
+  // The shortest records still fit: a loop names one port in eight bytes,
+  // a conn record two in twelve.
+  EXPECT_EQ(from_port_graph_string("ports 1\ndeg 1\nloop 0 1").num_ports(), 1u);
+  EXPECT_EQ(
+      from_port_graph_string("ports 1\ndeg 2\nconn 0 1 0 2").num_ports(), 2u);
+}
+
 TEST(PortIoGrammar, CrlfLineEndings) {
   expect_single_edge(
       from_port_graph_string("ports 2\r\ndeg 1 1\r\nconn 0 1 1 1\r\n"));
