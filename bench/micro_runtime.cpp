@@ -310,7 +310,8 @@ void BM_PortGraphText(benchmark::State& state) {
   // back with from_port_graph_string.
   const bool read = state.range(0) != 0;
   eds::Rng rng(10);
-  const auto pg = eds::port::with_random_ports(eds::graph::torus(512, 512), rng);
+  const auto pg =
+      eds::port::with_random_ports(eds::graph::torus(512, 512), rng);
   const auto text = eds::port::to_port_graph_string(pg.ports());
   for (auto _ : state) {
     if (read) {

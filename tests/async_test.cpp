@@ -535,10 +535,10 @@ TEST(AsyncFaults, ProtocolAlgorithmsDetectFaultInducedSilence) {
   // More nodes stopped than the three the plan crashed, and each stop is
   // logged as a crash.
   EXPECT_GT(stopped, async.faults.crashes.size());
-  EXPECT_EQ(static_cast<std::size_t>(std::count_if(
-                run.fault_log.begin(), run.fault_log.end(),
-                [](const FaultEvent& f) { return f.kind == FaultKind::kCrash; })),
-            stopped);
+  const auto crash_entries = std::count_if(
+      run.fault_log.begin(), run.fault_log.end(),
+      [](const FaultEvent& f) { return f.kind == FaultKind::kCrash; });
+  EXPECT_EQ(static_cast<std::size_t>(crash_entries), stopped);
 }
 
 /// Sends a hello on every port in round 1, and in receive(1) throws on a

@@ -154,7 +154,8 @@ TEST(PortIo, DegreesTheRecordsCannotAssignAllocateNothing) {
             "assign");
   // The shortest records still fit: a loop names one port in eight bytes,
   // a conn record two in twelve.
-  EXPECT_EQ(from_port_graph_string("ports 1\ndeg 1\nloop 0 1").num_ports(), 1u);
+  EXPECT_EQ(from_port_graph_string("ports 1\ndeg 1\nloop 0 1").num_ports(),
+            1u);
   EXPECT_EQ(
       from_port_graph_string("ports 1\ndeg 2\nconn 0 1 0 2").num_ports(), 2u);
 }
@@ -191,7 +192,8 @@ TEST(PortIoGrammar, ExtraTokensAfterARecordAreIgnored) {
       "ports 2 nodes\ndeg 1 1 7 extra\nconn 0 1 1 1 # the edge\n"));
   // A number ends where its digits do; what follows the last field is
   // not read.
-  expect_single_edge(from_port_graph_string("ports 2\ndeg 1 1\nconn 0 1 1 1x\n"));
+  expect_single_edge(
+      from_port_graph_string("ports 2\ndeg 1 1\nconn 0 1 1 1x\n"));
 }
 
 TEST(PortIoGrammar, ValuesPastTheirRangeAreRejected) {
@@ -234,7 +236,8 @@ TEST(PortIoGrammar, MessagesNameTheFaultyRecord) {
   EXPECT_EQ(rejection("ports 1\nloop 0 1\n"),
             "read_port_graph: 'loop' before 'deg'");
   EXPECT_EQ(rejection("ports\n"), "read_port_graph: malformed 'ports' line");
-  EXPECT_EQ(rejection("ports 3\ndeg 1 1\n"), "read_port_graph: too few degrees");
+  EXPECT_EQ(rejection("ports 3\ndeg 1 1\n"),
+            "read_port_graph: too few degrees");
   EXPECT_EQ(rejection("ports 2\ndeg 1 1\nconn 0 1 1\n"),
             "read_port_graph: malformed 'conn' line");
   EXPECT_EQ(rejection("ports 1\ndeg 1\nloop 0\n"),
