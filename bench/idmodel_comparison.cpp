@@ -39,7 +39,7 @@ int main() {
     for (const auto& pg : instances) {
       items.push_back({&pg, eds::algo::Algorithm::kOddRegular, 3});
     }
-    const auto anons = eds::algo::run_batch(items);
+    const auto anons = eds::algo::run_batch(items, {.threads = 0});
     for (std::size_t trial = 0; trial < instances.size(); ++trial) {
       const auto optimum = optima[trial];
       const auto& id = id_outcomes[trial];
@@ -75,7 +75,7 @@ int main() {
     for (const auto& pg : instances) {
       items.push_back({&pg, eds::algo::Algorithm::kOddRegular, 3});
     }
-    const auto anons = eds::algo::run_batch(items);
+    const auto anons = eds::algo::run_batch(items, {.threads = 0});
     for (std::size_t i = 0; i < ns.size(); ++i) {
       const auto n = ns[i];
       const auto bits = std::max<std::uint32_t>(

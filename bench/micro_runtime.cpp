@@ -13,81 +13,96 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "algo/driver.hpp"
 #include "graph/generators.hpp"
 #include "port/io.hpp"
 #include "port/ported_graph.hpp"
 #include "runtime/batch.hpp"
-#include "runtime/engine.hpp"
+#include "runtime/outputs.hpp"
 #include "runtime/plan_cache.hpp"
+#include "runtime/runner.hpp"
 #include "runtime/shard.hpp"
 #include "util/rng.hpp"
 #include "test_util.hpp"  // test::edsim_binary (gtest-free)
 
 namespace {
 
-/// Exports the pooled-transport counter deltas accumulated across the
-/// timed loop: healthy plateaus show reuses >> growths.
-class AllocPressure {
- public:
-  AllocPressure() : before_(eds::runtime::engine_alloc_stats()) {}
+/// Exports the workspace counters of the runs that added into `metrics`:
+/// runs that reused or grew their lane's pooled workspace (healthy
+/// plateaus show reuses >> growths) and the largest lane footprint after
+/// a run.
+void export_alloc(benchmark::State& state,
+                  const eds::runtime::RunMetrics& metrics) {
+  state.counters["ws_reuses"] =
+      static_cast<double>(metrics.workspace_reuses);
+  state.counters["ws_growths"] =
+      static_cast<double>(metrics.workspace_growths);
+  state.counters["ws_bytes"] = static_cast<double>(metrics.workspace_bytes);
+}
 
-  void export_into(benchmark::State& state) const {
-    const auto after = eds::runtime::engine_alloc_stats();
-    state.counters["ws_reuses"] = static_cast<double>(
-        after.workspace_reuses - before_.workspace_reuses);
-    state.counters["ws_growths"] = static_cast<double>(
-        after.workspace_growths - before_.workspace_growths);
-    // Net pooled-byte growth across the timed loop, NOT the absolute
-    // gauge: the gauge includes workspaces retained by *earlier*
-    // benchmarks in the process (e.g. BM_Engine100k's 100k-node main
-    // thread workspace), which would make the exported value depend on
-    // benchmark order and --benchmark_filter.
-    state.counters["ws_bytes"] =
-        static_cast<double>(after.workspace_bytes) -
-        static_cast<double>(before_.workspace_bytes);
+/// Exports the engine's per-round stage split of those runs — exchange
+/// (send sweep) vs receive (involution gather + merge), with the
+/// between-stage wake scan (`scan_ns`) broken out — as per-iteration
+/// nanosecond counters.
+void export_split(benchmark::State& state,
+                  const eds::runtime::RunMetrics& metrics) {
+  const auto per_iteration = [](std::uint64_t ns) {
+    return benchmark::Counter(static_cast<double>(ns),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["exchange_ns"] = per_iteration(metrics.exchange_ns);
+  state.counters["receive_ns"] = per_iteration(metrics.receive_ns);
+  state.counters["scan_ns"] = per_iteration(metrics.scan_ns);
+}
+
+/// algo::run_algorithm's work (factory, shared plan cache, validated
+/// solution) with the run adding into `metrics`.  A run with a sink times
+/// its stages, so it drives the split-sweep round loop.
+eds::algo::EdsOutcome run_measured(const eds::port::PortedGraph& pg,
+                                   eds::algo::Algorithm algorithm,
+                                   eds::port::Port param,
+                                   eds::runtime::RunMetrics& metrics,
+                                   unsigned threads = 1) {
+  const auto factory = eds::algo::make_factory(algorithm, param);
+  eds::runtime::RunOptions options;
+  options.exec.threads = threads;
+  options.exec.plan_cache = &eds::runtime::PlanCache::global();
+  options.metrics = &metrics;
+  const auto result =
+      eds::runtime::run_synchronous(pg.ports(), *factory, options);
+  return {eds::runtime::validated_edge_set(pg, result), result.stats};
+}
+
+/// The workspace counters of one more batch of `items` on `threads` lanes,
+/// run after a batch benchmark's timed loop: each BatchJob gets its own
+/// sink, summed once the batch is done.  The timed loop runs
+/// algo::run_batch without sinks, since a sink also times the stages and
+/// the timestamps would cost that loop about a tenth of its time.
+eds::runtime::RunMetrics measure_batch(
+    const std::vector<eds::algo::BatchItem>& items, unsigned threads,
+    eds::runtime::PlanCache& cache) {
+  std::vector<std::unique_ptr<eds::runtime::ProgramFactory>> factories;
+  std::vector<eds::runtime::RunMetrics> sinks(items.size());
+  std::vector<eds::runtime::BatchJob> jobs;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    factories.push_back(
+        eds::algo::make_factory(items[i].algorithm, items[i].param));
+    eds::runtime::BatchJob job;
+    job.graph = &items[i].graph->ports();
+    job.factory = factories.back().get();
+    job.options.exec.plan_cache = &cache;
+    job.options.metrics = &sinks[i];
+    jobs.push_back(std::move(job));
   }
-
- private:
-  eds::runtime::EngineAllocStats before_;
-};
-
-/// Exports the engine's per-round stage split — exchange (send sweep) vs
-/// receive (involution gather + merge), with the between-stage wake scan
-/// (`scan_ns`) broken out — as per-iteration nanosecond counters.
-/// Profiling is a process-wide engine toggle; the helper scopes it to this
-/// benchmark so every other benchmark keeps the timestamp-free hot loop.
-class StageSplit {
- public:
-  StageSplit() {
-    eds::runtime::engine_stage_profiling(true);
-    before_ = eds::runtime::engine_stage_stats();
-  }
-  ~StageSplit() { eds::runtime::engine_stage_profiling(false); }
-  StageSplit(const StageSplit&) = delete;
-  StageSplit& operator=(const StageSplit&) = delete;
-
-  void export_into(benchmark::State& state) const {
-    const auto after = eds::runtime::engine_stage_stats();
-    const auto delta = [&](std::uint64_t EngineStageStats::* field) {
-      return benchmark::Counter(
-          static_cast<double>(after.*field - before_.*field),
-          benchmark::Counter::kAvgIterations);
-    };
-    state.counters["exchange_ns"] =
-        delta(&eds::runtime::EngineStageStats::exchange_ns);
-    state.counters["receive_ns"] =
-        delta(&eds::runtime::EngineStageStats::receive_ns);
-    state.counters["scan_ns"] =
-        delta(&eds::runtime::EngineStageStats::scan_ns);
-  }
-
- private:
-  using EngineStageStats = eds::runtime::EngineStageStats;
-  eds::runtime::EngineStageStats before_;
-};
+  (void)eds::runtime::BatchRunner(threads).run(jobs);
+  eds::runtime::RunMetrics total;
+  for (const auto& sink : sinks) total += sink;
+  return total;
+}
 
 void BM_PortOne(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -177,19 +192,16 @@ void BM_Engine100k(benchmark::State& state) {
   eds::Rng rng(5);
   const auto g = eds::graph::torus(320, 320);  // 102400 nodes, 4-regular
   const auto pg = eds::port::with_random_ports(g, rng);
-  eds::runtime::ExecOptions exec;
-  exec.threads = threads;
   std::uint64_t rounds = 0;
-  const AllocPressure alloc;
-  const StageSplit split;
+  eds::runtime::RunMetrics metrics;
   for (auto _ : state) {
-    auto outcome = eds::algo::run_algorithm(
-        pg, eds::algo::Algorithm::kBoundedDegree, 4, exec);
+    auto outcome = run_measured(pg, eds::algo::Algorithm::kBoundedDegree, 4,
+                                metrics, threads);
     rounds = outcome.stats.rounds;
     benchmark::DoNotOptimize(outcome.solution.size());
   }
-  split.export_into(state);
-  alloc.export_into(state);
+  export_split(state, metrics);
+  export_alloc(state, metrics);
   state.counters["n"] = static_cast<double>(g.num_nodes());
   state.counters["rounds"] = static_cast<double>(rounds);
   state.counters["lanes"] = static_cast<double>(threads);
@@ -211,16 +223,15 @@ void BM_EngineDense(benchmark::State& state) {
   const auto g = eds::graph::random_regular(512, d, rng);
   const auto pg = eds::port::with_random_ports(g, rng);
   std::uint64_t rounds = 0;
-  const AllocPressure alloc;
-  const StageSplit split;
+  eds::runtime::RunMetrics metrics;
   for (auto _ : state) {
-    auto outcome = eds::algo::run_algorithm(
-        pg, eds::algo::Algorithm::kDoubleCover, d);
+    auto outcome =
+        run_measured(pg, eds::algo::Algorithm::kDoubleCover, d, metrics);
     rounds = outcome.stats.rounds;
     benchmark::DoNotOptimize(outcome.stats.messages_sent);
   }
-  split.export_into(state);
-  alloc.export_into(state);
+  export_split(state, metrics);
+  export_alloc(state, metrics);
   state.counters["n"] = static_cast<double>(g.num_nodes());
   state.counters["rounds"] = static_cast<double>(rounds);
   state.counters["degree"] = static_cast<double>(d);
@@ -244,7 +255,6 @@ void BM_EngineSparse(benchmark::State& state) {
       std::max<std::size_t>(g.max_degree(), 2));
   std::uint64_t rounds = 0;
   std::uint64_t messages = 0;
-  const AllocPressure alloc;
   for (auto _ : state) {
     auto outcome = eds::algo::run_algorithm(
         pg, eds::algo::Algorithm::kBoundedDegree, delta);
@@ -252,7 +262,13 @@ void BM_EngineSparse(benchmark::State& state) {
     messages = outcome.stats.messages_sent;
     benchmark::DoNotOptimize(outcome.solution.size());
   }
-  alloc.export_into(state);
+  // The workspace counters come from one more run after the timed loop:
+  // a sink would time the stages, and on this mostly idle schedule the
+  // timestamps cost about a tenth of the fused loop's time.
+  eds::runtime::RunMetrics metrics;
+  (void)run_measured(pg, eds::algo::Algorithm::kBoundedDegree, delta,
+                     metrics);
+  export_alloc(state, metrics);
   state.counters["n"] = static_cast<double>(n);
   state.counters["rounds"] = static_cast<double>(rounds);
   state.counters["messages"] = static_cast<double>(messages);
@@ -346,13 +362,13 @@ void BM_BatchSweep(benchmark::State& state) {
     items.push_back({&pg, eds::algo::Algorithm::kBoundedDegree, 4});
   }
   std::uint64_t rounds = 0;
-  const AllocPressure alloc;
   for (auto _ : state) {
-    auto outcomes = eds::algo::run_batch(items, threads);
+    auto outcomes = eds::algo::run_batch(items, {.threads = threads});
     rounds = outcomes.back().stats.rounds;
     benchmark::DoNotOptimize(outcomes.size());
   }
-  alloc.export_into(state);
+  export_alloc(state, measure_batch(items, threads,
+                                    eds::runtime::PlanCache::global()));
   state.counters["n"] = 512.0 * 32.0;
   state.counters["rounds"] = static_cast<double>(rounds);
   state.counters["lanes"] = static_cast<double>(threads);
@@ -372,14 +388,13 @@ void BM_PlanCacheSweep(benchmark::State& state) {
       jobs, {&pg, eds::algo::Algorithm::kBoundedDegree, 4});
   eds::runtime::PlanCache cache;
   std::uint64_t rounds = 0;
-  const AllocPressure alloc;
   for (auto _ : state) {
-    auto outcomes = eds::algo::run_batch(items, 1, &cache);
+    auto outcomes = eds::algo::run_batch(items, {.threads = 1}, &cache);
     rounds = outcomes.back().stats.rounds;
     benchmark::DoNotOptimize(outcomes.size());
   }
-  alloc.export_into(state);
   const auto stats = cache.stats();
+  export_alloc(state, measure_batch(items, 1, cache));
   state.counters["n"] = 1024.0;
   state.counters["rounds"] = static_cast<double>(rounds);
   // plan_misses is timer-independent (the one compile, however many

@@ -44,7 +44,7 @@ int main() {
       items.push_back(
           {&instances[i + 3], eds::algo::Algorithm::kBoundedDegree, 4});
     }
-    const auto outcomes = eds::algo::run_batch(items);
+    const auto outcomes = eds::algo::run_batch(items, {.threads = 0});
     for (std::size_t i = 0; i < ns.size(); ++i) {
       by_n.row({std::to_string(ns[i]),
                 std::to_string(outcomes[4 * i].stats.rounds),
@@ -75,7 +75,7 @@ int main() {
                                   : eds::algo::Algorithm::kOddRegular,
                        d % 2 == 0 ? eds::port::Port{0} : d});
     }
-    const auto outcomes = eds::algo::run_batch(items);
+    const auto outcomes = eds::algo::run_batch(items, {.threads = 0});
     for (eds::port::Port d = 1; d <= 9; ++d) {
       const auto& r = outcomes[d - 1];
       std::string even = "-";

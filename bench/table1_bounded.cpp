@@ -77,7 +77,7 @@ int main() {
     for (const auto& pg : numberings) {
       items.push_back({&pg, Algorithm::kBoundedDegree, delta});
     }
-    const auto outcomes = eds::algo::run_batch(items);
+    const auto outcomes = eds::algo::run_batch(items, {.threads = 0});
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       feasible = feasible &&
                  eds::analysis::is_edge_dominating_set(numberings[i].graph(),

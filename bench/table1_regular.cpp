@@ -83,7 +83,7 @@ Row measure(eds::port::Port d, eds::Rng& rng) {
   for (const auto& pg : numberings) {
     items.push_back({&pg, alg, d % 2 ? d : eds::port::Port{0}});
   }
-  const auto outcomes = eds::algo::run_batch(items);
+  const auto outcomes = eds::algo::run_batch(items, {.threads = 0});
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     row.all_feasible =
         row.all_feasible &&

@@ -168,13 +168,6 @@ PreparedBatch prepare_batch(const std::vector<BatchItem>& items,
 }  // namespace
 
 std::vector<EdsOutcome> run_batch(const std::vector<BatchItem>& items,
-                                  unsigned threads,
-                                  runtime::PlanCache* plan_cache) {
-  return run_batch(items, runtime::ExecOptions{.threads = threads},
-                   plan_cache);
-}
-
-std::vector<EdsOutcome> run_batch(const std::vector<BatchItem>& items,
                                   const runtime::ExecOptions& exec,
                                   runtime::PlanCache* plan_cache) {
   std::vector<EdsOutcome> outcomes(items.size());
@@ -185,15 +178,6 @@ std::vector<EdsOutcome> run_batch(const std::vector<BatchItem>& items,
       },
       plan_cache);
   return outcomes;
-}
-
-void run_batch_streaming(
-    const std::vector<BatchItem>& items, unsigned threads,
-    const std::function<void(std::size_t index, EdsOutcome&& outcome)>&
-        on_outcome,
-    runtime::PlanCache* plan_cache) {
-  run_batch_streaming(items, runtime::ExecOptions{.threads = threads},
-                      on_outcome, plan_cache);
 }
 
 void run_batch_streaming(

@@ -82,21 +82,16 @@ struct BatchItem {
   port::Port param = 0;
 };
 
-/// Runs every item concurrently over a BatchRunner pool with `threads`
-/// workers (0 = one per hardware thread) and returns the validated outcomes
-/// in item order — deterministically identical for every thread count.
-/// Plans are shared through `plan_cache` (null = PlanCache::global()), so
+/// Runs every item concurrently and returns the validated outcomes in item
+/// order — deterministically identical for every backend and lane count.
+/// `exec.executor` (when set) replaces the in-process pool — e.g. a
+/// runtime::ProcessShardExecutor fans the items across worker
+/// subprocesses — while `exec.threads` sizes the in-process BatchRunner
+/// pool otherwise (0 = one lane per hardware thread).  Every job is
+/// prepared with a serializable JobSpec (algorithm token, resolved
+/// parameter, structural-hash group), so any backend can ship it.  Plans
+/// are shared through `plan_cache` (null = PlanCache::global()), so
 /// repeated items on one graph compile a single ExecutionPlan.
-[[nodiscard]] std::vector<EdsOutcome> run_batch(
-    const std::vector<BatchItem>& items, unsigned threads = 0,
-    runtime::PlanCache* plan_cache = nullptr);
-
-/// Backend-selecting run_batch: `exec.executor` (when set) replaces the
-/// in-process pool — e.g. a runtime::ProcessShardExecutor fans the items
-/// across worker subprocesses — while `exec.threads` sizes the in-process
-/// pool otherwise.  Every job is prepared with a serializable JobSpec
-/// (algorithm token, resolved parameter, structural-hash group), so any
-/// backend can ship it.  Outcomes are identical for every backend.
 [[nodiscard]] std::vector<EdsOutcome> run_batch(
     const std::vector<BatchItem>& items, const runtime::ExecOptions& exec,
     runtime::PlanCache* plan_cache = nullptr);
@@ -106,14 +101,6 @@ struct BatchItem {
 /// increasing item order — see BatchRunner::run_streaming), so long sweeps
 /// can emit output incrementally.  Blocks until the batch drains; rethrows
 /// the lowest-indexed failure after withholding outcomes from it onward.
-void run_batch_streaming(
-    const std::vector<BatchItem>& items, unsigned threads,
-    const std::function<void(std::size_t index, EdsOutcome&& outcome)>&
-        on_outcome,
-    runtime::PlanCache* plan_cache = nullptr);
-
-/// Backend-selecting run_batch_streaming (see the ExecOptions overload of
-/// run_batch for the backend rules).
 void run_batch_streaming(
     const std::vector<BatchItem>& items, const runtime::ExecOptions& exec,
     const std::function<void(std::size_t index, EdsOutcome&& outcome)>&

@@ -103,34 +103,6 @@ void rethrow_first(const std::vector<ShardScratch>& scratch,
   }
 }
 
-std::atomic<std::uint64_t> g_ws_reuses{0};
-std::atomic<std::uint64_t> g_ws_growths{0};
-std::atomic<std::uint64_t> g_ws_bytes{0};
-
-std::atomic<bool> g_stage_profile{false};
-/// Bumped whenever the profiling flag may have changed
-/// (engine_stage_profiling and engine_stage_stats_reset both bump it), so
-/// every lane's cached sample is invalidated and re-read on its next run.
-std::atomic<std::uint64_t> g_profile_epoch{1};
-std::atomic<std::uint64_t> g_exchange_ns{0};
-std::atomic<std::uint64_t> g_receive_ns{0};
-std::atomic<std::uint64_t> g_scan_ns{0};
-std::atomic<std::uint64_t> g_profiled_rounds{0};
-
-/// Per-run sample of the profiling flag, cached per lane behind the epoch
-/// counter: one relaxed epoch load per run on the steady path, a flag
-/// re-sample only after a toggle or a stats reset.
-bool stage_profiling_sample() noexcept {
-  thread_local std::uint64_t seen_epoch = 0;
-  thread_local bool cached = false;
-  const auto epoch = g_profile_epoch.load(std::memory_order_acquire);
-  if (epoch != seen_epoch) {
-    cached = g_stage_profile.load(std::memory_order_relaxed);
-    seen_epoch = epoch;
-  }
-  return cached;
-}
-
 /// Wake-bucket key: the round a sleeping node is next due, then the node,
 /// so the min-heap pops each round's bucket in ascending node order.
 std::uint64_t wake_key(Round round, std::uint32_t node) noexcept {
@@ -169,18 +141,11 @@ struct EngineWorkspace {
   std::vector<std::uint32_t> woken;
   std::vector<std::size_t> bounds;  // shard boundaries, shards + 1 entries
   std::vector<ShardScratch> scratch;
-  bool in_use = false;       // re-entrancy guard (see acquire below)
-  std::size_t bytes = 0;     // last accounted footprint
+  bool in_use = false;  // re-entrancy guard (see acquire below)
 
   EngineWorkspace() = default;
   EngineWorkspace(const EngineWorkspace&) = delete;
   EngineWorkspace& operator=(const EngineWorkspace&) = delete;
-  ~EngineWorkspace() {
-    // The lane (thread) is going away: return its bytes to the gauge, or
-    // short-lived pools (one BatchRunner per run_batch call) would leak
-    // dead bytes into the "currently pooled" statistic.
-    g_ws_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-  }
 
   [[nodiscard]] std::size_t footprint() const noexcept {
     std::size_t scratch_bytes = 0;
@@ -197,10 +162,11 @@ struct EngineWorkspace {
 
   /// Resets the buffers for a run over `n` nodes / `total_ports` ports with
   /// `lanes` shards, growing capacity only when this lane has never seen a
-  /// graph this large.  Both outboxes reset to silence: the double buffer
-  /// is the workspace's deliberate second total_ports-sized allocation,
-  /// bought to run each round behind a single barrier.
-  void prepare(std::size_t n, std::size_t total_ports, unsigned lanes) {
+  /// graph this large, and returns whether it grew.  Both outboxes reset
+  /// to silence: the double buffer is the workspace's deliberate second
+  /// total_ports-sized allocation, bought to run each round behind a
+  /// single barrier.
+  bool prepare(std::size_t n, std::size_t total_ports, unsigned lanes) {
     const bool grows = total_ports > outbox[0].capacity() ||
                        n > wake.capacity() || lanes > scratch.size();
     outbox[0].assign(total_ports, kSilence);
@@ -212,18 +178,7 @@ struct EngineWorkspace {
     visit.clear();
     visit.reserve(n);
     if (scratch.size() < lanes) scratch.resize(lanes);
-    (grows ? g_ws_growths : g_ws_reuses).fetch_add(1,
-                                                   std::memory_order_relaxed);
-  }
-
-  void account() noexcept {
-    const std::size_t now = footprint();
-    if (now >= bytes) {
-      g_ws_bytes.fetch_add(now - bytes, std::memory_order_relaxed);
-    } else {
-      g_ws_bytes.fetch_sub(bytes - now, std::memory_order_relaxed);
-    }
-    bytes = now;
+    return grows;
   }
 };
 
@@ -238,18 +193,15 @@ EngineWorkspace* acquire_workspace() {
   return &workspace;
 }
 
-/// RAII over acquire_workspace(): releases the lane workspace (updating the
-/// byte accounting) or owns the recursive-fallback workspace outright.
+/// RAII over acquire_workspace(): releases the lane workspace or owns the
+/// recursive-fallback workspace outright.
 class WorkspaceLease {
  public:
   WorkspaceLease()
       : pooled_(acquire_workspace()),
         fallback_(pooled_ ? nullptr : std::make_unique<EngineWorkspace>()) {}
   ~WorkspaceLease() {
-    if (pooled_) {
-      pooled_->account();
-      pooled_->in_use = false;
-    }
+    if (pooled_) pooled_->in_use = false;
   }
   WorkspaceLease(const WorkspaceLease&) = delete;
   WorkspaceLease& operator=(const WorkspaceLease&) = delete;
@@ -275,38 +227,6 @@ class WorkspaceLease {
 
 }  // namespace
 
-EngineAllocStats engine_alloc_stats() noexcept {
-  EngineAllocStats stats;
-  stats.workspace_reuses = g_ws_reuses.load(std::memory_order_relaxed);
-  stats.workspace_growths = g_ws_growths.load(std::memory_order_relaxed);
-  stats.workspace_bytes = g_ws_bytes.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void engine_stage_profiling(bool enabled) noexcept {
-  g_stage_profile.store(enabled, std::memory_order_relaxed);
-  g_profile_epoch.fetch_add(1, std::memory_order_release);
-}
-
-EngineStageStats engine_stage_stats() noexcept {
-  EngineStageStats stats;
-  stats.exchange_ns = g_exchange_ns.load(std::memory_order_relaxed);
-  stats.receive_ns = g_receive_ns.load(std::memory_order_relaxed);
-  stats.scan_ns = g_scan_ns.load(std::memory_order_relaxed);
-  stats.profiled_rounds = g_profiled_rounds.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void engine_stage_stats_reset() noexcept {
-  g_exchange_ns.store(0, std::memory_order_relaxed);
-  g_receive_ns.store(0, std::memory_order_relaxed);
-  g_scan_ns.store(0, std::memory_order_relaxed);
-  g_profiled_rounds.store(0, std::memory_order_relaxed);
-  // Invalidate every lane's cached flag sample: a toggle that raced the
-  // previous measurement window is picked up by the very next run.
-  g_profile_epoch.fetch_add(1, std::memory_order_release);
-}
-
 RunResult run_plan(const ExecutionPlan& plan,
                    std::vector<std::unique_ptr<NodeProgram>>& programs,
                    const RunOptions& options, const std::string& name,
@@ -322,7 +242,7 @@ RunResult run_plan(const ExecutionPlan& plan,
   const unsigned lanes = pool.lanes();
   const WorkspaceLease lease;
   EngineWorkspace& ws = *lease;
-  ws.prepare(n, plan.total_ports(), lanes);
+  const bool grew = ws.prepare(n, plan.total_ports(), lanes);
   std::vector<Round>& wake = ws.wake;
   std::vector<std::uint8_t>& dirty = ws.dirty;
   std::vector<char>& asleep = ws.asleep;
@@ -348,12 +268,12 @@ RunResult run_plan(const ExecutionPlan& plan,
   const bool collect = options.collect_messages;
   RunStats& stats = result.stats;
 
-  // Stage profiling: the flag is sampled once per run (epoch-cached per
-  // lane), so a disabled run takes no timestamps at all.  Profiled runs
-  // drive each shard's visit range as a receive sweep then a send sweep so
-  // the split can be timed at shard granularity — bit-identical results,
-  // since programs only observe their own call sequence.
-  const bool profile = stage_profiling_sample();
+  // Stage profiling, for runs with a metrics sink only: a run without one
+  // takes no timestamps at all.  Profiled runs drive each shard's visit
+  // range as a receive sweep then a send sweep so the split can be timed
+  // at shard granularity — bit-identical results, since programs only
+  // observe their own call sequence.
+  const bool profile = options.metrics != nullptr;
   using ProfileClock = std::chrono::steady_clock;
   const auto elapsed_ns = [](ProfileClock::time_point from,
                              ProfileClock::time_point to) {
@@ -636,13 +556,6 @@ RunResult run_plan(const ExecutionPlan& plan,
     ++round;
   }
 
-  if (profile) {
-    g_exchange_ns.fetch_add(exchange_ns, std::memory_order_relaxed);
-    g_receive_ns.fetch_add(receive_ns, std::memory_order_relaxed);
-    g_scan_ns.fetch_add(scan_ns, std::memory_order_relaxed);
-    g_profiled_rounds.fetch_add(round, std::memory_order_relaxed);
-  }
-
   stats.rounds = round;
   result.outputs.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
@@ -660,6 +573,15 @@ RunResult run_plan(const ExecutionPlan& plan,
           "run_synchronous: node output contains a duplicate port");
     }
     result.outputs[v] = std::move(ports);
+  }
+  if (profile) {
+    *options.metrics += {.exchange_ns = exchange_ns,
+                         .receive_ns = receive_ns,
+                         .scan_ns = scan_ns,
+                         .rounds = round,
+                         .workspace_reuses = grew ? 0u : 1u,
+                         .workspace_growths = grew ? 1u : 0u,
+                         .workspace_bytes = ws.footprint()};
   }
   return result;
 }

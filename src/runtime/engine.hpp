@@ -145,65 +145,11 @@ class ExecutionPlan {
 /// total_ports-sized slot array — the price of running each round behind
 /// a single barrier.  Everything else is O(n), plus one outdated wake
 /// bucket entry per arrival wake until the round it replaced comes up.
+/// RunOptions::metrics, when set, receives the stage split and workspace
+/// reuse, growth and footprint.
 [[nodiscard]] RunResult run_plan(
     const ExecutionPlan& plan,
     std::vector<std::unique_ptr<NodeProgram>>& programs,
     const RunOptions& options, const std::string& name, ThreadPool& pool);
-
-/// Allocation-pressure counters for the pooled message transport
-/// (process-wide, monotonic except `workspace_bytes`).  A healthy steady
-/// state shows `workspace_reuses` ~ runs and `workspace_growths` ~ the
-/// number of distinct lanes times the number of times a strictly larger
-/// graph appeared; bench_micro_runtime exports the deltas per benchmark.
-struct EngineAllocStats {
-  std::uint64_t workspace_reuses = 0;   ///< runs served without growing
-  std::uint64_t workspace_growths = 0;  ///< runs that grew a pooled buffer
-  std::uint64_t workspace_bytes = 0;    ///< bytes currently pooled, all lanes
-
-  [[nodiscard]] bool operator==(const EngineAllocStats&) const = default;
-};
-
-/// Snapshot of the pooled-transport counters.
-[[nodiscard]] EngineAllocStats engine_alloc_stats() noexcept;
-
-/// Round-stage wall-time split, accumulated by run_plan while profiling is
-/// enabled (process-wide, monotonic).  `exchange_ns` covers the send sweep
-/// (outbox segment writes, the send-time message count and arrival
-/// detection); `receive_ns` covers the re-silencing, involution gather and
-/// receive sweep (including the round barrier with more than one lane) plus
-/// the shard-order merge; `scan_ns` is the between-stage wake scan —
-/// arrival merging, the wake buckets and assembling the next visit list.
-/// Per profiled round, exchange_ns + receive_ns + scan_ns ≈ wall time.
-///
-/// Timing the split at shard granularity requires per-stage sweeps, so a
-/// profiled run drives each shard's visit range as a receive sweep then a
-/// send sweep instead of the fused per-node pass — bit-identical results,
-/// a few percent of overhead on dense graphs.  bench_micro_runtime exports
-/// the deltas per benchmark.
-struct EngineStageStats {
-  std::uint64_t exchange_ns = 0;       ///< send sweep
-  std::uint64_t receive_ns = 0;        ///< gather+receive sweep + merge
-  std::uint64_t scan_ns = 0;           ///< between-stage wake scan
-  std::uint64_t profiled_rounds = 0;   ///< rounds timed while enabled
-
-  [[nodiscard]] bool operator==(const EngineStageStats&) const = default;
-};
-
-/// Toggles stage profiling (default off).  The hot loop samples the flag
-/// once per run (through a per-thread epoch cache), so enabling it mid-run
-/// affects the *next* run; when off, the round loop takes no timestamps at
-/// all.
-void engine_stage_profiling(bool enabled) noexcept;
-
-/// Snapshot of the stage-timing counters.
-[[nodiscard]] EngineStageStats engine_stage_stats() noexcept;
-
-/// Zeroes the stage-timing counters.  They are process-wide and cumulative
-/// across runs, so per-run (or per-mode, e.g. sync vs async) attribution
-/// needs a reset between measurements; callers that prefer deltas can keep
-/// snapshotting instead.  The reset also invalidates every lane's cached
-/// sample of the profiling flag, so a toggle followed by a reset is picked
-/// up by the very next run on any thread.
-void engine_stage_stats_reset() noexcept;
 
 }  // namespace eds::runtime

@@ -1,8 +1,10 @@
 #include "runtime/fault.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -20,16 +22,24 @@ std::vector<std::string> split_spec(const std::string& spec) {
   return parts;
 }
 
+/// `text` as an unsigned decimal, or nothing: digits only (no sign, space
+/// or base prefix) and no more than fit 64 bits, as the port-graph reader
+/// takes its numbers.
+std::optional<std::uint64_t> unsigned_decimal(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 std::uint64_t parse_ticks(const std::string& text, const std::string& spec) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
+  const auto value = unsigned_decimal(text);
+  if (!value) {
     throw InvalidArgument("parse_delay_model: bad tick count '" + text +
                           "' in '" + spec + "'");
   }
+  return *value;
 }
 
 }  // namespace
@@ -111,7 +121,7 @@ double parse_prob(const std::string& text, const std::string& key) {
   try {
     std::size_t pos = 0;
     const double value = std::stod(text, &pos);
-    if (pos != text.size() || value < 0.0 || value > 1.0) {
+    if (pos != text.size() || !(value >= 0.0 && value <= 1.0)) {
       throw std::invalid_argument(text);
     }
     return value;
@@ -121,16 +131,21 @@ double parse_prob(const std::string& text, const std::string& key) {
   }
 }
 
-std::uint64_t parse_u64(const std::string& text, const std::string& key) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
+/// One numeric token of a replay file, for a field of type T: an unsigned
+/// decimal no larger than T holds, never truncated or wrapped into it.
+template <typename T = std::uint64_t>
+T parse_u64(const std::string& text, const std::string& key) {
+  const auto value = unsigned_decimal(text);
+  if (!value) {
     throw InvalidArgument("decode_replay: bad number '" + text + "' for '" +
                           key + "'");
   }
+  if (*value > std::numeric_limits<T>::max()) {
+    throw InvalidArgument("decode_replay: '" + key + "' value " + text +
+                          " exceeds its maximum " +
+                          std::to_string(std::numeric_limits<T>::max()));
+  }
+  return static_cast<T>(*value);
 }
 
 }  // namespace
@@ -215,7 +230,7 @@ ReplayFile decode_replay(const std::string& text) {
     } else if (key == "algorithm") {
       replay.algorithm = rest();
     } else if (key == "param") {
-      replay.param = static_cast<std::uint32_t>(parse_u64(rest(), key));
+      replay.param = parse_u64<std::uint32_t>(rest(), key);
     } else if (key == "synchronizer") {
       const auto token = rest();
       if (token != "on" && token != "off") {
@@ -234,7 +249,7 @@ ReplayFile decode_replay(const std::string& text) {
       replay.options.seed = parse_u64(rest(), key);
     } else if (key == "crash") {
       CrashEvent c;
-      c.node = static_cast<port::NodeId>(parse_u64(rest(), key));
+      c.node = parse_u64<port::NodeId>(rest(), key);
       c.time = parse_u64(rest(), key);
       replay.options.faults.crashes.push_back(c);
     } else if (key == "prioseed") {
@@ -245,7 +260,7 @@ ReplayFile decode_replay(const std::string& text) {
       replay.options.schedule.change_points.push_back(parse_u64(rest(), key));
     } else if (key == "override") {
       DelayOverride o;
-      o.port = static_cast<std::uint32_t>(parse_u64(rest(), key));
+      o.port = parse_u64<std::uint32_t>(rest(), key);
       o.ticks = parse_u64(rest(), key);
       replay.options.schedule.delay_overrides.push_back(o);
     } else if (key == "metric") {

@@ -57,8 +57,9 @@ struct DelayModel {
 };
 
 /// Parses a delay specification: "fixed:T", "uniform:LO:HI" or
-/// "geometric:MEAN[:CAP]" (CAP defaults to 8×MEAN).  Throws InvalidArgument
-/// on malformed specs, zero delays or inverted bounds.
+/// "geometric:MEAN[:CAP]" (CAP defaults to 8×MEAN), each tick count an
+/// unsigned decimal.  Throws InvalidArgument on malformed specs, zero
+/// delays or inverted bounds.
 [[nodiscard]] DelayModel parse_delay_model(const std::string& spec);
 
 /// Renders a DelayModel back into its canonical specification string.
@@ -245,9 +246,11 @@ inline constexpr std::uint32_t kReplaySchemaVersion = 1;
 [[nodiscard]] std::string encode_replay(const ReplayFile& replay);
 
 /// Parses a replay file; throws InvalidArgument on a missing/mismatched
-/// schema header, unknown records, malformed numbers or a missing graph
-/// section.  Round-trips encode_replay exactly (including the loss and
-/// duplication probabilities, written with max_digits10 precision).
+/// schema header, unknown records, malformed numbers (anything but
+/// unsigned decimal digits), a number above its field's maximum (param,
+/// crash node and override port are 32-bit) or a missing graph section.
+/// Round-trips encode_replay exactly (including the loss and duplication
+/// probabilities, written with max_digits10 precision).
 [[nodiscard]] ReplayFile decode_replay(const std::string& text);
 
 }  // namespace eds::runtime

@@ -1,5 +1,6 @@
 #include "runtime/runner.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "runtime/async.hpp"
@@ -31,6 +32,17 @@ std::shared_ptr<const ExecutionPlan> resolve_plan(const port::PortGraph& g,
 }
 
 }  // namespace detail
+
+RunMetrics& RunMetrics::operator+=(const RunMetrics& other) noexcept {
+  exchange_ns += other.exchange_ns;
+  receive_ns += other.receive_ns;
+  scan_ns += other.scan_ns;
+  rounds += other.rounds;
+  workspace_reuses += other.workspace_reuses;
+  workspace_growths += other.workspace_growths;
+  workspace_bytes = std::max(workspace_bytes, other.workspace_bytes);
+  return *this;
+}
 
 std::string format_transcript(const RunResult& result) {
   std::ostringstream os;

@@ -42,11 +42,13 @@ class ExecutionPlan;
 /// α-synchronizer it is bit-identical too (that equivalence is itself a
 /// differential oracle), without it results may legitimately differ.
 struct ExecOptions {
-  /// Lanes to shard each round's fused gather/receive/send pass over
-  /// (contiguous visit-list ranges balanced by port count, one barrier per
-  /// round): 1 = one lane, inline on the caller (default), >1 = a
-  /// ThreadPool with that many lanes, 0 = one lane per hardware thread.  At the batch level (`algo::run_batch`) this is instead the
-  /// number of concurrent jobs of the in-process backend.
+  /// Lanes to shard each round's gather/receive/send pass over
+  /// (contiguous visit-list ranges balanced by port count, one barrier
+  /// per round): 1 = one lane, inline on the caller (default), >1 = a
+  /// ThreadPool with that many lanes, 0 = one lane per hardware thread.
+  /// Passed to `algo::run_batch` / `run_batch_streaming`, it is instead
+  /// the number of concurrent jobs of the in-process backend, and each
+  /// job runs on one lane.
   unsigned threads = 1;
 
   /// When set, the ExecutionPlan is fetched from (and shared through) this
@@ -77,6 +79,28 @@ struct ExecOptions {
   [[nodiscard]] bool operator==(const ExecOptions&) const = default;
 };
 
+/// The round engine's measurements of the runs whose RunOptions::metrics
+/// points here: run_plan adds each finished run in (a run that throws adds
+/// nothing), so one sink can total several runs.  Never share a sink
+/// between concurrent runs.  The asynchronous engine leaves it untouched.
+/// Timing the stages drives each shard as a receive sweep then a send
+/// sweep instead of the fused pass: bit-identical results, a few percent
+/// slower on dense graphs.
+struct RunMetrics {
+  std::uint64_t exchange_ns = 0;  ///< send sweep, arrival detection
+  std::uint64_t receive_ns = 0;   ///< gather + receive sweep, barrier, merge
+  std::uint64_t scan_ns = 0;      ///< between-stage wake scan
+  std::uint64_t rounds = 0;       ///< RunStats::rounds of the runs, summed
+  std::uint64_t workspace_reuses = 0;   ///< runs on a big enough workspace
+  std::uint64_t workspace_growths = 0;  ///< runs that had to grow it
+  std::uint64_t workspace_bytes = 0;    ///< lane footprint after a run, max
+
+  /// Sums every field but workspace_bytes, which takes the max.
+  RunMetrics& operator+=(const RunMetrics& other) noexcept;
+
+  [[nodiscard]] bool operator==(const RunMetrics&) const = default;
+};
+
 struct RunOptions {
   /// Hard cap on rounds; exceeding it throws ExecutionError.  Must be
   /// positive — a zero cap is rejected up front with InvalidArgument.
@@ -88,6 +112,11 @@ struct RunOptions {
   /// Record every delivered non-silence message in RunResult::message_log
   /// (for transcripts and debugging; memory grows with traffic).
   bool collect_messages = false;
+
+  /// When set, the round engine times this run into the sink (see
+  /// RunMetrics); null runs the fused, timestamp-free round loop.
+  /// ProcessShardExecutor rejects jobs that carry a sink.
+  RunMetrics* metrics = nullptr;
 
   /// Engine selection (lanes, plan cache, backend, model); see ExecOptions.
   ExecOptions exec;

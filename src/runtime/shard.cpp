@@ -701,6 +701,11 @@ void ProcessShardExecutor::validate(const std::vector<BatchJob>& jobs) const {
           "ProcessShardExecutor: trace/message collection does not cross "
           "the wire");
     }
+    if (job.options.metrics != nullptr) {
+      throw InvalidArgument(
+          "ProcessShardExecutor: a metrics sink cannot be filled across "
+          "the wire");
+    }
     if (job.options.exec.async.has_value() &&
         !job.options.exec.async->schedule.empty()) {
       throw InvalidArgument(

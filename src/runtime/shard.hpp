@@ -270,8 +270,9 @@ class ProcessShardExecutor final : public Executor {
                        unsigned shards, Options options);
 
   /// Every job must carry a JobSpec and must not request trace or message
-  /// collection (those RunResult fields do not cross the wire).  Async
-  /// jobs cross, but their Schedule must be empty.
+  /// collection (those RunResult fields do not cross the wire) or carry a
+  /// RunOptions::metrics sink.  Async jobs cross, but their Schedule must
+  /// be empty.
   void validate(const std::vector<BatchJob>& jobs) const override;
 
   /// Throws InvalidArgument (via validate) before anything is spawned.

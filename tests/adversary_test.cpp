@@ -148,6 +148,37 @@ TEST(ReplayCodec, RejectsGarbageAndWrongSchema) {
       InvalidArgument);
 }
 
+TEST(ReplayCodec, RejectsNumbersTheirFieldsCannotHold) {
+  // Numbers are unsigned decimal digits, and a value too large for its
+  // field is an error, never truncated into it.
+  const auto with = [](const std::string& record) {
+    return "edsched 1\nalgorithm odd-regular\n" + record + "\ngraph\n";
+  };
+  EXPECT_EQ(decode_replay(with("param 4294967295")).param, 4294967295u);
+  EXPECT_THROW((void)decode_replay(with("param 4294967296")), InvalidArgument);
+  EXPECT_THROW((void)decode_replay(with("param 4294967299")), InvalidArgument);
+  EXPECT_THROW((void)decode_replay(with("param -1")), InvalidArgument);
+  EXPECT_THROW((void)decode_replay(with("param +3")), InvalidArgument);
+  EXPECT_THROW((void)decode_replay(with("param 0x3")), InvalidArgument);
+  EXPECT_THROW((void)decode_replay(with("param 3x")), InvalidArgument);
+
+  EXPECT_EQ(decode_replay(with("crash 4294967295 5")).options.faults.crashes,
+            (std::vector<CrashEvent>{{4294967295u, 5}}));
+  EXPECT_THROW((void)decode_replay(with("crash 4294967296 5")),
+               InvalidArgument);
+  EXPECT_THROW((void)decode_replay(with("crash 1 -5")), InvalidArgument);
+  EXPECT_THROW((void)decode_replay(with("override 4294967296 2")),
+               InvalidArgument);
+
+  // 64-bit fields take the full range and no more.
+  EXPECT_EQ(decode_replay(with("seed 18446744073709551615")).options.seed,
+            18446744073709551615ull);
+  EXPECT_THROW((void)decode_replay(with("seed 18446744073709551616")),
+               InvalidArgument);
+  EXPECT_THROW((void)decode_replay(with("delay fixed:-1")), InvalidArgument);
+  EXPECT_THROW((void)decode_replay(with("loss nan")), InvalidArgument);
+}
+
 TEST(EngineSchedule, ValidationRejectsMalformedSchedules) {
   const auto g = random_multigraph_fixture();
   const test::EchoFactory factory(2);

@@ -983,6 +983,18 @@ TEST(Cli, SweepAdversaryRejections) {
     sink << "not a replay\n";
   }
   EXPECT_EQ(invoke({"sweep", "--replay", garbage}).code, 2);
+  // A number too large for its field is refused, not truncated.
+  const auto too_large = ::testing::TempDir() + "cli_too_large.edsched";
+  {
+    std::ofstream sink(too_large);
+    sink << "edsched 1\nalgorithm odd-regular\nparam 4294967299\n"
+            "graph\nports 0\ndeg\n";
+  }
+  const auto refused = invoke({"sweep", "--replay", too_large});
+  EXPECT_EQ(refused.code, 2);
+  EXPECT_NE(refused.err.find("'param' value 4294967299 exceeds"),
+            std::string::npos)
+      << refused.err;
 }
 
 }  // namespace

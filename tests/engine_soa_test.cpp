@@ -1,12 +1,11 @@
 // The rebuilt message transport (sender-indexed double-buffered outbox,
 // degree-balanced shard boundaries) against the
 // policy-free seed oracle: bit-identity across lane counts on the degree
-// distributions that stress lane balancing hardest, byte-level accounting
-// for the pooled buffers, and the profiling-flag epoch cache.
+// distributions that stress lane balancing hardest, with and without a
+// metrics sink.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -30,13 +29,16 @@ using test::reference_run;
 /// degree-skewed: balanced_shard_bounds hands lanes very different node
 /// counts, and empty shards are possible — none of which may leak into
 /// results.
+/// With `metrics` set, the engine runs carry it as their sink.
 void expect_lane_counts_match(const port::PortGraph& g,
                               const ProgramFactory& factory,
-                              const char* label) {
+                              const char* label,
+                              RunMetrics* metrics = nullptr) {
   RunOptions options;
   options.collect_trace = true;
   options.collect_messages = true;
   const auto expected = reference_run(g, factory, options);
+  options.metrics = metrics;
   for (const unsigned threads : {1u, 2u, 8u, 16u}) {
     options.exec.threads = threads;
     const auto got = run_synchronous(g, factory, options);
@@ -87,10 +89,11 @@ TEST(EngineSoa, ProfiledRunsStayBitIdentical) {
   auto rng = test::make_rng(0x50A4);
   const auto pg =
       port::with_random_ports(graph::random_power_law(200, 2.3, rng), rng);
-  engine_stage_profiling(true);
-  expect_lane_counts_match(pg.ports(), EchoFactory(5), "profiled power-law");
-  engine_stage_profiling(false);
-  EXPECT_GT(engine_stage_stats().profiled_rounds, 0u);
+  RunMetrics metrics;
+  expect_lane_counts_match(pg.ports(), EchoFactory(5), "profiled power-law",
+                           &metrics);
+  const auto rounds = run_synchronous(pg.ports(), EchoFactory(5)).stats.rounds;
+  EXPECT_EQ(metrics.rounds, 4 * rounds) << "one sink totals the four runs";
 }
 
 TEST(EngineSoa, BalancedShardBoundsEqualizePortCounts) {
@@ -120,52 +123,6 @@ TEST(EngineSoa, BalancedShardBoundsEqualizePortCounts) {
   balanced_shard_bounds(
       8, 4, [](std::size_t) { return std::uint64_t{0}; }, bounds);
   EXPECT_EQ(bounds, (std::vector<std::size_t>{0, 2, 4, 6, 8}));
-}
-
-TEST(EngineSoa, WorkspaceReturnsEveryPooledByteOnTeardown) {
-  // The leak check for the pooled transport buffers: a lane that ran the
-  // double-buffered engine gives back every byte the gauge charged it —
-  // outbox pairs, tag lanes and shard scratch included — when the thread
-  // exits.
-  const auto baseline = engine_alloc_stats().workspace_bytes;
-  std::uint64_t charged = 0;
-  std::thread lane([&] {
-    auto rng = test::make_rng(0x50A6);
-    const auto pg = test::random_ported_regular(256, 6, rng);
-    RunOptions options;
-    for (const unsigned threads : {1u, 8u}) {
-      options.exec.threads = threads;
-      (void)run_synchronous(pg.ports(), EchoFactory(4), options);
-    }
-    charged = engine_alloc_stats().workspace_bytes - baseline;
-  });
-  lane.join();
-  EXPECT_GT(charged, 0u) << "the lane's workspace was never accounted";
-  EXPECT_EQ(engine_alloc_stats().workspace_bytes, baseline)
-      << "a dead lane left pooled transport bytes in the gauge";
-}
-
-TEST(EngineSoa, StatsResetResamplesProfilingFlag) {
-  // Regression for the epoch cache: a lane that sampled "profiling off"
-  // must pick up a later toggle even when the only intervening global
-  // operation is a stats reset (the reset bumps the epoch too, so
-  // back-to-back measurement windows in one process work on every lane).
-  const auto pg = port::with_canonical_ports(graph::cycle(12));
-  engine_stage_profiling(false);
-  (void)run_synchronous(pg.ports(), EchoFactory(3));  // caches "off"
-
-  engine_stage_profiling(true);
-  engine_stage_stats_reset();
-  const auto result = run_synchronous(pg.ports(), EchoFactory(3));
-  engine_stage_profiling(false);
-  EXPECT_EQ(engine_stage_stats().profiled_rounds, result.stats.rounds)
-      << "the run after the reset still used the stale cached flag";
-
-  engine_stage_stats_reset();
-  EXPECT_EQ(engine_stage_stats().profiled_rounds, 0u);
-  (void)run_synchronous(pg.ports(), EchoFactory(3));
-  EXPECT_EQ(engine_stage_stats().profiled_rounds, 0u)
-      << "profiling off must stick after a reset as well";
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "graph/generators.hpp"
 #include "port/ported_graph.hpp"
 #include "port/random_port_graph.hpp"
+#include "runtime/async.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/runner.hpp"
@@ -211,60 +212,128 @@ TEST(Engine, DoubleBufferWorkspaceFootprint) {
   const std::size_t ports = pg.ports().num_ports();
   ASSERT_EQ(ports, 4096u);
 
-  std::uint64_t delta = 0;
+  RunMetrics metrics;
   std::thread fresh_lane([&] {
-    const auto before = engine_alloc_stats().workspace_bytes;
-    const auto result = run_synchronous(pg.ports(), EchoFactory(3));
+    RunOptions options;
+    options.metrics = &metrics;
+    const auto result = run_synchronous(pg.ports(), EchoFactory(3), options);
     ASSERT_EQ(result.stats.rounds, 3u);
-    delta = engine_alloc_stats().workspace_bytes - before;
   });
   fresh_lane.join();
+  EXPECT_EQ(metrics.workspace_growths, 1u) << "a fresh lane grows once";
+  EXPECT_EQ(metrics.workspace_reuses, 0u);
 
   const std::size_t buffer_pair = 2 * ports * sizeof(Message);
-  EXPECT_GE(delta, buffer_pair)
+  EXPECT_GE(metrics.workspace_bytes, buffer_pair)
       << "both outbox buffers must be accounted";
-  EXPECT_LT(delta, buffer_pair + ports * sizeof(Message))
+  EXPECT_LT(metrics.workspace_bytes, buffer_pair + ports * sizeof(Message))
       << "a third ports-sized message buffer is back in the workspace";
 }
 
 TEST(Engine, StageProfilingCountsRoundsAndStaysOffByDefault) {
   const auto pg = port::with_canonical_ports(graph::cycle(16));
-  const auto before = engine_stage_stats();
-  engine_stage_profiling(true);
-  const auto result = run_synchronous(pg.ports(), EchoFactory(6));
-  engine_stage_profiling(false);
-  const auto after = engine_stage_stats();
-  EXPECT_EQ(after.profiled_rounds - before.profiled_rounds,
-            result.stats.rounds);
-  EXPECT_GE(after.exchange_ns, before.exchange_ns);
-  EXPECT_GE(after.receive_ns, before.receive_ns);
+  EXPECT_EQ(RunOptions{}.metrics, nullptr) << "profiling is opt-in per run";
+  const auto plain = run_synchronous(pg.ports(), EchoFactory(6));
 
-  // With profiling off again, runs leave the counters untouched.
-  (void)run_synchronous(pg.ports(), EchoFactory(6));
-  EXPECT_TRUE(engine_stage_stats() == after);
+  RunMetrics metrics;
+  RunOptions options;
+  options.metrics = &metrics;
+  const auto profiled = run_synchronous(pg.ports(), EchoFactory(6), options);
+  EXPECT_TRUE(profiled == plain) << "the sink changed the run's result";
+  EXPECT_EQ(metrics.rounds, profiled.stats.rounds);
+  EXPECT_EQ(metrics.workspace_reuses + metrics.workspace_growths, 1u);
+  EXPECT_GT(metrics.workspace_bytes, 0u);
 }
 
-TEST(Engine, StageStatsResetZeroesCumulativeCounters) {
-  // The counters are process-cumulative; per-run (or per-mode) attribution
-  // needs a reset between measurements.
-  const auto pg = port::with_canonical_ports(graph::cycle(8));
-  engine_stage_profiling(true);
-  (void)run_synchronous(pg.ports(), EchoFactory(4));
-  engine_stage_profiling(false);
-  EXPECT_GT(engine_stage_stats().profiled_rounds, 0u);
+TEST(Engine, RunsAddIntoOneSink) {
+  // A sink totals the runs that point at it: counters add up, and the
+  // footprint is the largest one seen.
+  const auto small = port::with_canonical_ports(graph::cycle(8));
+  const auto large = port::with_canonical_ports(graph::cycle(64));
+  RunMetrics metrics;
+  RunOptions options;
+  options.metrics = &metrics;
+  const auto a = run_synchronous(large.ports(), EchoFactory(4), options);
+  const RunMetrics first = metrics;
+  const auto b = run_synchronous(small.ports(), EchoFactory(7), options);
 
-  engine_stage_stats_reset();
-  const auto zeroed = engine_stage_stats();
-  EXPECT_EQ(zeroed.exchange_ns, 0u);
-  EXPECT_EQ(zeroed.receive_ns, 0u);
-  EXPECT_EQ(zeroed.scan_ns, 0u);
-  EXPECT_EQ(zeroed.profiled_rounds, 0u);
+  EXPECT_EQ(metrics.rounds, a.stats.rounds + b.stats.rounds);
+  EXPECT_EQ(metrics.workspace_reuses + metrics.workspace_growths, 2u);
+  EXPECT_EQ(metrics.workspace_reuses, first.workspace_reuses + 1)
+      << "the smaller graph fits the lane's workspace";
+  EXPECT_GE(metrics.workspace_bytes, first.workspace_bytes);
+  EXPECT_GE(metrics.exchange_ns, first.exchange_ns);
+  EXPECT_GE(metrics.receive_ns, first.receive_ns);
+  EXPECT_GE(metrics.scan_ns, first.scan_ns);
 
-  // The counters keep working after a reset.
-  engine_stage_profiling(true);
-  const auto result = run_synchronous(pg.ports(), EchoFactory(4));
-  engine_stage_profiling(false);
-  EXPECT_EQ(engine_stage_stats().profiled_rounds, result.stats.rounds);
+  RunMetrics sum{.exchange_ns = 1,
+                 .receive_ns = 2,
+                 .scan_ns = 3,
+                 .rounds = 4,
+                 .workspace_reuses = 5,
+                 .workspace_growths = 6,
+                 .workspace_bytes = 700};
+  sum += {.exchange_ns = 10,
+          .receive_ns = 20,
+          .scan_ns = 30,
+          .rounds = 40,
+          .workspace_reuses = 50,
+          .workspace_growths = 60,
+          .workspace_bytes = 500};
+  EXPECT_TRUE(sum == (RunMetrics{.exchange_ns = 11,
+                                 .receive_ns = 22,
+                                 .scan_ns = 33,
+                                 .rounds = 44,
+                                 .workspace_reuses = 55,
+                                 .workspace_growths = 66,
+                                 .workspace_bytes = 700}))
+      << "the footprint is a max across runs, not a sum";
+}
+
+TEST(Engine, AsyncRunsLeaveTheSinkUntouched) {
+  // The event-driven engine has no round stages to time and no lane
+  // workspace, so a sink passed to it stays as it was.
+  auto rng = test::make_rng(0xA5C);
+  const auto pg = test::random_ported_regular(16, 3, rng);
+  RunMetrics metrics;
+  RunOptions options;
+  options.metrics = &metrics;
+  options.exec.async = AsyncOptions{};
+  const auto result = run_synchronous(pg.ports(), EchoFactory(4), options);
+  EXPECT_EQ(result.stats.rounds, 4u);
+  (void)run_asynchronous(pg.ports(), EchoFactory(4), options, AsyncOptions{});
+  EXPECT_TRUE(metrics == RunMetrics{});
+}
+
+TEST(Engine, BatchJobsFillTheirOwnSinks) {
+  // Jobs on four concurrent lanes, each with its own sink: every sink
+  // holds exactly its own job's rounds, so concurrent runs never write
+  // into each other's record.
+  auto rng = test::make_rng(0x5E7);
+  const auto regular = test::random_ported_regular(64, 4, rng);
+  const auto cycle = port::with_canonical_ports(graph::cycle(32));
+  constexpr std::size_t kJobs = 12;
+  std::vector<std::unique_ptr<EchoFactory>> factories;
+  std::vector<RunMetrics> sinks(kJobs);
+  std::vector<BatchJob> jobs;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    factories.push_back(
+        std::make_unique<EchoFactory>(static_cast<Round>(2 + i)));
+    BatchJob job;
+    job.graph = i % 2 == 0 ? &regular.ports() : &cycle.ports();
+    job.factory = factories.back().get();
+    job.options.metrics = &sinks[i];
+    jobs.push_back(job);
+  }
+
+  const auto results = BatchRunner(4).run(jobs);
+  ASSERT_EQ(results.size(), kJobs);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(sinks[i].rounds, results[i].stats.rounds) << "job " << i;
+    EXPECT_EQ(sinks[i].workspace_reuses + sinks[i].workspace_growths, 1u)
+        << "job " << i;
+    EXPECT_GT(sinks[i].workspace_bytes, 0u) << "job " << i;
+  }
 }
 
 TEST(Engine, WorklistSkipsHaltedNodes) {
@@ -535,10 +604,11 @@ TEST(AlgoBatch, StreamingMatchesRunBatch) {
   items.push_back({&graphs[0], algo::Algorithm::kPortOne, 0});
   items.push_back({&graphs[1], algo::Algorithm::kOddRegular, 0});
 
-  const auto expected = algo::run_batch(items, 2);
+  const ExecOptions exec{.threads = 2};
+  const auto expected = algo::run_batch(items, exec);
   std::vector<algo::EdsOutcome> streamed(items.size());
   std::vector<std::size_t> order;
-  algo::run_batch_streaming(items, 2,
+  algo::run_batch_streaming(items, exec,
                             [&](std::size_t i, algo::EdsOutcome&& outcome) {
                               order.push_back(i);
                               streamed[i] = std::move(outcome);
@@ -569,7 +639,8 @@ TEST(AlgoBatch, MatchesRunAlgorithm) {
   };
 
   for (const unsigned threads : {1u, 3u}) {
-    const auto outcomes = algo::run_batch(items, threads);
+    const auto outcomes =
+        algo::run_batch(items, ExecOptions{.threads = threads});
     ASSERT_EQ(outcomes.size(), items.size());
     std::size_t i = 0;
     for (const auto& expected : solo) {

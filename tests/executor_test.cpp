@@ -207,6 +207,19 @@ TEST(ProcessShardExecutor, RejectsUnshippableJobsUpFront) {
       executor.run_streaming({traced}, [](std::size_t, RunResult&&) {}),
       InvalidArgument);
 
+  // A sink cannot be filled across the wire.  The rejection comes before
+  // any fork: this executor's worker command is /bin/true, which would
+  // fail the job differently.
+  RunMetrics metrics;
+  auto measured = shippable_job(pg.ports(), *factory, "port-one", 0);
+  measured.options.metrics = &metrics;
+  EXPECT_THROW(executor.validate({measured}), InvalidArgument);
+  EXPECT_THROW(
+      executor.run_streaming({measured}, [](std::size_t, RunResult&&) {}),
+      InvalidArgument);
+  EXPECT_EQ(executor.stats().workers_spawned, 0u);
+  EXPECT_TRUE(metrics == RunMetrics{});
+
   // An empty batch spawns nothing and succeeds.
   executor.run_streaming({}, [](std::size_t, RunResult&&) { FAIL(); });
   EXPECT_THROW(ProcessShardExecutor({}, 1), InvalidArgument);

@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algo/double_cover.hpp"
@@ -21,6 +22,7 @@
 #include "port/ported_graph.hpp"
 #include "port/random_port_graph.hpp"
 #include "port/views.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/outputs.hpp"
 #include "runtime/runner.hpp"
 #include "util/rng.hpp"
@@ -166,13 +168,10 @@ std::string read_verdict(const std::string& text) {
 
 /// One random edit of `text`: a byte replaced, inserted or deleted, a
 /// slice duplicated, or the tail cut off.  Replacement bytes come half
-/// from the grammar's own alphabet, half from all 256 values.
-void mutate(std::string& text, Rng& rng) {
-  static constexpr char kAlphabet[] = "0123456789 \t\r\n#+-connloopdegports";
-  const auto byte = [&rng]() {
-    if (rng.chance(0.5)) {
-      return kAlphabet[rng.below(sizeof kAlphabet - 1)];
-    }
+/// from `alphabet`, the grammar's own bytes, half from all 256 values.
+void mutate(std::string& text, Rng& rng, std::string_view alphabet) {
+  const auto byte = [&rng, alphabet]() {
+    if (rng.chance(0.5)) return alphabet[rng.below(alphabet.size())];
     return static_cast<char>(rng.below(256));
   };
   const std::size_t at = rng.below(text.size() + 1);
@@ -217,7 +216,9 @@ TEST(Fuzz, PortGraphReaderTakesMutatedTextsOrRejectsThemTyped) {
   for (int trial = 0; trial < 4000; ++trial) {
     std::string text = seeds[rng.below(seeds.size())];
     const auto edits = 1 + rng.below(4);
-    for (std::uint64_t e = 0; e < edits; ++e) mutate(text, rng);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      mutate(text, rng, "0123456789 \t\r\n#+-connloopdegports");
+    }
     SCOPED_TRACE("trial " + std::to_string(trial) + ", input \"" + text +
                  "\"");
 
@@ -241,6 +242,69 @@ TEST(Fuzz, PortGraphReaderTakesMutatedTextsOrRejectsThemTyped) {
       streamed = "!InvalidArgument";
     }
     ASSERT_EQ(streamed, verdict);
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
+}
+
+/// The replay decoder's verdict on `text`: the encoding of the file it
+/// decoded, or "!" for a typed rejection.  Anything else it throws escapes
+/// and fails the test.
+std::string replay_verdict(const std::string& text) {
+  try {
+    return runtime::encode_replay(runtime::decode_replay(text));
+  } catch (const InvalidArgument&) {
+    return "!";
+  }
+}
+
+TEST(Fuzz, ReplayDecoderTakesMutatedFilesOrRejectsThemTyped) {
+  // Valid files to start from: every record kind, the three delay models,
+  // and the smallest file the decoder takes.
+  auto rng = test::make_rng(11);
+  std::vector<std::string> seeds{"edsched 1\nalgorithm port-one\ngraph\n"};
+  for (const char* delay : {"fixed:2", "uniform:1:9", "geometric:3:40"}) {
+    runtime::ReplayFile file;
+    file.strategy = "pct";
+    file.algorithm = "bounded-degree";
+    file.param = 4;
+    file.options.synchronizer = false;
+    file.options.delay = runtime::parse_delay_model(delay);
+    file.options.faults.loss = 0.1;
+    file.options.faults.duplicate = 0.0625;
+    file.options.faults.crashes = {{2, 9}, {4294967295u, 17}};
+    file.options.round_timeout = 11;
+    file.options.seed = 18446744073709551615ull;
+    file.options.schedule.prio_seed = 0x123456789ULL;
+    file.options.schedule.demote_ticks = 4;
+    file.options.schedule.change_points = {7, 31};
+    file.options.schedule.delay_overrides = {{3, 5}, {12, 2}};
+    file.metrics = {{"rounds", 12}, {"inconsistent", 3}};
+    file.graph_text = port::to_port_graph_string(
+        port::random_port_graph(random_degrees(rng, 5, 3), rng, 0.3));
+    seeds.push_back(runtime::encode_replay(file));
+  }
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string text = seeds[rng.below(seeds.size())];
+    const auto edits = 1 + rng.below(4);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      mutate(text, rng, "0123456789 \t\r\n#:.-+eE\nparamcrashseedloss");
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", input \"" + text +
+                 "\"");
+
+    const std::string verdict = replay_verdict(text);
+    if (verdict == "!") {
+      ++rejected;
+    } else {
+      // A decoded file re-encodes to a text that decodes to the same file.
+      ++accepted;
+      ASSERT_EQ(replay_verdict(verdict), verdict);
+    }
   }
   // Both outcomes occur, so neither branch is vacuous.
   EXPECT_GT(accepted, 100u);

@@ -190,7 +190,8 @@ TEST(PlanCache, ThousandJobSweepCompilesExactlyOnePlan) {
 
   PlanCache cache;
   const auto baseline = ExecutionPlan::constructed_count();
-  const auto outcomes = algo::run_batch(items, 4, &cache);
+  const auto outcomes =
+      algo::run_batch(items, ExecOptions{.threads = 4}, &cache);
 
   EXPECT_EQ(ExecutionPlan::constructed_count() - baseline, 1u);
   const auto stats = cache.stats();
