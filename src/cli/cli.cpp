@@ -21,7 +21,9 @@
 #include <unistd.h>
 #endif
 
+#include "algo/bounded_degree.hpp"
 #include "algo/driver.hpp"
+#include "algo/odd_regular.hpp"
 #include "analysis/ratio.hpp"
 #include "analysis/verify.hpp"
 #include "exact/exact_eds.hpp"
@@ -248,7 +250,12 @@ void usage(std::ostream& out) {
          "  views [--radius T]\n"
          "      reads a port graph and prints view equivalence classes\n"
          "  table1\n"
-         "      prints the measured Table 1 (worst-case tightness)\n"
+         "      prints Table 1 measured: the d-regular rows and the\n"
+         "      bounded-degree rows, d, Delta = 1..10, each on its lower-bound\n"
+         "      instance and on random instances with exact optima; exits 1\n"
+         "      unless every row meets its bound exactly (random worst <=\n"
+         "      bound), every solution is feasible and every run takes its\n"
+         "      schedule's rounds\n"
          "  help\n";
 }
 
@@ -438,6 +445,11 @@ int cmd_lower_bound(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   const auto d = parse_number<port::Port>(pos[1], "degree");
+  if (d < 2) {
+    err << "lower-bound: need degree >= 2 (Theorems 1 and 2), got " << d
+        << '\n';
+    return 2;
+  }
   try {
     const auto inst =
         d % 2 == 0 ? lb::even_lower_bound(d) : lb::odd_lower_bound(d);
@@ -1362,21 +1374,174 @@ int cmd_views(const Args& args, std::istream& in, std::ostream& out,
   }
 }
 
-int cmd_table1(std::ostream& out) {
-  out << "d  bound  measured(worst-case)  tight\n";
-  for (port::Port d = 2; d <= 10; ++d) {
-    const auto inst =
-        d % 2 == 0 ? lb::even_lower_bound(d) : lb::odd_lower_bound(d);
-    const auto algorithm = d % 2 == 0 ? algo::Algorithm::kPortOne
-                                      : algo::Algorithm::kOddRegular;
-    const auto outcome = algo::run_algorithm(inst.ported, algorithm,
-                                             d % 2 == 0 ? 0 : d);
-    const auto ratio = analysis::approximation_ratio(outcome.solution.size(),
-                                                     inst.optimal.size());
-    out << d << "  " << inst.forced_ratio << "  " << ratio << "  "
-        << (ratio == inst.forced_ratio ? "yes" : "NO") << '\n';
+/// One row of `edsim table1`: the paper's bound, the algorithm the row
+/// runs, the rounds its schedule takes, and what its runs measured.
+struct Table1Row {
+  bool regular = true;  // a d-regular row, else a bounded-degree one
+  port::Port degree = 0;
+  Fraction bound;
+  std::unique_ptr<runtime::ProgramFactory> factory;
+  runtime::Round schedule = 0;
+  Fraction lb_ratio = 0;      // on the row's lower-bound instance
+  Fraction random_worst = 0;  // the worst over its random instances
+  runtime::Round rounds = 0;  // of the lower-bound run
+  bool feasible = true;
+  bool rounds_hold = true;  // every run took exactly `schedule` rounds
+};
+
+/// One run of `edsim table1`: an instance, its optimum and its row.
+struct Table1Run {
+  port::PortedGraph instance;
+  std::size_t optimum = 0;
+  std::size_t row = 0;
+  bool lower_bound = false;
+};
+
+/// The worst case of the d = 1 and ∆ = 1 rows: a perfect matching, whose
+/// only edge dominating set is itself.
+Table1Run matching_run(std::size_t row) {
+  auto g = graph::circulant(8, {4});
+  const auto optimum = exact::minimum_eds_size(g);
+  return {port::with_canonical_ports(std::move(g)), optimum, row, true};
+}
+
+Table1Run lower_bound_run(lb::LowerBoundInstance inst, std::size_t row) {
+  return {std::move(inst.ported), inst.optimal.size(), row, true};
+}
+
+/// Table 1 in full: the d-regular rows (Theorems 1-4) and the
+/// bounded-degree rows (Corollary 1, Theorem 5), d, ∆ = 1..10.  Each row
+/// runs its worst-case instance and random instances with exact optima;
+/// the instances are generated in order from fixed seeds and every run
+/// goes through one batch, so the output is the same for every lane count.
+/// Exits 1 when a row misses its bound, is infeasible or takes other than
+/// its schedule's rounds.
+int cmd_table1(std::ostream& out, std::ostream& err) {
+  std::vector<Table1Row> rows;
+  std::vector<Table1Run> runs;
+  const auto add_row = [&](bool regular, port::Port degree, Fraction bound,
+                           algo::Algorithm algorithm, port::Port param,
+                           runtime::Round schedule) {
+    rows.push_back({.regular = regular,
+                    .degree = degree,
+                    .bound = bound,
+                    .factory = algo::make_factory(algorithm, param),
+                    .schedule = schedule});
+    return rows.size() - 1;
+  };
+
+  // d-regular rows: port-one for even d, odd-regular for odd d, on the
+  // Theorem 1 / 2 constructions and on 4 random graphs x 3 numberings
+  // (m <= 60 edges keeps the exact solver fast).
+  Rng regular_rng(20100725);  // PODC 2010's opening day
+  for (port::Port d = 1; d <= 10; ++d) {
+    const bool odd = d % 2 == 1;
+    const auto row = add_row(
+        true, d, analysis::paper_bound_regular(d),
+        odd ? algo::Algorithm::kOddRegular : algo::Algorithm::kPortOne,
+        odd ? d : 0, odd ? algo::OddRegularProgram::schedule_length(d) : 1);
+    runs.push_back(d == 1 ? matching_run(row)
+                          : lower_bound_run(odd ? lb::odd_lower_bound(d)
+                                                : lb::even_lower_bound(d),
+                                            row));
+    for (int instance = 0; instance < 4; ++instance) {
+      const auto g =
+          graph::random_regular(d >= 7 ? 12 : 2 * d + 6, d, regular_rng);
+      const auto optimum = exact::minimum_eds_size(g);
+      for (int numbering = 0; numbering < 3; ++numbering) {
+        runs.push_back(
+            {port::with_random_ports(g, regular_rng), optimum, row, false});
+      }
+    }
   }
-  return 0;
+
+  // Bounded-degree rows: A(∆) on the even-regular construction at
+  // d = 2⌊∆/2⌋ (Corollary 1: α(2k) = α(2k+1)) and on up to 5 random
+  // graphs of 14 nodes and max degree ∆.
+  Rng bounded_rng(183);
+  for (port::Port delta = 1; delta <= 10; ++delta) {
+    const auto row = add_row(
+        false, delta, analysis::paper_bound_bounded(delta),
+        delta == 1 ? algo::Algorithm::kAllEdges
+                   : algo::Algorithm::kBoundedDegree,
+        delta,
+        delta == 1 ? 0 : algo::BoundedDegreeProgram::schedule_length(delta));
+    runs.push_back(delta == 1 ? matching_run(row)
+                              : lower_bound_run(
+                                    lb::even_lower_bound(delta - delta % 2),
+                                    row));
+    for (int instance = 0; instance < 5; ++instance) {
+      auto g = graph::random_bounded_degree(14, delta, 24, bounded_rng);
+      if (g.num_edges() == 0 || g.max_degree() > delta) continue;
+      const auto optimum = exact::minimum_eds_size(g);
+      if (optimum == 0) continue;
+      runs.push_back({port::with_random_ports(std::move(g), bounded_rng),
+                      optimum, row, false});
+    }
+  }
+
+  std::vector<runtime::BatchJob> jobs;
+  jobs.reserve(runs.size());
+  for (const auto& run : runs) {
+    jobs.push_back({&run.instance.ports(), rows[run.row].factory.get(), {},
+                    std::nullopt});
+  }
+  const auto results = runtime::BatchRunner(0U).run(jobs);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& run = runs[i];
+    auto& row = rows[run.row];
+    const auto solution = runtime::validated_edge_set(run.instance, results[i]);
+    const auto ratio =
+        analysis::approximation_ratio(solution.size(), run.optimum);
+    row.feasible = row.feasible && analysis::is_edge_dominating_set(
+                                       run.instance.graph(), solution);
+    row.rounds_hold =
+        row.rounds_hold && results[i].stats.rounds == row.schedule;
+    if (run.lower_bound) {
+      row.lb_ratio = ratio;
+      row.rounds = results[i].stats.rounds;
+    } else {
+      row.random_worst = std::max(row.random_worst, ratio);
+    }
+  }
+
+  TextTable regular(
+      "Table 1 (d-regular rows): paper bound vs measured, all tight");
+  regular.header({"d", "parity", "paper ratio", "worst-case measured",
+                  "tight?", "random worst", "<= bound?", "rounds",
+                  "feasible"});
+  TextTable bounded("Table 1 (bounded-degree rows): A(Delta) vs paper");
+  bounded.header({"Delta", "paper alpha", "LB-graph measured", "tight?",
+                  "random worst", "<= bound?", "rounds", "feasible"});
+  bool all_hold = true;
+  for (const auto& row : rows) {
+    const bool tight = row.lb_ratio == row.bound;
+    std::vector<std::string> cells{std::to_string(row.degree)};
+    if (row.regular) cells.emplace_back(row.degree % 2 ? "odd" : "even");
+    cells.insert(cells.end(),
+                 {row.bound.str(), row.lb_ratio.str(),
+                  !tight ? "no"
+                  : !row.regular && row.degree == 1 ? "trivial"
+                                                    : "EQUAL",
+                  row.random_worst.str(),
+                  row.random_worst <= row.bound ? "yes" : "VIOLATED",
+                  std::to_string(row.rounds), row.feasible ? "yes" : "NO"});
+    (row.regular ? regular : bounded).row(std::move(cells));
+    if (!tight || row.random_worst > row.bound || !row.feasible ||
+        !row.rounds_hold) {
+      err << "table1: row " << (row.regular ? "d = " : "Delta = ")
+          << row.degree << " fails";
+      if (!row.rounds_hold) {
+        err << " (a run took other than " << row.schedule << " rounds)";
+      }
+      err << '\n';
+      all_hold = false;
+    }
+  }
+  regular.print(out);
+  out << '\n';
+  bounded.print(out);
+  return all_hold ? 0 : 1;
 }
 
 }  // namespace
@@ -1429,7 +1594,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
       {"views",
        {{{"radius"}, {}},
         [&](const Args& a) { return cmd_views(a, in, out, err); }}},
-      {"table1", {{}, [&](const Args&) { return cmd_table1(out); }}},
+      {"table1", {{}, [&](const Args&) { return cmd_table1(out, err); }}},
   };
   const auto& command = args[0];
   const auto it = commands.find(command);

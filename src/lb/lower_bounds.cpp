@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "analysis/ratio.hpp"
 #include "analysis/verify.hpp"
 #include "factor/two_factor.hpp"
 #include "util/error.hpp"
@@ -21,13 +22,6 @@ using port::PortRef;
 NodeId nid(std::size_t v) { return static_cast<NodeId>(v); }
 
 }  // namespace
-
-Fraction forced_ratio_regular(Port d) {
-  if (d == 0) throw InvalidArgument("forced_ratio_regular: d must be positive");
-  const auto dd = static_cast<std::int64_t>(d);
-  if (d % 2 == 0) return Fraction(4) - Fraction(2, dd);
-  return Fraction(4) - Fraction(6, dd + 1);
-}
 
 LowerBoundInstance even_lower_bound(Port d) {
   if (d < 2 || d % 2 != 0) {
@@ -79,7 +73,7 @@ LowerBoundInstance even_lower_bound(Port d) {
 
   return LowerBoundInstance{std::move(ported), std::move(optimal),
                             std::move(base), std::move(f),
-                            forced_ratio_regular(d)};
+                            analysis::paper_bound_regular(d)};
 }
 
 LowerBoundInstance odd_lower_bound(Port d) {
@@ -113,15 +107,14 @@ LowerBoundInstance odd_lower_bound(Port d) {
   GraphBuilder builder(n);
   std::vector<EdgeId> optimal_edges;
 
-  // Per-component local graphs (for the 2-factorisations) mirror the global
-  // edges; local index = global index - l*comp_size.
-  std::vector<GraphBuilder> local;
-  local.reserve(dd);
-  for (std::size_t l = 0; l < dd; ++l) local.emplace_back(comp_size);
+  // The components are identical: H mirrors the edges of component 0 (local
+  // index = global index - l*comp_size, same edge order in every l), so one
+  // 2-factorisation of H numbers the ports of all d components.
+  GraphBuilder local(comp_size);
 
   auto add_component_edge = [&](std::size_t l, NodeId gu, NodeId gv) {
     builder.add_edge(gu, gv);
-    local[l].add_edge(nid(gu - l * comp_size), nid(gv - l * comp_size));
+    if (l == 0) local.add_edge(gu, gv);
   };
 
   for (std::size_t l = 0; l < dd; ++l) {
@@ -178,25 +171,29 @@ LowerBoundInstance odd_lower_bound(Port d) {
   // d on the external edge; hubs use port l towards component l.
   std::vector<std::vector<EdgeId>> order(n);
 
+  auto local_graph = local.build();
+  EDS_ENSURE(local_graph.is_regular(2 * k),
+             "odd_lower_bound: H(l) is not 2k-regular");
+  const auto factorisation = factor::two_factorise(local_graph);
+  const auto local_ported =
+      factor::with_factor_ports(std::move(local_graph), factorisation);
+  const std::size_t local_edges = local_ported.graph().num_edges();
   for (std::size_t l = 0; l < dd; ++l) {
-    auto local_graph = local[l].build();
-    EDS_ENSURE(local_graph.is_regular(2 * k),
-               "odd_lower_bound: H(l) is not 2k-regular");
-    const auto factorisation = factor::two_factorise(local_graph);
-    const auto local_ported =
-        factor::with_factor_ports(std::move(local_graph), factorisation);
-    // Translate local port order into global edge ids.
+    // Translate local port order into global edge ids: component l's edges
+    // are the block [l*|E(H)|, (l+1)*|E(H)|) of G, in H's order.
+    const std::size_t base = l * comp_size;
     for (std::size_t lv = 0; lv < comp_size; ++lv) {
-      const auto gv = nid(l * comp_size + lv);
+      const auto gv = nid(base + lv);
       auto& slots = order[gv];
       slots.resize(dd);
       for (Port i = 1; i <= static_cast<Port>(2 * k); ++i) {
         const auto le = local_ported.edge_at(nid(lv), i);
         const auto& lge = local_ported.graph().edge(le);
-        const auto ge = g.find_edge(nid(l * comp_size + lge.u),
-                                    nid(l * comp_size + lge.v));
-        EDS_ENSURE(ge.has_value(), "odd_lower_bound: lost component edge");
-        slots[i - 1] = *ge;
+        const auto ge = static_cast<EdgeId>(l * local_edges + le);
+        EDS_ENSURE(g.edge(ge) == (graph::Edge{nid(base + lge.u),
+                                              nid(base + lge.v)}),
+                   "odd_lower_bound: lost component edge");
+        slots[i - 1] = ge;
       }
       // Port d: the unique external edge (towards P or Q).
       const auto no_edge = static_cast<EdgeId>(g.num_edges());
@@ -251,7 +248,7 @@ LowerBoundInstance odd_lower_bound(Port d) {
 
   return LowerBoundInstance{std::move(ported), std::move(optimal),
                             std::move(base), std::move(f),
-                            forced_ratio_regular(d)};
+                            analysis::paper_bound_regular(d)};
 }
 
 }  // namespace eds::lb

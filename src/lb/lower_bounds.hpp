@@ -37,7 +37,4 @@ struct LowerBoundInstance {
 /// any algorithm is forced to pick (2d−1)d edges: ratio >= 4 − 6/(d+1).
 [[nodiscard]] LowerBoundInstance odd_lower_bound(port::Port d);
 
-/// The Table 1 lower-bound value for d-regular graphs (either parity).
-[[nodiscard]] Fraction forced_ratio_regular(port::Port d);
-
 }  // namespace eds::lb

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "algo/driver.hpp"
 #include "analysis/ratio.hpp"
 #include "analysis/verify.hpp"
 #include "exact/exact_eds.hpp"
 #include "lb/lower_bounds.hpp"
 #include "port/covering.hpp"
+#include "port/io.hpp"
 #include "runtime/outputs.hpp"
 
 namespace eds::lb {
@@ -130,13 +136,38 @@ TEST(OddLowerBound, EquivalenceClassesBehaveIdentically) {
   }
 }
 
-TEST(ForcedRatio, MatchesTable1) {
-  EXPECT_EQ(forced_ratio_regular(2), Fraction(3));
-  EXPECT_EQ(forced_ratio_regular(3), Fraction(5, 2));
-  EXPECT_EQ(forced_ratio_regular(4), Fraction(7, 2));
-  EXPECT_EQ(forced_ratio_regular(5), Fraction(3));
-  EXPECT_EQ(forced_ratio_regular(6), Fraction(11, 3));
-  EXPECT_THROW((void)forced_ratio_regular(0), InvalidArgument);
+/// FNV-1a (64-bit) over the bytes of `text`.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Golden pins: the port-graph text and the optimum of the Theorem 2
+// construction, recorded while every component was still 2-factorised on
+// its own.  Sharing one factorisation must not move a single port.
+TEST(OddLowerBound, ConstructionMatchesGoldenPins) {
+  const std::vector<std::pair<port::Port, std::uint64_t>> pins{
+      {3, 0x35d0b336318db909ULL},
+      {9, 0xef7eed99dab24b6eULL},
+      {31, 0x3f55ba84ed5d1f46ULL},
+  };
+  for (const auto& [d, hash] : pins) {
+    const auto inst = odd_lower_bound(d);
+    EXPECT_EQ(fnv1a(port::to_port_graph_string(inst.ported.ports())), hash)
+        << "d=" << d;
+  }
+  EXPECT_EQ(odd_lower_bound(3).optimal.to_vector(),
+            (std::vector<graph::EdgeId>{2, 7, 12, 15, 16, 17}));
+  EXPECT_EQ(odd_lower_bound(9).optimal.to_vector(),
+            (std::vector<graph::EdgeId>{
+                8,   9,   10,  11,  76,  77,  78,  79,  144, 145, 146, 147,
+                212, 213, 214, 215, 280, 281, 282, 283, 348, 349, 350, 351,
+                416, 417, 418, 419, 484, 485, 486, 487, 552, 553, 554, 555,
+                612, 613, 614, 615, 616, 617, 618, 619, 620}));
 }
 
 TEST(LowerBounds, BoundedDegreeAlgorithmAlsoRespectsItsBoundHere) {
