@@ -1,5 +1,7 @@
 #include "algo/driver.hpp"
 
+#include <algorithm>
+
 #include "algo/all_edges.hpp"
 #include "algo/bounded_degree.hpp"
 #include "algo/double_cover.hpp"
@@ -79,6 +81,22 @@ std::unique_ptr<runtime::ProgramFactory> make_factory(Algorithm algorithm,
   throw InvalidArgument("make_factory: unknown algorithm");
 }
 
+runtime::Round schedule_length(Algorithm algorithm, port::Port param) {
+  switch (algorithm) {
+    case Algorithm::kAllEdges:
+      return 0;
+    case Algorithm::kPortOne:
+      return 1;
+    case Algorithm::kOddRegular:
+      return OddRegularProgram::schedule_length(param);
+    case Algorithm::kBoundedDegree:
+      return param <= 1 ? 0 : BoundedDegreeProgram::schedule_length(param);
+    case Algorithm::kDoubleCover:
+      return DoubleCoverProgram::schedule_length(param);
+  }
+  throw InvalidArgument("schedule_length: unknown algorithm");
+}
+
 namespace {
 
 /// Resolves the `param == 0` default from the graph (d-regular degree for
@@ -116,6 +134,8 @@ EdsOutcome run_algorithm(const port::PortedGraph& pg, Algorithm algorithm,
   param = resolve_param(pg, algorithm, param);
   const auto factory = make_factory(algorithm, param);
   runtime::RunOptions options;
+  options.max_rounds =
+      std::max(options.max_rounds, schedule_length(algorithm, param));
   options.exec = exec;
   if (options.exec.plan_cache == nullptr) {
     options.exec.plan_cache = &runtime::PlanCache::global();
@@ -154,6 +174,8 @@ PreparedBatch prepare_batch(const std::vector<BatchItem>& items,
     const auto param = resolve_param(*item.graph, item.algorithm, item.param);
     batch.factories.push_back(make_factory(item.algorithm, param));
     runtime::RunOptions options;
+    options.max_rounds =
+        std::max(options.max_rounds, schedule_length(item.algorithm, param));
     options.exec.plan_cache = plan_cache;
     runtime::JobSpec spec;
     spec.algorithm = algorithm_token(item.algorithm);

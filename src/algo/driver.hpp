@@ -52,6 +52,13 @@ struct EdsOutcome {
 [[nodiscard]] std::unique_ptr<runtime::ProgramFactory> make_factory(
     Algorithm algorithm, port::Port param = 0);
 
+/// The length of the fixed schedule that make_factory(algorithm, param)'s
+/// programs follow, so no run takes more rounds.  Runs set
+/// RunOptions::max_rounds to at least this, so that a large ∆ is not cut
+/// off by the default cap.
+[[nodiscard]] runtime::Round schedule_length(Algorithm algorithm,
+                                             port::Port param);
+
 /// Resolves the `param == 0` default from the graph, exactly as
 /// run_algorithm does internally: the d-regular degree for kOddRegular
 /// (throws InvalidArgument when the graph is not regular), the max degree

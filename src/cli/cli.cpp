@@ -21,9 +21,7 @@
 #include <unistd.h>
 #endif
 
-#include "algo/bounded_degree.hpp"
 #include "algo/driver.hpp"
-#include "algo/odd_regular.hpp"
 #include "analysis/ratio.hpp"
 #include "analysis/verify.hpp"
 #include "exact/exact_eds.hpp"
@@ -177,8 +175,8 @@ void usage(std::ostream& out) {
          "  sweep <family> [--min N] [--max N] [--step S] [--d D]\n"
          "        [--algorithm A] [--param P] [--seed S] [--threads N]\n"
          "        [--shards N] [--repeat R] [--ndjson]\n"
-         "        [--retries K] [--retry-backoff-ms B] [--job-timeout-ms T]\n"
-         "        [--batch-timeout-ms T] [--breaker-deaths D]\n"
+         "        [--retries K] [--job-timeout-ms T] [--batch-timeout-ms T]\n"
+         "        [--breaker-deaths D]\n"
          "        [--fallback-inprocess] [--chaos SPEC]\n"
          "        [--model sync|async] [--delay SPEC] [--loss P] [--dup P]\n"
          "        [--crash K] [--timeout T] [--synchronizer on|off]\n"
@@ -205,9 +203,10 @@ void usage(std::ostream& out) {
          "      thread; output is byte-identical either way; each batch\n"
          "      forks its own workers, whose per-shard plan caches are\n"
          "      summed in the summary); sharded sweeps are\n"
-         "      resilient: a job orphaned by a worker death is retried up\n"
-         "      to --retries K times (default 2, 0 = strict fail-fast) with\n"
-         "      exponential backoff from --retry-backoff-ms B (default 10),\n"
+         "      resilient: the job a worker death interrupts is retried up\n"
+         "      to --retries K times (default 2; 0 = it fails at its first\n"
+         "      death) and the worker's unstarted jobs go to a fresh worker\n"
+         "      after a backoff of 10 ms, doubling per pass;\n"
          "      --job-timeout-ms T kills a worker stuck on one job and\n"
          "      --batch-timeout-ms T bounds the whole batch (0 = off),\n"
          "      --breaker-deaths D stops retrying after D worker deaths\n"
@@ -483,6 +482,8 @@ int cmd_run_portgraph(const Args& args, std::istream& in, std::ostream& out,
     }
     const auto factory = algo::make_factory(*parsed, param);
     runtime::RunOptions options;
+    options.max_rounds =
+        std::max(options.max_rounds, algo::schedule_length(*parsed, param));
     options.collect_messages = args.has("trace");
     options.exec.threads = args.number<unsigned>("threads", 1);
     const auto result = runtime::run_synchronous(g, *factory, options);
@@ -762,8 +763,6 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     }
     runtime::ProcessShardExecutor::Options pool_options;
     pool_options.max_retries = args.number<unsigned>("retries", 2);
-    pool_options.retry_backoff_ms =
-        args.number<std::uint64_t>("retry-backoff-ms", 10);
     pool_options.job_timeout_ms =
         args.number<std::uint64_t>("job-timeout-ms", 0);
     pool_options.batch_timeout_ms =
@@ -844,7 +843,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
       hits = stats.hits;
     }
     // Emitted only when something degraded, so a clean run's summary stays
-    // byte-identical across backends and to the pre-resilience format.
+    // byte-identical across backends.
     const bool degraded =
         shard_stats.jobs_retried != 0 || shard_stats.jobs_poisoned != 0 ||
         shard_stats.deadline_kills != 0 || shard_stats.batch_timeouts != 0 ||
@@ -1119,6 +1118,9 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
                                   inst.param, inst.group};
       for (std::size_t r = 0; r < repeat; ++r) {
         runtime::RunOptions options;
+        options.max_rounds = std::max(
+            options.max_rounds,
+            algo::schedule_length(inst.algorithm, inst.param));
         options.exec.plan_cache = &plan_cache;
         if (async_model) {
           options.exec.async =
@@ -1420,13 +1422,12 @@ int cmd_table1(std::ostream& out, std::ostream& err) {
   std::vector<Table1Row> rows;
   std::vector<Table1Run> runs;
   const auto add_row = [&](bool regular, port::Port degree, Fraction bound,
-                           algo::Algorithm algorithm, port::Port param,
-                           runtime::Round schedule) {
+                           algo::Algorithm algorithm, port::Port param) {
     rows.push_back({.regular = regular,
                     .degree = degree,
                     .bound = bound,
                     .factory = algo::make_factory(algorithm, param),
-                    .schedule = schedule});
+                    .schedule = algo::schedule_length(algorithm, param)});
     return rows.size() - 1;
   };
 
@@ -1439,7 +1440,7 @@ int cmd_table1(std::ostream& out, std::ostream& err) {
     const auto row = add_row(
         true, d, analysis::paper_bound_regular(d),
         odd ? algo::Algorithm::kOddRegular : algo::Algorithm::kPortOne,
-        odd ? d : 0, odd ? algo::OddRegularProgram::schedule_length(d) : 1);
+        odd ? d : 0);
     runs.push_back(d == 1 ? matching_run(row)
                           : lower_bound_run(odd ? lb::odd_lower_bound(d)
                                                 : lb::even_lower_bound(d),
@@ -1464,8 +1465,7 @@ int cmd_table1(std::ostream& out, std::ostream& err) {
         false, delta, analysis::paper_bound_bounded(delta),
         delta == 1 ? algo::Algorithm::kAllEdges
                    : algo::Algorithm::kBoundedDegree,
-        delta,
-        delta == 1 ? 0 : algo::BoundedDegreeProgram::schedule_length(delta));
+        delta);
     runs.push_back(delta == 1 ? matching_run(row)
                               : lower_bound_run(
                                     lb::even_lower_bound(delta - delta % 2),
@@ -1572,15 +1572,14 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
         [&](const Args& a) { return cmd_run_portgraph(a, in, out, err); }}},
       {"sweep",
        {{{"min", "max", "step", "d", "algorithm", "param", "seed", "threads",
-          "shards", "worker-bin", "repeat", "retries", "retry-backoff-ms",
-          "job-timeout-ms", "batch-timeout-ms", "breaker-deaths", "chaos",
-          "model", "delay", "loss", "dup", "crash", "timeout", "synchronizer",
-          "adversary", "budget", "replay-out", "replay"},
+          "shards", "worker-bin", "repeat", "retries", "job-timeout-ms",
+          "batch-timeout-ms", "breaker-deaths", "chaos", "model", "delay",
+          "loss", "dup", "crash", "timeout", "synchronizer", "adversary",
+          "budget", "replay-out", "replay"},
          {"ndjson", "fallback-inprocess"},
          // Flags that would otherwise be accepted and silently ignored.
-         {{{"retries", "retry-backoff-ms", "job-timeout-ms",
-            "batch-timeout-ms", "breaker-deaths", "fallback-inprocess",
-            "chaos"},
+         {{{"retries", "job-timeout-ms", "batch-timeout-ms",
+            "breaker-deaths", "fallback-inprocess", "chaos"},
            "shards"},
           {{"budget", "replay-out"}, "adversary"},
           {{"adversary", "delay", "loss", "dup", "crash", "timeout",

@@ -5,6 +5,7 @@
 #include <functional>
 #include <iterator>
 #include <sstream>
+#include <type_traits>
 
 #include "util/error.hpp"
 
@@ -109,6 +110,13 @@ std::uint64_t wake_key(Round round, std::uint32_t node) noexcept {
   return (static_cast<std::uint64_t>(round) << 32) | node;
 }
 
+/// A lane keeps its workspace across runs while the workspace holds at
+/// most this multiple of what a run needs, or at most kWorkspaceKeepBytes:
+/// the slack absorbs runs of alternating sizes, and one large run does not
+/// pin its buffers for the rest of the thread's life.
+constexpr std::size_t kWorkspaceSlack = 4;
+constexpr std::size_t kWorkspaceKeepBytes = 64 * 1024;
+
 /// The pooled engine state: every buffer the round loop writes lives here
 /// and is *assigned* (size + contents reset, capacity retained) at the
 /// start of each run instead of being reallocated.  One workspace exists
@@ -160,14 +168,38 @@ struct EngineWorkspace {
            scratch.capacity() * sizeof(ShardScratch) + scratch_bytes;
   }
 
+  /// The bytes prepare() sizes for a run over `n` nodes and `total_ports`
+  /// ports: a lower bound on a fresh workspace's footprint after the run.
+  [[nodiscard]] static std::size_t need_bytes(std::size_t n,
+                                              std::size_t total_ports) {
+    return 2 * total_ports * sizeof(Message) +
+           n * (sizeof(Round) + sizeof(std::uint8_t) + sizeof(char) +
+                sizeof(Visit));
+  }
+
+  /// Frees every buffer; the next run grows them as a fresh lane would.
+  void release() {
+    const auto drop = [](auto&... buffers) {
+      (std::remove_reference_t<decltype(buffers)>().swap(buffers), ...);
+    };
+    drop(outbox[0], outbox[1], wake, dirty, asleep, buckets, visit, extra,
+         merged, woken, bounds, scratch);
+  }
+
   /// Resets the buffers for a run over `n` nodes / `total_ports` ports with
-  /// `lanes` shards, growing capacity only when this lane has never seen a
-  /// graph this large, and returns whether it grew.  Both outboxes reset
-  /// to silence: the double buffer is the workspace's deliberate second
-  /// total_ports-sized allocation, bought to run each round behind a
-  /// single barrier.
+  /// `lanes` shards, and returns whether it had to allocate: because this
+  /// lane has never seen a graph this large, or because it released the
+  /// workspace a much larger earlier run left (kWorkspaceSlack).  Both
+  /// outboxes reset to silence: the double buffer is the workspace's
+  /// deliberate second total_ports-sized allocation, bought to run each
+  /// round behind a single barrier.
   bool prepare(std::size_t n, std::size_t total_ports, unsigned lanes) {
-    const bool grows = total_ports > outbox[0].capacity() ||
+    const std::size_t held = footprint();
+    const bool released =
+        held > kWorkspaceKeepBytes &&
+        held > kWorkspaceSlack * need_bytes(n, total_ports);
+    if (released) release();
+    const bool grows = released || total_ports > outbox[0].capacity() ||
                        n > wake.capacity() || lanes > scratch.size();
     outbox[0].assign(total_ports, kSilence);
     outbox[1].assign(total_ports, kSilence);

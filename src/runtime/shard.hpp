@@ -12,21 +12,21 @@
 //  * Deterministic job-order merge — every result line carries its job
 //    index and lands in the shared reorder buffer, so delivery is the
 //    strictly increasing prefix regardless of shard scheduling.
-//  * Resilience on worker death — by default a worker that exits (or
-//    breaks protocol) mid-batch no longer fails its unfinished jobs: the
-//    in-flight job is charged one attempt and the orphans are re-queued
-//    to a fresh worker with exponential backoff, so the batch completes
-//    byte-identical to an in-process run (retries are visible in stats(),
-//    not in results).  A job that keeps killing workers is *poisoned* once
-//    its attempt budget (Options::max_retries) runs out and fails alone,
-//    carrying every attempt's exit status; optional job and batch
-//    deadlines kill hung workers instead of stalling; a crash-loop breaker
-//    gives up on the fleet for the rest of the batch, optionally degrading
-//    to in-process execution.  Setting max_retries to zero restores the
-//    strict prefix rule: every unfinished job of a dead shard fails with
-//    an ExecutionError naming the exit status, results before the lowest
-//    failure are delivered, and a shard that answers all its jobs but
-//    then deviates fails the batch after full delivery.
+//  * One failure policy — a worker that exits (or breaks protocol)
+//    mid-batch charges its in-flight job one attempt and its never-started
+//    jobs are re-queued to a fresh worker after a backoff (10 ms, doubling
+//    per pass), so the batch completes byte-identical to an in-process run
+//    (retries are visible in stats(), not in results).  The algorithms are
+//    deterministic, so a retried job returns the same bytes.  A job that
+//    keeps killing workers is *poisoned* once its attempt budget
+//    (Options::max_retries) runs out and fails alone, carrying every
+//    attempt's exit status; results before the lowest failure are
+//    delivered.  A worker that dies after answering every job fails
+//    nothing: it only loses its summary (summaries_lost).  Each worker's
+//    reader thread enforces the optional job and batch deadlines and kills
+//    its own worker when one passes; a crash-loop breaker gives up on the
+//    fleet for the rest of the batch, optionally degrading to in-process
+//    execution.
 //  * Per-shard plan caches — each worker keeps its own PlanCache and
 //    reports compiled/hit counters in its closing summary line; jobs are
 //    routed by JobSpec::group (the graph's structural hash), so one
@@ -216,8 +216,8 @@ class ProcessShardExecutor final : public Executor {
     std::uint64_t workers_respawned = 0;  ///< forks that replace a dead worker
     std::uint64_t plans_compiled = 0;
     std::uint64_t plan_hits = 0;
-    // Resilience counters (all zero on a clean run, so the observable
-    // sweep summary is byte-identical to the pre-resilience format).
+    // Resilience counters: all zero on a clean run, whose sweep summary
+    // then leaves them out.
     std::uint64_t jobs_retried = 0;     ///< orphaned jobs re-shipped
     std::uint64_t jobs_poisoned = 0;    ///< jobs whose attempt budget ran out
     std::uint64_t deadline_kills = 0;   ///< SIGKILLs for a blown job deadline
@@ -229,22 +229,20 @@ class ProcessShardExecutor final : public Executor {
 
   /// Resilience knobs; every one applies within a single batch.
   struct Options {
-    /// Attempt budget per job beyond the first try.  A job orphaned by a
-    /// worker death is re-queued (with backoff) until the budget runs out,
-    /// at which point it is *poisoned*: it fails alone with per-attempt
-    /// diagnostics while its batch siblings complete.  0 restores the
-    /// strict pre-resilience prefix rule: any worker death fails every
-    /// unfinished job of that shard and the batch throws.
+    /// Attempt budget per job beyond the first try.  The job a worker
+    /// death interrupted is charged an attempt and re-queued until the
+    /// budget runs out, at which point it is *poisoned*: it fails alone
+    /// with per-attempt diagnostics while its batch siblings complete.
+    /// With 0, a death poisons the job it interrupted at once; the jobs
+    /// that worker never started still run on a fresh worker.
     unsigned max_retries = 2;
-    /// Base delay before a retry pass; doubles each pass, capped at 1s.
-    std::uint64_t retry_backoff_ms = 10;
-    /// A worker that goes this long without completing a result line is
-    /// SIGKILLed (counted in deadline_kills) and its in-flight job charged
-    /// an attempt + retried elsewhere.  0 = no job deadline.
+    /// A worker that goes this long without completing a line is
+    /// SIGKILLed by its reader (counted in deadline_kills) and its
+    /// in-flight job charged an attempt.  0 = no job deadline.
     std::uint64_t job_timeout_ms = 0;
-    /// Hard wall-clock bound for one batch: past it every still-running
-    /// worker is killed and the unfinished jobs fail cleanly instead of
-    /// hanging.  0 = no batch deadline.
+    /// Hard wall-clock bound for one batch: past it every reader kills
+    /// its still-running worker and the unfinished jobs fail cleanly
+    /// instead of hanging.  0 = no batch deadline.
     std::uint64_t batch_timeout_ms = 0;
     /// Crash-loop breaker: more worker deaths than this inside one batch
     /// stops the retries (0 = breaker off).  The batch's remaining jobs

@@ -9,10 +9,15 @@
 // re-queued to the next pass.  Group routing sends them back to the same
 // slot, where a fresh worker is forked (counted in workers_respawned).
 //
+// Each worker belongs to its reader thread: the reader enforces the
+// deadlines, kills the worker on a deadline or a protocol violation, and
+// reaps it at EOF.  No other thread signals a worker, so a kill can never
+// hit a reaped, recycled pid.
+//
 // Teardown holds on every path, exception or not.  A worker whose reader
 // never started has its stdout closed first, so a worker blocked writing
 // dies on SIGPIPE instead of stalling the joins.  Its stdin is closed by
-// the writer, or here if the writer never started.  Then every worker is
+// the writer, or here if the writer never started.  Then that worker is
 // reaped with a blocking waitpid: no zombies, no leaked descriptors.
 #include "runtime/shard.hpp"
 
@@ -33,10 +38,10 @@ void ProcessShardExecutor::run_streaming(const std::vector<BatchJob>&,
 #else  // POSIX
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
+#include <climits>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -44,6 +49,7 @@ void ProcessShardExecutor::run_streaming(const std::vector<BatchJob>&,
 #include <utility>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/types.h>
@@ -120,13 +126,32 @@ void block_sigpipe_on_this_thread() {
   return WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
-[[nodiscard]] std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+using Clock = std::chrono::steady_clock;
+
+/// No deadline: what ms_left returns for a timeout of 0.
+constexpr std::uint64_t kNoDeadline = UINT64_MAX;
+
+/// Milliseconds left of `timeout_ms` counted from `since`: 0 once it has
+/// elapsed, kNoDeadline when `timeout_ms` is 0.
+[[nodiscard]] std::uint64_t ms_left(std::uint64_t timeout_ms,
+                                    Clock::time_point since,
+                                    Clock::time_point now) {
+  if (timeout_ms == 0) return kNoDeadline;
+  const auto elapsed = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(now - since)
+          .count());
+  return elapsed >= timeout_ms ? 0 : timeout_ms - elapsed;
 }
 
-/// One worker's service of one pass, from fork to reap.
+/// Delay before retry pass `pass` (0-based): 10 ms, doubling per pass for
+/// six passes, so never more than 640 ms.
+[[nodiscard]] std::chrono::milliseconds retry_backoff(unsigned pass) {
+  return std::chrono::milliseconds(10) * (1u << std::min(pass, 6u));
+}
+
+/// One worker's service of one pass, from fork to reap.  Once its threads
+/// start, the writer owns `in_fd` and the reader owns the pid, `out_fd`
+/// and every field after it; the pass reads them after the joins.
 struct Task {
   std::vector<std::size_t> assigned;  ///< global job indices, ascending
   pid_t pid = -1;
@@ -138,35 +163,22 @@ struct Task {
   int wait_status = 0;        ///< raw waitpid status, valid once reaped
   WorkerSummary summary;
   bool summary_seen = false;
-
-  /// The kill protocol between reader and monitor: `reaped` is set before
-  /// the waitpid, and a reaped task is never signalled, so a kill can
-  /// never hit a recycled pid.
-  std::mutex kill_mutex;
-  bool reaped = false;           ///< kill_mutex
-  bool kill_sent = false;        ///< kill_mutex
-  bool deadline_killed = false;  ///< kill_mutex; read after the joins
-  /// steady_clock ns of the last completed worker line — the monitor's
-  /// definition of "stuck on one job".
-  std::atomic<std::int64_t> last_progress_ns{0};
+  bool killed = false;           ///< SIGKILL sent
+  bool deadline_killed = false;  ///< the job deadline passed
+  bool batch_expired = false;    ///< the batch deadline passed
 
   std::thread writer;
   std::thread reader;
 
-  /// SIGKILLs the worker unless it is already reaped or killed.
-  void kill(bool deadline) {
-    const std::lock_guard<std::mutex> lk(kill_mutex);
-    if (reaped || kill_sent || pid < 0) return;
+  /// SIGKILLs the worker unless it was already killed.  Until reap() the
+  /// pid stays a zombie at worst, so it cannot have been recycled.
+  void kill() {
+    if (killed || pid < 0) return;
     ::kill(pid, SIGKILL);
-    kill_sent = true;
-    deadline_killed = deadline;
+    killed = true;
   }
 
   void reap() {
-    {
-      const std::lock_guard<std::mutex> lk(kill_mutex);
-      reaped = true;
-    }
     if (pid >= 0) ::waitpid(pid, &wait_status, 0);
   }
 
@@ -174,32 +186,10 @@ struct Task {
   [[nodiscard]] bool clean() const {
     return summary_seen && violation.empty() && exited_cleanly(wait_status);
   }
-
-  /// Strict mode (max_retries == 0) only.  A shard that answered all its
-  /// jobs can still break protocol afterwards: extra output, a nonzero
-  /// exit, a missing summary.  The delivered results are trustworthy
-  /// (each was verified in arrival order), but the batch must not report
-  /// success: the summary counters are incomplete and the worker is not
-  /// behaving as specified.  Returns the failure description, or "" for a
-  /// clean shard.
-  [[nodiscard]] std::string residual_failure() const {
-    if (completed < assigned.size()) return "";  // job errors cover it
-    if (!violation.empty()) {
-      return "process shard: " + violation + " after its last job";
-    }
-    if (!exited_cleanly(wait_status)) {
-      return "process shard: " + describe_exit(wait_status) +
-             " after completing its jobs";
-    }
-    if (!summary_seen) {
-      return "process shard: worker exited without a summary";
-    }
-    return "";
-  }
 };
 
 /// What one pass leaves behind: the per-shard tasks, every one reaped, and
-/// whether the batch deadline fired during the pass.
+/// whether the batch deadline killed any of their workers.
 struct PassOutcome {
   std::vector<std::unique_ptr<Task>> tasks;
   bool batch_expired = false;
@@ -238,6 +228,8 @@ class BatchRun {
 
   void spawn(Task& t) const;
   void write_jobs(Task& t) const;
+  /// Reads `t`'s worker to EOF, kills it when a deadline passes or it
+  /// breaks protocol, and reaps it.
   void read_results(Task& t);
   /// Ships `runnable` (ascending job indices) to one fresh worker per
   /// shard with jobs; a retry pass's forks count as respawns.
@@ -254,8 +246,7 @@ class BatchRun {
   std::mutex& stats_mutex_;
   Stats& stats_;
   detail::ReorderBuffer buffer_;
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
+  Clock::time_point start_ = Clock::now();
 };
 
 void BatchRun::spawn(Task& t) const {
@@ -338,11 +329,34 @@ void BatchRun::read_results(Task& t) {
     // to EOF (never leaving it blocked on a full stdout pipe), and the
     // pass classifies the unfinished jobs afterwards.
     t.violation = std::move(why);
-    t.kill(/*deadline=*/false);
+    t.kill();
   };
+  Clock::time_point last_line = Clock::now();
   std::string pending;
   char chunk[1 << 16];
   for (;;) {
+    // Wait for output no longer than the nearer deadline.  Once one has
+    // passed, the worker is killed and the reader drains to EOF.
+    int wait_ms = -1;
+    if (!t.killed) {
+      const auto now = Clock::now();
+      const std::uint64_t batch_left =
+          ms_left(options_.batch_timeout_ms, start_, now);
+      const std::uint64_t job_left =
+          ms_left(options_.job_timeout_ms, last_line, now);
+      if (batch_left == 0 || job_left == 0) {
+        (batch_left == 0 ? t.batch_expired : t.deadline_killed) = true;
+        t.kill();
+        continue;
+      }
+      const std::uint64_t left = std::min(batch_left, job_left);
+      if (left != kNoDeadline) {
+        wait_ms = static_cast<int>(std::min<std::uint64_t>(left, INT_MAX));
+      }
+    }
+    pollfd ready{t.out_fd, POLLIN, 0};
+    const int polled = ::poll(&ready, 1, wait_ms);
+    if (polled == 0 || (polled < 0 && errno == EINTR)) continue;
     const ssize_t n = ::read(t.out_fd, chunk, sizeof chunk);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
@@ -355,7 +369,7 @@ void BatchRun::read_results(Task& t) {
       if (!t.violation.empty()) continue;  // draining to EOF
       try {
         WorkerLine parsed = decode_worker_line(line);
-        t.last_progress_ns.store(steady_now_ns(), std::memory_order_relaxed);
+        last_line = Clock::now();
         if (t.summary_seen) {
           violate("worker wrote past its summary");
           continue;
@@ -421,26 +435,6 @@ PassOutcome BatchRun::run_pass(const std::vector<std::size_t>& runnable,
 
   PassOutcome outcome;
   auto& tasks = outcome.tasks;
-
-  std::atomic<bool> expired{false};
-  std::thread monitor;
-  std::mutex monitor_mutex;
-  std::condition_variable monitor_cv;
-  bool monitor_stop = false;
-  const auto stop_monitor_now = [&] {
-    if (!monitor.joinable()) return;
-    {
-      const std::lock_guard<std::mutex> lk(monitor_mutex);
-      monitor_stop = true;
-    }
-    monitor_cv.notify_one();
-    monitor.join();
-  };
-  // On the exception path the monitor must outlive the teardown below (a
-  // reader blocked on a hung worker needs it) but die before the locals
-  // it captures; declared here, it unwinds right after the inner block.
-  const ScopeExit stop_monitor(stop_monitor_now);
-
   {
     // Joins and reaps every forked worker at scope exit — even when a
     // later spawn or std::thread constructor throws mid-loop.  On the
@@ -459,13 +453,11 @@ PassOutcome BatchRun::run_pass(const std::vector<std::size_t>& runnable,
       }
     });
 
-    const std::int64_t start_ns = steady_now_ns();
     for (unsigned s = 0; s < shards_; ++s) {
       if (assigned[s].empty()) continue;  // never fork an idle shard
       tasks.push_back(std::make_unique<Task>());  // visible to teardown
       Task& t = *tasks.back();
       t.assigned = std::move(assigned[s]);
-      t.last_progress_ns.store(start_ns, std::memory_order_relaxed);
       spawn(t);
       count(&Stats::workers_spawned);
       if (retry) count(&Stats::workers_respawned);
@@ -480,52 +472,11 @@ PassOutcome BatchRun::run_pass(const std::vector<std::size_t>& runnable,
       });
       t->reader = std::thread([this, t] { read_results(*t); });
     }
-
-    const std::chrono::milliseconds job_timeout(options_.job_timeout_ms);
-    const std::chrono::milliseconds batch_timeout(options_.batch_timeout_ms);
-    if (job_timeout.count() > 0 || batch_timeout.count() > 0) {
-      monitor = std::thread([this, &tasks, &expired, &monitor_mutex,
-                             &monitor_cv, &monitor_stop, job_timeout,
-                             batch_timeout] {
-        std::unique_lock<std::mutex> lk(monitor_mutex);
-        for (;;) {
-          auto tick = std::chrono::milliseconds(20);
-          if (job_timeout.count() > 0) {
-            tick = std::min(tick, std::chrono::milliseconds(std::max<
-                                      std::int64_t>(
-                                      1, job_timeout.count() / 4)));
-          }
-          if (monitor_cv.wait_for(lk, tick, [&] { return monitor_stop; })) {
-            return;
-          }
-          const auto now = std::chrono::steady_clock::now();
-          if (batch_timeout.count() > 0 && now - start_ >= batch_timeout) {
-            expired.store(true);
-            for (const auto& t : tasks) t->kill(/*deadline=*/false);
-            return;
-          }
-          if (job_timeout.count() > 0) {
-            const std::int64_t now_ns = steady_now_ns();
-            for (const auto& t : tasks) {
-              const std::int64_t last =
-                  t->last_progress_ns.load(std::memory_order_relaxed);
-              if (now_ns - last >= job_timeout.count() * 1'000'000) {
-                t->kill(/*deadline=*/true);
-              }
-            }
-          }
-        }
-      });
-    }
   }  // teardown: every thread joined, every worker reaped
-
-  // Stop the monitor before reading `expired` so the verdict is final
-  // (the ScopeExit covers the throw paths and no-ops after this).
-  stop_monitor_now();
-  outcome.batch_expired = expired.load();
 
   count(&Stats::jobs_shipped, runnable.size());
   for (const auto& t : tasks) {
+    if (t->batch_expired) outcome.batch_expired = true;
     if (t->deadline_killed) count(&Stats::deadline_kills);
     if (!t->summary_seen) {
       count(&Stats::summaries_lost);
@@ -567,8 +518,6 @@ void BatchRun::run() {
   std::vector<std::size_t> runnable(jobs_.size());
   for (std::size_t i = 0; i < runnable.size(); ++i) runnable[i] = i;
 
-  const bool strict = options_.max_retries == 0;
-  std::vector<std::string> residuals;  // strict-mode post-completion failures
   std::uint64_t deaths = 0;
   unsigned retry_pass = 0;
 
@@ -580,6 +529,10 @@ void BatchRun::run() {
       const Task& t = *tp;
       if (t.clean()) continue;
       ++deaths;
+      // A deviation after every job was answered costs nothing but the
+      // summary: it shows in summaries_lost, not in results.
+      const auto& asg = t.assigned;
+      if (t.completed >= asg.size()) continue;
 
       std::string why = describe_exit(t.wait_status);
       if (t.deadline_killed) {
@@ -591,19 +544,6 @@ void BatchRun::run() {
         why += "; truncated trailing output at " + t.trailing;
       }
 
-      const auto& asg = t.assigned;
-      if (t.completed >= asg.size()) {
-        // Post-completion deviation: every job was delivered.  Strict
-        // mode still fails the batch (the historical contract); resilient
-        // mode moves on — the deviation is visible in summaries_lost, not
-        // in results.
-        if (strict) {
-          const auto residual = t.residual_failure();
-          if (!residual.empty()) residuals.push_back(residual);
-        }
-        continue;
-      }
-
       if (outcome.batch_expired) {
         for (std::size_t k = t.completed; k < asg.size(); ++k) {
           fail(asg[k], "process shard: batch deadline of " +
@@ -611,14 +551,6 @@ void BatchRun::run() {
                            " ms exceeded before job " +
                            std::to_string(asg[k]) + " completed (" + why +
                            ")");
-        }
-        continue;
-      }
-
-      if (strict) {
-        for (std::size_t k = t.completed; k < asg.size(); ++k) {
-          fail(asg[k], "process shard: " + why + " before job " +
-                           std::to_string(asg[k]) + " completed");
         }
         continue;
       }
@@ -673,19 +605,11 @@ void BatchRun::run() {
     }
 
     count(&Stats::jobs_retried, requeue.size());
-    auto backoff = std::chrono::milliseconds(options_.retry_backoff_ms) *
-                   (1u << std::min(retry_pass, 6u));
-    backoff = std::min(backoff, std::chrono::milliseconds(1000));
-    if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    ++retry_pass;
+    std::this_thread::sleep_for(retry_backoff(retry_pass++));
     runnable = std::move(requeue);
   }
 
-  // Job-level failures win (lowest index, as documented); in strict mode
-  // a shard that finished its jobs but then broke protocol or died still
-  // fails the batch — after full delivery, so the prefix rule holds.
-  buffer_.rethrow_failures();
-  for (const auto& r : residuals) throw ExecutionError(r);
+  buffer_.rethrow_failures();  // the lowest-indexed job failure
 }
 
 }  // namespace

@@ -126,6 +126,18 @@ TEST(BoundedDegree, ScheduleLengthIsQuadratic) {
   EXPECT_EQ(BoundedDegreeProgram::schedule_length(7), 150u);
 }
 
+TEST(BoundedDegree, RoundBudgetFollowsTheSchedule) {
+  // ∆ = 200 normalises to ∆' = 201, whose schedule of 3 + 3·201² rounds
+  // is longer than the default cap of RunOptions::max_rounds.
+  EXPECT_EQ(schedule_length(Algorithm::kBoundedDegree, 200), 121206u);
+  EXPECT_GT(schedule_length(Algorithm::kBoundedDegree, 200),
+            runtime::RunOptions{}.max_rounds);
+  const auto pg = port::with_canonical_ports(graph::star(200));
+  const auto outcome = run_algorithm(pg, Algorithm::kBoundedDegree);
+  EXPECT_EQ(outcome.stats.rounds, 121206u);
+  EXPECT_TRUE(is_edge_dominating_set(pg.graph(), outcome.solution));
+}
+
 TEST(BoundedDegree, RoundsIndependentOfN) {
   Rng rng(104);
   runtime::Round rounds[2] = {0, 0};

@@ -242,6 +242,15 @@ TEST(Cli, SweepNewFamiliesRun) {
   EXPECT_EQ(pl.out.find("NO"), std::string::npos);
 }
 
+TEST(Cli, SweepRoundBudgetFollowsTheSchedule) {
+  // This instance's hub has degree 226: A(∆) needs 3 + 3·227² = 154,590
+  // rounds, more than the default cap of 100,000.
+  const auto run = invoke({"sweep", "powerlaw", "--min", "65536", "--max",
+                           "65536", "--seed", "1"});
+  ASSERT_EQ(run.code, 0) << run.err;
+  EXPECT_NE(run.out.find("154590"), std::string::npos) << run.out;
+}
+
 TEST(Cli, SweepRepeatCompilesOnePlanPerInstance) {
   const auto run = invoke({"sweep", "cycle", "--min", "8", "--max", "8",
                            "--repeat", "5"});
@@ -635,10 +644,9 @@ TEST(Cli, SweepResilienceFlagsRequireShards) {
   // The whole resilience surface lives behind the sharded backend;
   // accepting the flags elsewhere would silently do nothing.
   const std::vector<std::vector<std::string>> extras{
-      {"--retries", "1"},          {"--retry-backoff-ms", "5"},
-      {"--job-timeout-ms", "10"},  {"--batch-timeout-ms", "10"},
-      {"--breaker-deaths", "2"},   {"--fallback-inprocess"},
-      {"--chaos", "crash:1"},
+      {"--retries", "1"},         {"--job-timeout-ms", "10"},
+      {"--batch-timeout-ms", "10"}, {"--breaker-deaths", "2"},
+      {"--fallback-inprocess"},   {"--chaos", "crash:1"},
   };
   for (const auto& extra : extras) {
     std::vector<std::string> args{"sweep", "cycle", "--min", "8", "--max",
@@ -650,9 +658,9 @@ TEST(Cli, SweepResilienceFlagsRequireShards) {
   }
   // With --shards the numeric knobs still reject what does not parse,
   // naming the flag, before any worker is forked.
-  for (const char* flag : {"--retries", "--retry-backoff-ms",
-                           "--job-timeout-ms", "--batch-timeout-ms",
-                           "--breaker-deaths", "--shards"}) {
+  for (const char* flag : {"--retries", "--job-timeout-ms",
+                           "--batch-timeout-ms", "--breaker-deaths",
+                           "--shards"}) {
     const auto run = invoke({"sweep", "cycle", "--min", "8", "--max", "8",
                              "--shards", "1", flag, "-5"});
     EXPECT_EQ(run.code, 2) << flag;
@@ -712,8 +720,7 @@ TEST(Cli, SweepChaosSummaryReportsDegradedCountersAndIdenticalRows) {
   auto chaotic = clean;
   // crash:2 kills the worker after its second answer, orphaning the
   // third repeat — exercised as a retry, visible only in the summary.
-  chaotic.insert(chaotic.end(), {"--chaos", "crash:2",
-                                 "--retry-backoff-ms", "1"});
+  chaotic.insert(chaotic.end(), {"--chaos", "crash:2"});
 
   const auto a = invoke(clean);
   const auto b = invoke(chaotic);

@@ -230,6 +230,37 @@ TEST(Engine, DoubleBufferWorkspaceFootprint) {
       << "a third ports-sized message buffer is back in the workspace";
 }
 
+TEST(Engine, LaneWorkspaceShrinksAfterALargeRun) {
+  // A lane keeps its workspace only while it holds at most 4x a run's
+  // need, so a 1k-node run after a 100k-node run on the same thread gives
+  // the large buffers back and holds about what a fresh lane holds for it.
+  const auto large = port::with_canonical_ports(graph::cycle(100000));
+  const auto small = port::with_canonical_ports(graph::cycle(1000));
+  const auto factory = algo::make_factory(algo::Algorithm::kBoundedDegree, 2);
+
+  RunMetrics fresh;
+  RunResult fresh_result;
+  std::thread([&] {
+    RunOptions options;
+    options.metrics = &fresh;
+    fresh_result = run_synchronous(small.ports(), *factory, options);
+  }).join();
+
+  RunMetrics after_large;
+  RunResult shrunk_result;
+  std::thread([&] {
+    (void)run_synchronous(large.ports(), *factory);
+    RunOptions options;
+    options.metrics = &after_large;
+    shrunk_result = run_synchronous(small.ports(), *factory, options);
+  }).join();
+
+  EXPECT_EQ(after_large.workspace_growths, 1u)
+      << "releasing the large buffers counts as a growth";
+  EXPECT_LE(after_large.workspace_bytes, 4 * fresh.workspace_bytes);
+  EXPECT_TRUE(shrunk_result == fresh_result);
+}
+
 TEST(Engine, StageProfilingCountsRoundsAndStaysOffByDefault) {
   const auto pg = port::with_canonical_ports(graph::cycle(16));
   EXPECT_EQ(RunOptions{}.metrics, nullptr) << "profiling is opt-in per run";

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -311,21 +312,22 @@ TEST(ProcessShardExecutor, JobErrorInsideAWorkerFollowsThePrefixRule) {
   EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1}));
 }
 
-TEST(ProcessShardExecutor, WorkerDeathFailsItsRemainingJobsWithTheExitStatus) {
+TEST(ProcessShardExecutor, WorkerDeathWithoutRetriesFailsOnlyItsInFlightJob) {
   REQUIRE_EDSIM_OR_SKIP(bin);
   const auto pg = port::with_canonical_ports(graph::cycle(8));
   const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
   const std::vector<BatchJob> jobs(
       5, shippable_job(pg.ports(), *port_one, "port-one", 0));
 
-  // The worker's --chaos crash:2 hook makes it exit 7 after two results.  In
-  // strict mode (max_retries = 0 — the pre-resilience contract this test
-  // pins; the default retries instead, see resilience_test.cpp) the
-  // delivered prefix is exactly {0, 1} and the rethrow names the status.
-  ProcessShardExecutor::Options strict;
-  strict.max_retries = 0;
+  // The worker's --chaos crash:2 hook makes it exit 7 after two results.
+  // With no retries the death poisons the job it interrupted, job 2, and
+  // the rethrow names the exit status; the delivered prefix is exactly
+  // {0, 1}.  Jobs 3 and 4, which the dead worker never started, still run
+  // on a fresh worker, which answers both and then dies the same way.
+  ProcessShardExecutor::Options options;
+  options.max_retries = 0;
   const ProcessShardExecutor executor({bin, "worker", "--chaos", "crash:2"}, 1,
-                                      strict);
+                                      options);
   std::vector<std::size_t> delivered;
   try {
     executor.run_streaming(jobs, [&](std::size_t i, RunResult&&) {
@@ -334,41 +336,18 @@ TEST(ProcessShardExecutor, WorkerDeathFailsItsRemainingJobsWithTheExitStatus) {
     FAIL() << "a dead worker must surface as a failure";
   } catch (const ExecutionError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("status 7"), std::string::npos) << what;
-  }
-  EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1}));
-}
-
-TEST(ProcessShardExecutor, PostCompletionWorkerDeathStillFailsTheBatch) {
-  REQUIRE_EDSIM_OR_SKIP(bin);
-  const auto pg = port::with_canonical_ports(graph::cycle(5));
-  const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
-  const std::vector<BatchJob> jobs(
-      3, shippable_job(pg.ports(), *port_one, "port-one", 0));
-
-  // --chaos crash:3 lets the worker answer every job and *then* die
-  // without a summary: all results are delivered (they were verified in
-  // order), but in strict mode the batch must still fail — the counters
-  // are incomplete and the worker broke protocol.  (The resilient default
-  // absorbs this as summaries_lost; see resilience_test.cpp.)
-  ProcessShardExecutor::Options strict;
-  strict.max_retries = 0;
-  const ProcessShardExecutor executor({bin, "worker", "--chaos", "crash:3"}, 1,
-                                      strict);
-  std::vector<std::size_t> delivered;
-  try {
-    executor.run_streaming(jobs, [&](std::size_t i, RunResult&&) {
-      delivered.push_back(i);
-    });
-    FAIL() << "a post-completion death must surface as a failure";
-  } catch (const ExecutionError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("after completing its jobs"), std::string::npos)
+    EXPECT_NE(what.find("job 2 poisoned after 1 attempts"), std::string::npos)
         << what;
     EXPECT_NE(what.find("status 7"), std::string::npos) << what;
   }
-  EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1, 2}))
-      << "delivery itself is complete before the failure";
+  EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1}));
+  const auto stats = executor.stats();
+  EXPECT_EQ(stats.jobs_poisoned, 1u);
+  EXPECT_EQ(stats.jobs_retried, 2u) << "the never-started jobs 3 and 4";
+  EXPECT_EQ(stats.workers_respawned, 1u);
+  EXPECT_EQ(stats.jobs_shipped, 7u);
+  EXPECT_EQ(stats.summaries_lost, 2u)
+      << "the second worker died after its last answer, failing nothing";
 }
 
 TEST(ProcessShardExecutor, NonsenseWorkerCommandFailsEveryJobCleanly) {
@@ -379,16 +358,18 @@ TEST(ProcessShardExecutor, NonsenseWorkerCommandFailsEveryJobCleanly) {
 
   // /bin/false speaks no protocol and exits immediately; nothing is
   // delivered and the death is reported, with no hang and no zombie.
-  // Strict mode keeps this fail-fast (retrying /bin/false would only
-  // burn backoff sleeps; the breaker path is covered in resilience_test).
-  ProcessShardExecutor::Options strict;
-  strict.max_retries = 0;
-  const ProcessShardExecutor executor({"/bin/false"}, 2, strict);
+  // With no retries each pass poisons the one job it interrupted, so the
+  // three jobs fail in three passes (the breaker path is covered in
+  // resilience_test).
+  ProcessShardExecutor::Options options;
+  options.max_retries = 0;
+  const ProcessShardExecutor executor({"/bin/false"}, 2, options);
   std::size_t delivered = 0;
   EXPECT_THROW(executor.run_streaming(
                    jobs, [&](std::size_t, RunResult&&) { ++delivered; }),
                ExecutionError);
   EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(executor.stats().jobs_poisoned, 3u);
 }
 
 /// True when this process has no child at all, exited or running:
@@ -442,14 +423,49 @@ TEST(ProcessShardExecutor, NoWorkerOutlivesItsBatch) {
   // A retried worker death: crash:2 kills the one worker after its second
   // answer, the retry pass forks a replacement for jobs 2 and 3, and that
   // one dies after its second answer too — once every job is delivered.
-  ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
-  const ProcessShardExecutor chaotic({bin, "worker", "--chaos", "crash:2"}, 1,
-                                     options);
+  const ProcessShardExecutor chaotic({bin, "worker", "--chaos", "crash:2"}, 1);
   expect_expected(chaotic.run(jobs), "chaos batch");
   EXPECT_TRUE(no_children_left()) << "after a batch with a retried death";
   EXPECT_EQ(chaotic.stats().jobs_retried, 2u);
   EXPECT_EQ(chaotic.stats().workers_respawned, 1u);
+}
+
+TEST(ProcessShardExecutor, JobDeadlineUnblocksAWriterStuckOnAFullPipe) {
+  REQUIRE_EDSIM_OR_SKIP(bin);
+  ASSERT_TRUE(no_children_left()) << "the test needs a childless process";
+  // Job lines several times the 64 KiB pipe buffer, so a worker that stops
+  // reading leaves the writer blocked in write() partway through a line.
+  const auto pg = port::with_canonical_ports(graph::cycle(16000));
+  ASSERT_GT(port::to_port_graph_string(pg.ports()).size(), 4u * 65536);
+  const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
+  const std::vector<BatchJob> jobs(
+      3, shippable_job(pg.ports(), *port_one, "port-one", 0));
+  const auto expected = InProcessExecutor(1).run(jobs);
+
+  // hang:2:60000 makes each worker sleep a minute before answering its
+  // second job, reading nothing more meanwhile, so the first worker's
+  // writer blocks on the third job line.  Only the reader's job deadline
+  // ends that: the reader kills its worker, the writer's write() fails
+  // with EPIPE, and the pass joins both threads.  The respawned worker
+  // reads all of its two lines and hangs on the second, so the batch
+  // costs two kills before the third worker completes it.
+  ProcessShardExecutor::Options options;
+  options.job_timeout_ms = 2000;
+  const ProcessShardExecutor executor(
+      {bin, "worker", "--chaos", "hang:2:60000"}, 1, options);
+  const auto start = std::chrono::steady_clock::now();
+  const auto got = executor.run(jobs);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(40))
+      << "the deadline kills, not the end of the hangs, ended the passes";
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i] == expected[i]) << "job " << i;
+  }
+  const auto stats = executor.stats();
+  EXPECT_EQ(stats.deadline_kills, 2u);
+  EXPECT_EQ(stats.workers_respawned, 2u);
+  EXPECT_EQ(stats.jobs_poisoned, 0u);
+  EXPECT_TRUE(no_children_left()) << "every killed worker was reaped";
 }
 
 }  // namespace

@@ -200,10 +200,8 @@ TEST_P(ChaosRetry, BatchSurvivesChaosBitIdenticallyPooledAndUnpooled) {
   };
   const auto expected = InProcessExecutor(1).run(jobs);
 
-  ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
   const ProcessShardExecutor executor({bin, "worker", "--chaos", GetParam()},
-                                      1, options);
+                                      1);
   const auto got = collect(executor, jobs);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_TRUE(got[i] == expected[i])
@@ -235,10 +233,8 @@ TEST(Resilience, RetryCountersAreExact) {
   // the batch needs three passes: {0,1,2,3} loses job 1, {1,2,3} loses
   // job 2, {2,3} loses job 3, {3} completes.  Each pass charges exactly
   // the in-flight job and re-queues its unstarted siblings uncharged.
-  ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
   const ProcessShardExecutor executor({bin, "worker", "--chaos", "garbage:2"},
-                                      1, options);
+                                      1);
   (void)collect(executor, jobs);
   const auto stats = executor.stats();
   EXPECT_EQ(stats.workers_respawned, 3u);
@@ -263,7 +259,6 @@ TEST(Resilience, JobDeadlineKillsAHungWorkerAndTheBatchStillSucceeds) {
   // respawned worker (its second job is the batch's third), so the batch
   // costs two deadline kills — and still delivers everything.
   ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
   options.job_timeout_ms = 250;
   const ProcessShardExecutor executor(
       {bin, "worker", "--chaos", "hang:2:60000"}, 1, options);
@@ -287,7 +282,6 @@ TEST(Resilience, BatchDeadlineFailsTheBatchCleanly) {
   // No job deadline: only the batch-level bound stands between a worker
   // hanging on its first job and the sweep hanging forever.
   ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
   options.batch_timeout_ms = 300;
   const ProcessShardExecutor executor(
       {bin, "worker", "--chaos", "hang:1:60000"}, 1, options);
@@ -318,10 +312,8 @@ TEST(Resilience, PoisonJobFailsAloneWithPerAttemptDiagnostics) {
   // the job is bad everywhere, so retrying it cannot help.  Its attempt
   // budget (1 try + 2 retries) runs out and it fails alone; the jobs
   // before it were delivered, and no sibling was charged an attempt.
-  ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
   const ProcessShardExecutor executor({bin, "worker", "--chaos", "poison:2"},
-                                      1, options);
+                                      1);
   const auto failed = collect_failure(executor, jobs);
   EXPECT_EQ(failed.delivered, (std::vector<std::size_t>{0, 1}));
   EXPECT_NE(failed.what.find("job 2 poisoned after 3 attempts"),
@@ -356,7 +348,6 @@ TEST(Resilience, BreakerQuarantinesACrashLoopingPool) {
   // already answered were delivered and the rest fail with the
   // breaker's diagnostic instead of burning through retries.
   ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
   options.max_retries = 10;
   options.breaker_deaths = 1;
   const ProcessShardExecutor executor({bin, "worker", "--chaos", "crash:1"},
@@ -388,7 +379,6 @@ TEST(Resilience, FallbackInprocessDegradesGracefullyAndBitIdentically) {
   const auto expected = InProcessExecutor(1).run(jobs);
 
   ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
   options.max_retries = 10;
   options.breaker_deaths = 1;
   options.fallback_inprocess = true;
@@ -418,9 +408,7 @@ TEST(Resilience, EnvRouteInjectsChaosIntoForkedWorkers) {
       3, shippable_job(pg.ports(), *port_one, "port-one", 0));
 
   const ScopedEnv chaos("EDS_WORKER_CHAOS", "crash:2");
-  ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
-  const ProcessShardExecutor executor({bin, "worker"}, 1, options);
+  const ProcessShardExecutor executor({bin, "worker"}, 1);
   (void)collect(executor, jobs);
   const auto stats = executor.stats();
   EXPECT_EQ(stats.jobs_retried, 1u)
@@ -484,7 +472,6 @@ TEST(Resilience, ChaosSoakLosesNoJobsAndKeepsCountersMonotone) {
   const auto expected = InProcessExecutor(1).run(jobs);
 
   ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
   options.max_retries = 10;
   // A hard stop under every job, so a chaos-harness bug can never turn
   // this soak into a CI hang: a stall becomes a kill + retry instead.

@@ -216,10 +216,8 @@ TEST(WorkerPool, MidBatchDeathRetriesTheOrphansAndTheBatchSucceeds) {
   // charged an attempt and re-queued to a respawned worker — whose fresh
   // crash counter is not yet exhausted — so all three jobs are delivered,
   // in order, with the retry visible only in stats().
-  ProcessShardExecutor::Options options;
-  options.retry_backoff_ms = 1;
   const ProcessShardExecutor executor({bin, "worker", "--chaos", "crash:2"},
-                                      1, options);
+                                      1);
   const std::vector<BatchJob> batch1(
       3, shippable_job(pg.ports(), *port_one, "port-one", 0));
   std::vector<std::size_t> delivered;
