@@ -5,6 +5,8 @@
 // algorithms run in rounds independent of n at the price of the Table 1
 // ratios.  Both trade-offs, measured side by side.
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "algo/driver.hpp"
 #include "analysis/ratio.hpp"
@@ -39,7 +41,12 @@ int main() {
     for (const auto& pg : instances) {
       items.push_back({&pg, eds::algo::Algorithm::kOddRegular, 3});
     }
-    const auto anons = eds::algo::run_batch(items, {.threads = 0});
+    std::vector<eds::algo::EdsOutcome> anons(items.size());
+    eds::algo::run_batch_streaming(
+        items, {.threads = 0},
+        [&](std::size_t i, eds::algo::EdsOutcome&& outcome) {
+          anons[i] = std::move(outcome);
+        });
     for (std::size_t trial = 0; trial < instances.size(); ++trial) {
       const auto optimum = optima[trial];
       const auto& id = id_outcomes[trial];
@@ -75,7 +82,12 @@ int main() {
     for (const auto& pg : instances) {
       items.push_back({&pg, eds::algo::Algorithm::kOddRegular, 3});
     }
-    const auto anons = eds::algo::run_batch(items, {.threads = 0});
+    std::vector<eds::algo::EdsOutcome> anons(items.size());
+    eds::algo::run_batch_streaming(
+        items, {.threads = 0},
+        [&](std::size_t i, eds::algo::EdsOutcome&& outcome) {
+          anons[i] = std::move(outcome);
+        });
     for (std::size_t i = 0; i < ns.size(); ++i) {
       const auto n = ns[i];
       const auto bits = std::max<std::uint32_t>(

@@ -67,36 +67,33 @@ eds::algo::EdsOutcome run_measured(const eds::port::PortedGraph& pg,
                                    eds::port::Port param,
                                    eds::runtime::RunMetrics& metrics,
                                    unsigned threads = 1) {
-  const auto factory = eds::algo::make_factory(algorithm, param);
-  eds::runtime::RunOptions options;
+  auto job = eds::algo::make_job(pg.ports(), algorithm, param, nullptr);
+  auto& options = job.batch.options;
   options.exec.threads = threads;
-  options.exec.plan_cache = &eds::runtime::PlanCache::global();
   options.metrics = &metrics;
   const auto result =
-      eds::runtime::run_synchronous(pg.ports(), *factory, options);
+      eds::runtime::run_synchronous(pg.ports(), *job.factory, options);
   return {eds::runtime::validated_edge_set(pg, result), result.stats};
 }
 
 /// The workspace counters of one more batch of `items` on `threads` lanes,
 /// run after a batch benchmark's timed loop: each BatchJob gets its own
 /// sink, summed once the batch is done.  The timed loop runs
-/// algo::run_batch without sinks, since a sink also times the stages and
-/// the timestamps would cost that loop about a tenth of its time.
+/// algo::run_batch_streaming without sinks, since a sink also times the
+/// stages and the timestamps would cost that loop about a tenth of its
+/// time.
 eds::runtime::RunMetrics measure_batch(
     const std::vector<eds::algo::BatchItem>& items, unsigned threads,
     eds::runtime::PlanCache& cache) {
-  std::vector<std::unique_ptr<eds::runtime::ProgramFactory>> factories;
+  std::vector<eds::algo::Job> built;
   std::vector<eds::runtime::RunMetrics> sinks(items.size());
   std::vector<eds::runtime::BatchJob> jobs;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    factories.push_back(
-        eds::algo::make_factory(items[i].algorithm, items[i].param));
-    eds::runtime::BatchJob job;
-    job.graph = &items[i].graph->ports();
-    job.factory = factories.back().get();
-    job.options.exec.plan_cache = &cache;
-    job.options.metrics = &sinks[i];
-    jobs.push_back(std::move(job));
+    built.push_back(eds::algo::make_job(items[i].graph->ports(),
+                                        items[i].algorithm, items[i].param,
+                                        &cache));
+    jobs.push_back(built.back().batch);
+    jobs.back().options.metrics = &sinks[i];
   }
   (void)eds::runtime::BatchRunner(threads).run(jobs);
   eds::runtime::RunMetrics total;
@@ -264,7 +261,7 @@ void BM_EngineSparse(benchmark::State& state) {
   }
   // The workspace counters come from one more run after the timed loop:
   // a sink would time the stages, and on this mostly idle schedule the
-  // timestamps cost about a tenth of the fused loop's time.
+  // timestamps cost about a tenth of the round loop's time.
   eds::runtime::RunMetrics metrics;
   (void)run_measured(pg, eds::algo::Algorithm::kBoundedDegree, delta,
                      metrics);
@@ -363,9 +360,12 @@ void BM_BatchSweep(benchmark::State& state) {
   }
   std::uint64_t rounds = 0;
   for (auto _ : state) {
-    auto outcomes = eds::algo::run_batch(items, {.threads = threads});
-    rounds = outcomes.back().stats.rounds;
-    benchmark::DoNotOptimize(outcomes.size());
+    eds::algo::run_batch_streaming(
+        items, {.threads = threads},
+        [&](std::size_t, eds::algo::EdsOutcome&& outcome) {
+          rounds = outcome.stats.rounds;
+          benchmark::DoNotOptimize(outcome.solution.size());
+        });
   }
   export_alloc(state, measure_batch(items, threads,
                                     eds::runtime::PlanCache::global()));
@@ -389,9 +389,13 @@ void BM_PlanCacheSweep(benchmark::State& state) {
   eds::runtime::PlanCache cache;
   std::uint64_t rounds = 0;
   for (auto _ : state) {
-    auto outcomes = eds::algo::run_batch(items, {.threads = 1}, &cache);
-    rounds = outcomes.back().stats.rounds;
-    benchmark::DoNotOptimize(outcomes.size());
+    eds::algo::run_batch_streaming(
+        items, {.threads = 1},
+        [&](std::size_t, eds::algo::EdsOutcome&& outcome) {
+          rounds = outcome.stats.rounds;
+          benchmark::DoNotOptimize(outcome.solution.size());
+        },
+        &cache);
   }
   const auto stats = cache.stats();
   export_alloc(state, measure_batch(items, 1, cache));

@@ -5,6 +5,8 @@
 // Instances are generated sequentially (the RNG stream is the experiment);
 // each sweep's runs then execute as one batch over the engine pool.
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "algo/bounded_degree.hpp"
 #include "algo/driver.hpp"
@@ -44,7 +46,12 @@ int main() {
       items.push_back(
           {&instances[i + 3], eds::algo::Algorithm::kBoundedDegree, 4});
     }
-    const auto outcomes = eds::algo::run_batch(items, {.threads = 0});
+    std::vector<eds::algo::EdsOutcome> outcomes(items.size());
+    eds::algo::run_batch_streaming(
+        items, {.threads = 0},
+        [&](std::size_t i, eds::algo::EdsOutcome&& outcome) {
+          outcomes[i] = std::move(outcome);
+        });
     for (std::size_t i = 0; i < ns.size(); ++i) {
       by_n.row({std::to_string(ns[i]),
                 std::to_string(outcomes[4 * i].stats.rounds),
@@ -75,7 +82,12 @@ int main() {
                                   : eds::algo::Algorithm::kOddRegular,
                        d % 2 == 0 ? eds::port::Port{0} : d});
     }
-    const auto outcomes = eds::algo::run_batch(items, {.threads = 0});
+    std::vector<eds::algo::EdsOutcome> outcomes(items.size());
+    eds::algo::run_batch_streaming(
+        items, {.threads = 0},
+        [&](std::size_t i, eds::algo::EdsOutcome&& outcome) {
+          outcomes[i] = std::move(outcome);
+        });
     for (eds::port::Port d = 1; d <= 9; ++d) {
       const auto& r = outcomes[d - 1];
       std::string even = "-";

@@ -7,199 +7,149 @@
 #include "algo/double_cover.hpp"
 #include "algo/odd_regular.hpp"
 #include "algo/port_one.hpp"
-#include "runtime/batch.hpp"
 #include "runtime/plan_cache.hpp"
 #include "util/error.hpp"
 
 namespace eds::algo {
 
-std::string algorithm_name(Algorithm a) {
-  switch (a) {
-    case Algorithm::kAllEdges:
-      return "all-edges";
-    case Algorithm::kPortOne:
-      return "port-one (Thm 3)";
-    case Algorithm::kOddRegular:
-      return "odd-regular (Thm 4)";
-    case Algorithm::kBoundedDegree:
-      return "bounded-degree (Thm 5)";
-    case Algorithm::kDoubleCover:
-      return "double-cover 2-matching";
+namespace {
+
+using FactoryPtr = std::unique_ptr<runtime::ProgramFactory>;
+
+/// What a zero `param` resolves to on a graph (resolved_param).
+enum class ParamRule {
+  kNone,           ///< the algorithm takes no parameter: 0
+  kMaxDegree,      ///< the max degree, at least 1
+  kRegularDegree,  ///< as kMaxDegree, and only on a regular graph
+};
+
+/// One row of the algorithm table.  `factory` and `schedule` take the
+/// resolved param, which is nonzero unless `rule` is kNone.
+struct AlgorithmInfo {
+  Algorithm algorithm;
+  const char* token;
+  const char* name;
+  ParamRule rule;
+  FactoryPtr (*factory)(port::Port param);
+  runtime::Round (*schedule)(port::Port param);
+};
+
+constexpr AlgorithmInfo kAlgorithms[] = {
+    {Algorithm::kAllEdges, "all-edges", "all-edges", ParamRule::kNone,
+     [](port::Port) -> FactoryPtr {
+       return std::make_unique<AllEdgesFactory>();
+     },
+     [](port::Port) -> runtime::Round { return 0; }},
+    {Algorithm::kPortOne, "port-one", "port-one (Thm 3)", ParamRule::kNone,
+     [](port::Port) -> FactoryPtr {
+       return std::make_unique<PortOneFactory>();
+     },
+     [](port::Port) -> runtime::Round { return 1; }},
+    {Algorithm::kOddRegular, "odd-regular", "odd-regular (Thm 4)",
+     ParamRule::kRegularDegree,
+     [](port::Port d) -> FactoryPtr {
+       return std::make_unique<OddRegularFactory>(d);
+     },
+     &OddRegularProgram::schedule_length},
+    // ∆ = 1 graphs are matchings, Table 1's trivial row: all edges.
+    {Algorithm::kBoundedDegree, "bounded-degree", "bounded-degree (Thm 5)",
+     ParamRule::kMaxDegree,
+     [](port::Port delta) -> FactoryPtr {
+       if (delta == 1) return std::make_unique<AllEdgesFactory>();
+       return std::make_unique<BoundedDegreeFactory>(delta);
+     },
+     [](port::Port delta) -> runtime::Round {
+       return delta <= 1 ? 0 : BoundedDegreeProgram::schedule_length(delta);
+     }},
+    {Algorithm::kDoubleCover, "double-cover", "double-cover 2-matching",
+     ParamRule::kMaxDegree,
+     [](port::Port delta) -> FactoryPtr {
+       return std::make_unique<DoubleCoverFactory>(delta);
+     },
+     &DoubleCoverProgram::schedule_length},
+};
+
+const AlgorithmInfo& info(Algorithm a) {
+  for (const auto& row : kAlgorithms) {
+    if (row.algorithm == a) return row;
   }
-  throw InvalidArgument("algorithm_name: unknown algorithm");
+  throw InvalidArgument("unknown algorithm");
 }
 
-std::string algorithm_token(Algorithm a) {
-  switch (a) {
-    case Algorithm::kAllEdges:
-      return "all-edges";
-    case Algorithm::kPortOne:
-      return "port-one";
-    case Algorithm::kOddRegular:
-      return "odd-regular";
-    case Algorithm::kBoundedDegree:
-      return "bounded-degree";
-    case Algorithm::kDoubleCover:
-      return "double-cover";
-  }
-  throw InvalidArgument("algorithm_token: unknown algorithm");
-}
+}  // namespace
+
+std::string algorithm_name(Algorithm a) { return info(a).name; }
+
+std::string algorithm_token(Algorithm a) { return info(a).token; }
 
 std::optional<Algorithm> algorithm_from_token(const std::string& token) {
-  if (token == "all-edges") return Algorithm::kAllEdges;
-  if (token == "port-one") return Algorithm::kPortOne;
-  if (token == "odd-regular") return Algorithm::kOddRegular;
-  if (token == "bounded-degree") return Algorithm::kBoundedDegree;
-  if (token == "double-cover") return Algorithm::kDoubleCover;
+  for (const auto& row : kAlgorithms) {
+    if (token == row.token) return row.algorithm;
+  }
   return std::nullopt;
 }
 
 std::unique_ptr<runtime::ProgramFactory> make_factory(Algorithm algorithm,
                                                       port::Port param) {
-  switch (algorithm) {
-    case Algorithm::kAllEdges:
-      return std::make_unique<AllEdgesFactory>();
-    case Algorithm::kPortOne:
-      return std::make_unique<PortOneFactory>();
-    case Algorithm::kOddRegular:
-      if (param == 0) {
-        throw InvalidArgument("make_factory: kOddRegular needs d");
-      }
-      return std::make_unique<OddRegularFactory>(param);
-    case Algorithm::kBoundedDegree:
-      if (param == 0) {
-        throw InvalidArgument("make_factory: kBoundedDegree needs max degree");
-      }
-      if (param == 1) return std::make_unique<AllEdgesFactory>();
-      return std::make_unique<BoundedDegreeFactory>(param);
-    case Algorithm::kDoubleCover:
-      if (param == 0) {
-        throw InvalidArgument("make_factory: kDoubleCover needs max degree");
-      }
-      return std::make_unique<DoubleCoverFactory>(param);
+  const auto& row = info(algorithm);
+  if (row.rule != ParamRule::kNone && param == 0) {
+    throw InvalidArgument(
+        std::string("make_factory: ") + row.token + " needs " +
+        (row.rule == ParamRule::kRegularDegree ? "d" : "max degree"));
   }
-  throw InvalidArgument("make_factory: unknown algorithm");
+  return row.factory(param);
 }
 
 runtime::Round schedule_length(Algorithm algorithm, port::Port param) {
-  switch (algorithm) {
-    case Algorithm::kAllEdges:
-      return 0;
-    case Algorithm::kPortOne:
-      return 1;
-    case Algorithm::kOddRegular:
-      return OddRegularProgram::schedule_length(param);
-    case Algorithm::kBoundedDegree:
-      return param <= 1 ? 0 : BoundedDegreeProgram::schedule_length(param);
-    case Algorithm::kDoubleCover:
-      return DoubleCoverProgram::schedule_length(param);
-  }
-  throw InvalidArgument("schedule_length: unknown algorithm");
+  return info(algorithm).schedule(param);
 }
 
-namespace {
-
-/// Resolves the `param == 0` default from the graph (d-regular degree for
-/// kOddRegular, max degree for kBoundedDegree / kDoubleCover).
-port::Port resolve_param(const port::PortedGraph& pg, Algorithm algorithm,
-                         port::Port param) {
-  if (param != 0) return param;
-  const auto& g = pg.graph();
-  switch (algorithm) {
-    case Algorithm::kOddRegular: {
-      const auto d = g.max_degree();
-      if (!g.is_regular(d)) {
-        throw InvalidArgument("run_algorithm: graph is not regular");
-      }
-      return static_cast<port::Port>(d);
-    }
-    case Algorithm::kBoundedDegree:
-    case Algorithm::kDoubleCover:
-      return static_cast<port::Port>(std::max<std::size_t>(
-          g.max_degree(), 1));
-    default:
-      return param;
+port::Port resolved_param(const port::PortGraph& g, Algorithm algorithm,
+                          port::Port param) {
+  const auto& row = info(algorithm);
+  if (param != 0 || row.rule == ParamRule::kNone) return param;
+  const auto& degrees = g.degree_sequence();
+  const auto [lo, hi] = std::minmax_element(degrees.begin(), degrees.end());
+  if (hi == degrees.end()) return 1;  // no nodes: every degree fits
+  if (row.rule == ParamRule::kRegularDegree && *lo != *hi) {
+    throw InvalidArgument(std::string(row.token) +
+                          ": graph is not regular (pass its d as param)");
   }
+  return std::max<port::Port>(*hi, 1);
 }
-
-}  // namespace
 
 port::Port resolved_param(const port::PortedGraph& pg, Algorithm algorithm,
                           port::Port param) {
-  return resolve_param(pg, algorithm, param);
+  return resolved_param(pg.ports(), algorithm, param);
+}
+
+Job make_job(const port::PortGraph& g, Algorithm algorithm, port::Port param,
+             runtime::PlanCache* plan_cache,
+             runtime::StructuralHashMemo* hashes) {
+  param = resolved_param(g, algorithm, param);
+  Job job{make_factory(algorithm, param), {}};
+  auto& options = job.batch.options;
+  options.max_rounds =
+      std::max(options.max_rounds, schedule_length(algorithm, param));
+  options.exec.plan_cache =
+      plan_cache != nullptr ? plan_cache : &runtime::PlanCache::global();
+  job.batch.graph = &g;
+  job.batch.factory = job.factory.get();
+  job.batch.spec = runtime::JobSpec{
+      algorithm_token(algorithm), param,
+      hashes != nullptr ? hashes->get(g) : runtime::structural_hash(g)};
+  return job;
 }
 
 EdsOutcome run_algorithm(const port::PortedGraph& pg, Algorithm algorithm,
                          port::Port param, const runtime::ExecOptions& exec) {
-  param = resolve_param(pg, algorithm, param);
-  const auto factory = make_factory(algorithm, param);
-  runtime::RunOptions options;
-  options.max_rounds =
-      std::max(options.max_rounds, schedule_length(algorithm, param));
+  const auto job = make_job(pg.ports(), algorithm, param, exec.plan_cache);
+  auto options = job.batch.options;
   options.exec = exec;
-  if (options.exec.plan_cache == nullptr) {
-    options.exec.plan_cache = &runtime::PlanCache::global();
-  }
-  const auto result = runtime::run_synchronous(pg.ports(), *factory, options);
-  EdsOutcome outcome;
-  outcome.solution = runtime::validated_edge_set(pg, result);
-  outcome.stats = result.stats;
-  return outcome;
-}
-
-namespace {
-
-/// The shared front half of run_batch / run_batch_streaming: factories are
-/// built up front (and kept alive for the whole batch) and every job is
-/// pointed at the plan cache.
-struct PreparedBatch {
-  std::vector<std::unique_ptr<runtime::ProgramFactory>> factories;
-  std::vector<runtime::BatchJob> jobs;
-};
-
-PreparedBatch prepare_batch(const std::vector<BatchItem>& items,
-                            runtime::PlanCache* plan_cache) {
-  if (plan_cache == nullptr) plan_cache = &runtime::PlanCache::global();
-  PreparedBatch batch;
-  batch.factories.reserve(items.size());
-  batch.jobs.reserve(items.size());
-  // Sweeps with --repeat enqueue the same instance many times; the memo
-  // pays the O(ports) structural-hash walk once per distinct graph, not
-  // once per job.
-  runtime::StructuralHashMemo hash_memo;
-  for (const auto& item : items) {
-    if (item.graph == nullptr) {
-      throw InvalidArgument("run_batch: item requires a graph");
-    }
-    const auto param = resolve_param(*item.graph, item.algorithm, item.param);
-    batch.factories.push_back(make_factory(item.algorithm, param));
-    runtime::RunOptions options;
-    options.max_rounds =
-        std::max(options.max_rounds, schedule_length(item.algorithm, param));
-    options.exec.plan_cache = plan_cache;
-    runtime::JobSpec spec;
-    spec.algorithm = algorithm_token(item.algorithm);
-    spec.param = param;
-    spec.group = hash_memo.get(item.graph->ports());
-    batch.jobs.push_back({&item.graph->ports(), batch.factories.back().get(),
-                          options, std::move(spec)});
-  }
-  return batch;
-}
-
-}  // namespace
-
-std::vector<EdsOutcome> run_batch(const std::vector<BatchItem>& items,
-                                  const runtime::ExecOptions& exec,
-                                  runtime::PlanCache* plan_cache) {
-  std::vector<EdsOutcome> outcomes(items.size());
-  run_batch_streaming(
-      items, exec,
-      [&outcomes](std::size_t i, EdsOutcome&& outcome) {
-        outcomes[i] = std::move(outcome);
-      },
-      plan_cache);
-  return outcomes;
+  options.exec.plan_cache = job.batch.options.exec.plan_cache;
+  const auto result = runtime::run_synchronous(pg.ports(), *job.factory,
+                                               options);
+  return {runtime::validated_edge_set(pg, result), result.stats};
 }
 
 void run_batch_streaming(
@@ -207,20 +157,31 @@ void run_batch_streaming(
     const std::function<void(std::size_t index, EdsOutcome&& outcome)>&
         on_outcome,
     runtime::PlanCache* plan_cache) {
-  const auto batch = prepare_batch(items, plan_cache);
+  // Sweeps with --repeat enqueue the same instance many times; the memo
+  // pays the O(ports) structural-hash walk once per distinct graph.
+  runtime::StructuralHashMemo hashes;
+  std::vector<Job> built;
+  std::vector<runtime::BatchJob> jobs;
+  built.reserve(items.size());
+  jobs.reserve(items.size());
+  for (const auto& item : items) {
+    if (item.graph == nullptr) {
+      throw InvalidArgument("run_batch_streaming: item requires a graph");
+    }
+    built.push_back(make_job(item.graph->ports(), item.algorithm, item.param,
+                             plan_cache, &hashes));
+    jobs.push_back(built.back().batch);
+  }
   // `exec.threads` sizes the in-process pool; `exec.executor` replaces it
   // wholesale (the job-level options stay sequential either way, so the
   // two levels of parallelism never multiply).
   const runtime::BatchRunner runner =
       exec.executor != nullptr ? runtime::BatchRunner(exec.executor)
                                : runtime::BatchRunner(exec.threads);
-  runner.run_streaming(
-      batch.jobs, [&](std::size_t i, runtime::RunResult&& result) {
-        EdsOutcome outcome;
-        outcome.solution = runtime::validated_edge_set(*items[i].graph, result);
-        outcome.stats = result.stats;
-        on_outcome(i, std::move(outcome));
-      });
+  runner.run_streaming(jobs, [&](std::size_t i, runtime::RunResult&& result) {
+    on_outcome(i, {runtime::validated_edge_set(*items[i].graph, result),
+                   result.stats});
+  });
 }
 
 Recommendation recommended_for(const graph::SimpleGraph& g) {

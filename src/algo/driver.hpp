@@ -1,9 +1,13 @@
 // High-level entry points: pick an algorithm, run it on a ported graph,
 // validate the output, and return the solution with execution statistics.
 //
-// This is the public API a downstream user of the library is expected to
-// call; everything else (programs, runner, verifiers) is available for
-// finer-grained use.
+// One table in driver.cpp holds each algorithm's token, display name,
+// factory, schedule length and the rule that resolves a zero `param` from
+// the graph's degrees (Table 1's pairing of a graph class with an
+// algorithm and its d or ∆); the functions below are lookups in it.
+// Beside it, make_job is the one job builder: run_algorithm,
+// run_batch_streaming and every `edsim` command that runs an algorithm
+// build their runs with it, so the recipe of a run is written once.
 #pragma once
 
 #include <functional>
@@ -14,8 +18,14 @@
 
 #include "graph/edge_set.hpp"
 #include "port/ported_graph.hpp"
+#include "runtime/batch.hpp"
 #include "runtime/outputs.hpp"
 #include "runtime/runner.hpp"
+
+namespace eds::runtime {
+class PlanCache;
+class StructuralHashMemo;
+}  // namespace eds::runtime
 
 namespace eds::algo {
 
@@ -48,30 +58,55 @@ struct EdsOutcome {
 };
 
 /// Builds the factory for `algorithm`; `param` is d for kOddRegular and ∆
-/// for kBoundedDegree / kDoubleCover (ignored for the others).
+/// for kBoundedDegree / kDoubleCover (ignored for the others, and
+/// InvalidArgument when it is 0 for these three).  kBoundedDegree with
+/// ∆ = 1 builds the all-edges factory: such a graph is a matching.
 [[nodiscard]] std::unique_ptr<runtime::ProgramFactory> make_factory(
     Algorithm algorithm, port::Port param = 0);
 
 /// The length of the fixed schedule that make_factory(algorithm, param)'s
-/// programs follow, so no run takes more rounds.  Runs set
+/// programs follow, so no run takes more rounds.  make_job sets
 /// RunOptions::max_rounds to at least this, so that a large ∆ is not cut
 /// off by the default cap.
 [[nodiscard]] runtime::Round schedule_length(Algorithm algorithm,
                                              port::Port param);
 
-/// Resolves the `param == 0` default from the graph, exactly as
-/// run_algorithm does internally: the d-regular degree for kOddRegular
-/// (throws InvalidArgument when the graph is not regular), the max degree
-/// for kBoundedDegree / kDoubleCover, `param` unchanged otherwise.  Callers
-/// that build raw runtime::BatchJobs (e.g. the CLI's async sweep) use this
-/// to construct the same factory run_algorithm would.
+/// Resolves the `param == 0` default from the graph's degrees: the max
+/// degree, at least 1, for kBoundedDegree / kDoubleCover and for
+/// kOddRegular, which also requires a regular graph (InvalidArgument
+/// otherwise); 0 for the algorithms that take no parameter.  A nonzero
+/// `param` is returned unchanged.
+[[nodiscard]] port::Port resolved_param(const port::PortGraph& g,
+                                        Algorithm algorithm,
+                                        port::Port param = 0);
+
+/// resolved_param on the port graph of `pg`, whose degrees are those of
+/// its simple graph.
 [[nodiscard]] port::Port resolved_param(const port::PortedGraph& pg,
                                         Algorithm algorithm,
                                         port::Port param = 0);
 
+/// One runnable job: the factory it owns and the runtime::BatchJob that
+/// points at it and at the graph.  The factory lives on the heap, so
+/// moving a Job keeps `batch.factory` valid, and copies of `batch` (a
+/// sweep's --repeat jobs) share it; the graph must outlive every copy.
+struct Job {
+  std::unique_ptr<runtime::ProgramFactory> factory;
+  runtime::BatchJob batch;
+};
+
+/// The job builder: resolves `param` on `g`, builds the factory and a
+/// one-lane synchronous BatchJob on `g` with max_rounds = max(default
+/// cap, schedule_length), plans from `plan_cache` (null =
+/// PlanCache::global()), and a JobSpec of the token, the resolved param
+/// and `g`'s structural hash as shard group (through `hashes` when set,
+/// so a batch that repeats a graph walks it once).
+[[nodiscard]] Job make_job(const port::PortGraph& g, Algorithm algorithm,
+                           port::Port param, runtime::PlanCache* plan_cache,
+                           runtime::StructuralHashMemo* hashes = nullptr);
+
 /// Runs `algorithm` on `pg` and returns the validated solution.
-/// `param` defaults (0) resolve from the graph: d-regular degree for
-/// kOddRegular, max degree for kBoundedDegree / kDoubleCover.  `exec`
+/// `param` defaults (0) resolve from the graph (resolved_param).  `exec`
 /// selects the engine policy (ExecOptions{.threads = N}); the solution is
 /// identical for every policy.  When `exec.plan_cache` is null the
 /// process-wide `runtime::PlanCache::global()` is used, so repeated runs
@@ -81,33 +116,27 @@ struct EdsOutcome {
                                        port::Port param = 0,
                                        const runtime::ExecOptions& exec = {});
 
-/// One job of a batch sweep; `graph` is non-owning and must outlive the
-/// run_batch call.  `param` resolves exactly as in run_algorithm.
+/// One job of a batch; `graph` is non-owning and must outlive the
+/// run_batch_streaming call.  `param` resolves exactly as in run_algorithm.
 struct BatchItem {
   const port::PortedGraph* graph = nullptr;
   Algorithm algorithm = Algorithm::kBoundedDegree;
   port::Port param = 0;
 };
 
-/// Runs every item concurrently and returns the validated outcomes in item
-/// order — deterministically identical for every backend and lane count.
-/// `exec.executor` (when set) replaces the in-process pool — e.g. a
+/// Runs every item as a make_job job and hands `on_outcome` each item's
+/// validated outcome as soon as its whole prefix has completed
+/// (serialized, strictly increasing item order — see
+/// BatchRunner::run_streaming), so long sweeps can emit output
+/// incrementally; the outcomes are identical for every backend and lane
+/// count.  `exec.executor` (when set) replaces the in-process pool — e.g. a
 /// runtime::ProcessShardExecutor fans the items across worker
 /// subprocesses — while `exec.threads` sizes the in-process BatchRunner
-/// pool otherwise (0 = one lane per hardware thread).  Every job is
-/// prepared with a serializable JobSpec (algorithm token, resolved
-/// parameter, structural-hash group), so any backend can ship it.  Plans
-/// are shared through `plan_cache` (null = PlanCache::global()), so
-/// repeated items on one graph compile a single ExecutionPlan.
-[[nodiscard]] std::vector<EdsOutcome> run_batch(
-    const std::vector<BatchItem>& items, const runtime::ExecOptions& exec,
-    runtime::PlanCache* plan_cache = nullptr);
-
-/// Streaming run_batch: `on_outcome` receives each item's validated
-/// outcome as soon as its whole prefix has completed (serialized, strictly
-/// increasing item order — see BatchRunner::run_streaming), so long sweeps
-/// can emit output incrementally.  Blocks until the batch drains; rethrows
-/// the lowest-indexed failure after withholding outcomes from it onward.
+/// pool otherwise (0 = one lane per hardware thread).  Plans are shared
+/// through `plan_cache` (null = PlanCache::global()), so repeated items on
+/// one graph compile a single ExecutionPlan.  Blocks until the batch
+/// drains; rethrows the lowest-indexed failure after withholding outcomes
+/// from it onward.
 void run_batch_streaming(
     const std::vector<BatchItem>& items, const runtime::ExecOptions& exec,
     const std::function<void(std::size_t index, EdsOutcome&& outcome)>&

@@ -258,12 +258,6 @@ void usage(std::ostream& out) {
          "  help\n";
 }
 
-std::optional<algo::Algorithm> parse_algorithm(const std::string& name) {
-  // One vocabulary everywhere: the CLI flags and the worker wire protocol
-  // both speak algo::algorithm_token's tokens.
-  return algo::algorithm_from_token(name);
-}
-
 /// The binary to fork as `<bin> worker` for --shards: an explicit
 /// --worker-bin wins, then the EDSIM_BIN environment variable (how tests
 /// point an in-process run_cli at the real edsim), then this executable
@@ -394,7 +388,7 @@ int cmd_solve(const Args& args, std::istream& in, std::ostream& out,
     algorithm = rec.algorithm;
     param = rec.param;
   } else {
-    const auto parsed = parse_algorithm(algo_name);
+    const auto parsed = algo::algorithm_from_token(algo_name);
     if (!parsed) {
       err << "solve: unknown algorithm '" << algo_name << "'\n";
       return 2;
@@ -466,27 +460,19 @@ int cmd_lower_bound(const Args& args, std::ostream& out, std::ostream& err) {
 
 int cmd_run_portgraph(const Args& args, std::istream& in, std::ostream& out,
                       std::ostream& err) {
-  const auto parsed = parse_algorithm(args.get("algorithm", ""));
-  if (!parsed) {
+  const auto algorithm = algo::algorithm_from_token(args.get("algorithm", ""));
+  if (!algorithm) {
     err << "run-portgraph: --algorithm required (see 'edsim help')\n";
     return 2;
   }
   try {
     const auto g = port::read_port_graph(in);
-    auto param = args.number<port::Port>("param", 0);
-    if (param == 0) {
-      for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
-        param = std::max(param, g.degree(v));
-      }
-      param = std::max<port::Port>(param, 1);
-    }
-    const auto factory = algo::make_factory(*parsed, param);
-    runtime::RunOptions options;
-    options.max_rounds =
-        std::max(options.max_rounds, algo::schedule_length(*parsed, param));
+    auto job = algo::make_job(
+        g, *algorithm, args.number<port::Port>("param", 0), nullptr);
+    auto& options = job.batch.options;
     options.collect_messages = args.has("trace");
     options.exec.threads = args.number<unsigned>("threads", 1);
-    const auto result = runtime::run_synchronous(g, *factory, options);
+    const auto result = runtime::run_synchronous(g, *job.factory, options);
     const auto selected = runtime::validated_selection_size(g, result);
     if (args.has("trace")) out << runtime::format_transcript(result);
     out << "nodes: " << g.num_nodes() << "  rounds: " << result.stats.rounds
@@ -543,13 +529,14 @@ int cmd_sweep_replay(const Args& args, std::ostream& out, std::ostream& err) {
     err << "sweep: replay graph: " << e.what() << '\n';
     return 2;
   }
-  const auto factory =
-      algo::make_factory(*algorithm, static_cast<port::Port>(replay.param));
-  runtime::RunOptions options;
-  options.collect_messages = true;
+  // The recorded run's recipe, so its round budget too.
+  auto job = algo::make_job(g, *algorithm,
+                            static_cast<port::Port>(replay.param), nullptr);
+  job.batch.options.collect_messages = true;
   runtime::AsyncResult result;
   try {
-    result = runtime::run_asynchronous(g, *factory, options, replay.options);
+    result = runtime::run_asynchronous(g, *job.factory, job.batch.options,
+                                       replay.options);
   } catch (const Error& e) {
     err << "sweep: replay run failed: " << e.what() << '\n';
     return 1;
@@ -618,17 +605,14 @@ std::optional<graph::SimpleGraph> family_graph(const std::string& family,
   return std::nullopt;
 }
 
-/// One sweep instance and what its jobs share: the algorithm, its resolved
-/// parameter, the factory and the shard-routing group.
+/// One sweep instance and the job its --repeat runs copy.
 struct SweepInstance {
   /// `portgraph` instances are multigraphs (loops, parallel edges) with no
   /// simple graph; every other family is a simple graph with random ports.
   std::variant<port::PortGraph, port::PortedGraph> graph;
   std::size_t n = 0;  ///< the requested size, the row's label
   algo::Algorithm algorithm = algo::Algorithm::kBoundedDegree;
-  port::Port param = 0;
-  std::unique_ptr<runtime::ProgramFactory> factory = nullptr;
-  std::uint64_t group = 0;  ///< structural hash of the ports
+  algo::Job job = {};
 
   /// Null for a `portgraph` instance.
   [[nodiscard]] const port::PortedGraph* simple() const {
@@ -804,7 +788,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   const auto algo_name = args.get("algorithm", "auto");
   std::optional<algo::Algorithm> fixed;
   if (algo_name != "auto") {
-    fixed = parse_algorithm(algo_name);
+    fixed = algo::algorithm_from_token(algo_name);
     if (!fixed) {
       err << "sweep: unknown algorithm '" << algo_name << "'\n";
       return 2;
@@ -943,19 +927,19 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
                                  std::optional<std::size_t> optimum,
                                  TextTable& table) -> int {
     const auto& ports = inst.ports();
-    const auto algo_token = algo::algorithm_token(inst.algorithm);
+    const auto& spec = *inst.job.batch.spec;
+    const auto& algo_token = spec.algorithm;
     const std::size_t job_index = adversary_jobs++;
     const auto base = async_for_job(job_index, ports.num_nodes());
     std::uint64_t state = seed ^ (0xBADC0FFEULL + job_index);
     const auto search_seed = splitmix64(state);
-    runtime::RunOptions run_opts;
-    run_opts.exec.plan_cache = &plan_cache;
+    const auto& run_opts = inst.job.batch.options;
     const auto report = runtime::adversary_search(
-        ports, *inst.factory, *adversary, base, budget, search_seed,
+        ports, *inst.job.factory, *adversary, base, budget, search_seed,
         run_opts);
     const auto metric = report.primary_metric();
     const auto shrunk = runtime::shrink_witness(
-        ports, *inst.factory, report.primary(), metric, run_opts);
+        ports, *inst.job.factory, report.primary(), metric, run_opts);
     std::optional<Fraction> ratio;
     if (optimum.has_value() && *optimum > 0) {
       ratio = analysis::approximation_ratio(
@@ -967,7 +951,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
       runtime::ReplayFile file;
       file.strategy = runtime::adversary_token(*adversary);
       file.algorithm = algo_token;
-      file.param = inst.param;
+      file.param = spec.param;
       file.options = shrunk.options;
       file.metrics = {
           {"rounds", shrunk.metrics.rounds},
@@ -1064,27 +1048,20 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     // fixed algorithm rejects still leaves it on stdout.
     if (!async_model) print_header();
     for (auto& inst : instances) {
-      if (const auto* pg = inst.simple()) {
-        port::Port wanted = param;
-        if (fixed) {
-          inst.algorithm = *fixed;
-        } else {
-          const auto rec = algo::recommended_for(pg->graph());
-          inst.algorithm = rec.algorithm;
-          wanted = rec.param;
-        }
-        inst.param = algo::resolved_param(*pg, inst.algorithm, wanted);
+      port::Port wanted = param;
+      if (const auto* pg = inst.simple(); pg != nullptr && !fixed) {
+        const auto rec = algo::recommended_for(pg->graph());
+        inst.algorithm = rec.algorithm;
+        wanted = rec.param;
       } else {
-        // Multigraphs have no Table 1 row: `auto` means A(d).
+        // Multigraphs have no Table 1 row: `auto` means A(∆).
         inst.algorithm = fixed.value_or(algo::Algorithm::kBoundedDegree);
-        inst.param = param != 0 ? param
-                                : static_cast<port::Port>(
-                                      std::max<std::size_t>(d, 1));
       }
-      inst.factory = algo::make_factory(inst.algorithm, inst.param);
-      // One O(ports) hash walk per instance, shared by its --repeat jobs:
-      // group routing keeps the per-shard caches equivalent to one cache.
-      inst.group = runtime::structural_hash(inst.ports());
+      // One job, so one O(ports) hash walk, per instance, shared by its
+      // --repeat jobs: group routing keeps the per-shard caches equivalent
+      // to one cache.
+      inst.job =
+          algo::make_job(inst.ports(), inst.algorithm, wanted, &plan_cache);
     }
     if (async_model) print_header();
 
@@ -1114,19 +1091,13 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     std::vector<runtime::BatchJob> jobs;
     jobs.reserve(instances.size() * repeat);
     for (const auto& inst : instances) {
-      const runtime::JobSpec spec{algo::algorithm_token(inst.algorithm),
-                                  inst.param, inst.group};
       for (std::size_t r = 0; r < repeat; ++r) {
-        runtime::RunOptions options;
-        options.max_rounds = std::max(
-            options.max_rounds,
-            algo::schedule_length(inst.algorithm, inst.param));
-        options.exec.plan_cache = &plan_cache;
+        auto job = inst.job.batch;
         if (async_model) {
-          options.exec.async =
+          job.options.exec.async =
               async_for_job(jobs.size(), inst.ports().num_nodes());
         }
-        jobs.push_back({&inst.ports(), inst.factory.get(), options, spec});
+        jobs.push_back(std::move(job));
       }
     }
     const runtime::BatchRunner runner =
@@ -1382,7 +1353,8 @@ struct Table1Row {
   bool regular = true;  // a d-regular row, else a bounded-degree one
   port::Port degree = 0;
   Fraction bound;
-  std::unique_ptr<runtime::ProgramFactory> factory;
+  algo::Algorithm algorithm = algo::Algorithm::kPortOne;
+  port::Port param = 0;
   runtime::Round schedule = 0;
   Fraction lb_ratio = 0;      // on the row's lower-bound instance
   Fraction random_worst = 0;  // the worst over its random instances
@@ -1426,7 +1398,8 @@ int cmd_table1(std::ostream& out, std::ostream& err) {
     rows.push_back({.regular = regular,
                     .degree = degree,
                     .bound = bound,
-                    .factory = algo::make_factory(algorithm, param),
+                    .algorithm = algorithm,
+                    .param = param,
                     .schedule = algo::schedule_length(algorithm, param)});
     return rows.size() - 1;
   };
@@ -1480,11 +1453,15 @@ int cmd_table1(std::ostream& out, std::ostream& err) {
     }
   }
 
+  std::vector<algo::Job> built;
   std::vector<runtime::BatchJob> jobs;
+  built.reserve(runs.size());
   jobs.reserve(runs.size());
   for (const auto& run : runs) {
-    jobs.push_back({&run.instance.ports(), rows[run.row].factory.get(), {},
-                    std::nullopt});
+    const auto& row = rows[run.row];
+    built.push_back(algo::make_job(run.instance.ports(), row.algorithm,
+                                   row.param, nullptr));
+    jobs.push_back(built.back().batch);
   }
   const auto results = runtime::BatchRunner(0U).run(jobs);
   for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -301,10 +301,7 @@ RunResult run_plan(const ExecutionPlan& plan,
   RunStats& stats = result.stats;
 
   // Stage profiling, for runs with a metrics sink only: a run without one
-  // takes no timestamps at all.  Profiled runs drive each shard's visit
-  // range as a receive sweep then a send sweep so the split can be timed
-  // at shard granularity — bit-identical results, since programs only
-  // observe their own call sequence.
+  // takes no timestamps at all.
   const bool profile = options.metrics != nullptr;
   using ProfileClock = std::chrono::steady_clock;
   const auto elapsed_ns = [](ProfileClock::time_point from,
@@ -441,28 +438,26 @@ RunResult run_plan(const ExecutionPlan& plan,
     // itself.  Per-node state (wake, dirty, the visit entry) is touched
     // only by the shard that owns the node; asleep[] is read-only until
     // the barrier.
+    //
+    // A shard drives its visit range as a receive sweep, then a send sweep
+    // over the nodes the first selected.  A receive reads only `from` and
+    // writes only the node's own `to` segment, a send only that segment,
+    // so the split changes no value a program sees, and logs fill in
+    // ascending node order.
     pool.run(shards, [&](std::size_t s) {
       ShardScratch& sc = scratch[s];
       try {
-        if (!profile) {
-          for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            Visit& item = visit[idx];
-            item.receives = receive_node(sc, item);
-            if (item.receives) send_node(sc, item.node);
-          }
-        } else {
-          // Profiled: the same visits as a receive sweep, then a send
-          // sweep over the nodes it selected.  Programs observe the same
-          // per-node call sequence and logs fill in the same ascending
-          // node order — bit-identical to the fused path.
-          const auto t0 = ProfileClock::now();
-          for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            visit[idx].receives = receive_node(sc, visit[idx]);
-          }
-          const auto t1 = ProfileClock::now();
-          for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            if (visit[idx].receives) send_node(sc, visit[idx].node);
-          }
+        ProfileClock::time_point t0;
+        ProfileClock::time_point t1;
+        if (profile) t0 = ProfileClock::now();
+        for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
+          visit[idx].receives = receive_node(sc, visit[idx]);
+        }
+        if (profile) t1 = ProfileClock::now();
+        for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
+          if (visit[idx].receives) send_node(sc, visit[idx].node);
+        }
+        if (profile) {
           sc.receive_ns += elapsed_ns(t0, t1);
           sc.exchange_ns += elapsed_ns(t1, ProfileClock::now());
         }

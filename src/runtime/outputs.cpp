@@ -2,35 +2,65 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 namespace eds::runtime {
 
-graph::EdgeSet validated_edge_set(const port::PortedGraph& pg,
-                                  const RunResult& result) {
-  const auto& g = pg.graph();
+namespace {
+
+/// The consistency walk every decoder below shares: calls
+/// visit(v, i, partner) for each port i each node v claims, in node and
+/// port order, and returns the first claim whose partner does not claim
+/// its end back (nullopt when there is none).  Throws ExecutionError
+/// naming `caller` unless `result` has one output per node of `g`.
+template <typename Visit>
+std::optional<port::PortRef> one_sided_claim(const port::PortGraph& g,
+                                             const RunResult& result,
+                                             const char* caller,
+                                             Visit visit) {
   if (result.outputs.size() != g.num_nodes()) {
-    throw ExecutionError("validated_edge_set: node count mismatch");
+    throw ExecutionError(std::string(caller) + ": node count mismatch");
   }
-
-  // Membership lookup: claimed[v] is the sorted port list of v.
-  const auto& claimed = result.outputs;
-  auto claims = [&claimed](port::NodeId v, port::Port p) {
-    return std::binary_search(claimed[v].begin(), claimed[v].end(), p);
-  };
-
-  graph::EdgeSet out(g.num_edges());
+  const auto& claimed = result.outputs;  // each node's sorted port list
   for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
     for (const port::Port i : claimed[v]) {
-      const auto there = pg.ports().partner(v, i);
-      if (!claims(there.node, there.port)) {
-        std::ostringstream os;
-        os << "validated_edge_set: inconsistent output — node " << v
-           << " claims port " << i << " but node " << there.node
-           << " does not claim port " << there.port;
-        throw ExecutionError(os.str());
+      const auto there = g.partner(v, i);
+      const auto& theirs = claimed[there.node];
+      if (!std::binary_search(theirs.begin(), theirs.end(), there.port)) {
+        return port::PortRef{v, i};
       }
-      out.insert(pg.edge_at(v, i));
+      visit(v, i, there);
     }
+  }
+  return std::nullopt;
+}
+
+/// A visitor for one_sided_claim that counts each selected structural
+/// edge once, from its lexicographically first port (a fixed point from
+/// itself).
+auto edge_counter(std::size_t& selected) {
+  return [&selected](port::NodeId v, port::Port i, port::PortRef there) {
+    if (std::pair(v, i) <= std::pair(there.node, there.port)) ++selected;
+  };
+}
+
+}  // namespace
+
+graph::EdgeSet validated_edge_set(const port::PortedGraph& pg,
+                                  const RunResult& result) {
+  graph::EdgeSet out(pg.graph().num_edges());
+  const auto bad = one_sided_claim(
+      pg.ports(), result, "validated_edge_set",
+      [&](port::NodeId v, port::Port i, port::PortRef) {
+        out.insert(pg.edge_at(v, i));
+      });
+  if (bad) {
+    const auto there = pg.ports().partner(*bad);
+    std::ostringstream os;
+    os << "validated_edge_set: inconsistent output — node " << bad->node
+       << " claims port " << bad->port << " but node " << there.node
+       << " does not claim port " << there.port;
+    throw ExecutionError(os.str());
   }
   return out;
 }
@@ -44,49 +74,23 @@ bool all_outputs_identical(const RunResult& result) {
 
 std::size_t validated_selection_size(const port::PortGraph& g,
                                      const RunResult& result) {
-  if (result.outputs.size() != g.num_nodes()) {
-    throw ExecutionError("validated_selection_size: node count mismatch");
-  }
-  const auto& claimed = result.outputs;
-  auto claims = [&claimed](port::NodeId v, port::Port p) {
-    return std::binary_search(claimed[v].begin(), claimed[v].end(), p);
-  };
-
   std::size_t selected = 0;
-  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const port::Port i : claimed[v]) {
-      const auto there = g.partner(v, i);
-      if (!claims(there.node, there.port)) {
-        std::ostringstream os;
-        os << "validated_selection_size: inconsistent output at node " << v
-           << " port " << i;
-        throw ExecutionError(os.str());
-      }
-      // Count each structural edge once: from its lexicographically first
-      // port (fixed points count from themselves).
-      if (std::pair(v, i) <= std::pair(there.node, there.port)) ++selected;
-    }
+  if (const auto bad = one_sided_claim(g, result, "validated_selection_size",
+                                       edge_counter(selected))) {
+    std::ostringstream os;
+    os << "validated_selection_size: inconsistent output at node "
+       << bad->node << " port " << bad->port;
+    throw ExecutionError(os.str());
   }
   return selected;
 }
 
 std::optional<std::size_t> consistent_selection_size(const port::PortGraph& g,
                                                      const RunResult& result) {
-  if (result.outputs.size() != g.num_nodes()) {
-    throw ExecutionError("consistent_selection_size: node count mismatch");
-  }
-  const auto& claimed = result.outputs;
-  auto claims = [&claimed](port::NodeId v, port::Port p) {
-    return std::binary_search(claimed[v].begin(), claimed[v].end(), p);
-  };
-
   std::size_t selected = 0;
-  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const port::Port i : claimed[v]) {
-      const auto there = g.partner(v, i);
-      if (!claims(there.node, there.port)) return std::nullopt;
-      if (std::pair(v, i) <= std::pair(there.node, there.port)) ++selected;
-    }
+  if (one_sided_claim(g, result, "consistent_selection_size",
+                      edge_counter(selected))) {
+    return std::nullopt;
   }
   return selected;
 }

@@ -79,8 +79,8 @@ class PlanCache {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t max_bytes() const noexcept { return max_bytes_; }
 
-  /// The process-wide cache used by `algo::run_algorithm` / `run_batch`
-  /// when the caller does not supply one.
+  /// The process-wide cache `algo::make_job` (so `run_algorithm` and
+  /// `run_batch_streaming`) uses when the caller does not supply one.
   [[nodiscard]] static PlanCache& global();
 
   static constexpr std::size_t kDefaultCapacity = 32;

@@ -46,23 +46,24 @@ struct ExecOptions {
   /// (contiguous visit-list ranges balanced by port count, one barrier
   /// per round): 1 = one lane, inline on the caller (default), >1 = a
   /// ThreadPool with that many lanes, 0 = one lane per hardware thread.
-  /// Passed to `algo::run_batch` / `run_batch_streaming`, it is instead
-  /// the number of concurrent jobs of the in-process backend, and each
-  /// job runs on one lane.
+  /// Passed to `algo::run_batch_streaming`, it is instead the number of
+  /// concurrent jobs of the in-process backend, and each job runs on one
+  /// lane.
   unsigned threads = 1;
 
   /// When set, the ExecutionPlan is fetched from (and shared through) this
   /// cache instead of being compiled per run; null compiles a fresh plan.
-  /// `algo::run_algorithm` / `run_batch` default a null pointer to
-  /// `PlanCache::global()` — pass a cache explicitly to isolate or
-  /// observe its counters.  Plans are immutable, so sharing is invisible
-  /// except in wall-clock time and the cache's statistics.
+  /// `algo::make_job` (so `run_algorithm` and `run_batch_streaming`)
+  /// defaults a null pointer to `PlanCache::global()` — pass a cache
+  /// explicitly to isolate or observe its counters.  Plans are immutable,
+  /// so sharing is invisible except in wall-clock time and the cache's
+  /// statistics.
   PlanCache* plan_cache = nullptr;
 
   /// Batch-level backend override (non-owning): when set,
-  /// `algo::run_batch` / `run_batch_streaming` route their jobs through
-  /// this executor — e.g. a ProcessShardExecutor — instead of an
-  /// in-process BatchRunner pool of `threads` lanes.  Ignored by
+  /// `algo::run_batch_streaming` routes its jobs through this executor —
+  /// e.g. a ProcessShardExecutor — instead of an in-process BatchRunner
+  /// pool of `threads` lanes.  Ignored by
   /// run_synchronous: a single run has no batch to shard.
   const Executor* executor = nullptr;
 
@@ -83,9 +84,9 @@ struct ExecOptions {
 /// points here: run_plan adds each finished run in (a run that throws adds
 /// nothing), so one sink can total several runs.  Never share a sink
 /// between concurrent runs.  The asynchronous engine leaves it untouched.
-/// Timing the stages drives each shard as a receive sweep then a send
-/// sweep instead of the fused pass: bit-identical results, a few percent
-/// slower on dense graphs.
+/// Every run drives each shard as a receive sweep then a send sweep; a
+/// sink only adds the timestamps around them, which cost little on dense
+/// graphs and up to about a tenth of a mostly idle schedule's time.
 struct RunMetrics {
   std::uint64_t exchange_ns = 0;  ///< send sweep, arrival detection
   std::uint64_t receive_ns = 0;   ///< gather + receive sweep, barrier, merge
@@ -114,7 +115,7 @@ struct RunOptions {
   bool collect_messages = false;
 
   /// When set, the round engine times this run into the sink (see
-  /// RunMetrics); null runs the fused, timestamp-free round loop.
+  /// RunMetrics); null takes no timestamps.
   /// ProcessShardExecutor rejects jobs that carry a sink.
   RunMetrics* metrics = nullptr;
 

@@ -162,6 +162,12 @@ TEST(BoundedDegree, RejectsOverDegreeNodes) {
 TEST(BoundedDegree, DeltaOneRoutesToAllEdges) {
   const auto factory = make_factory(Algorithm::kBoundedDegree, 1);
   EXPECT_EQ(factory->name(), "all-edges");
+  EXPECT_EQ(schedule_length(Algorithm::kBoundedDegree, 1), 0u);
+  // A matching takes every edge, in zero rounds.
+  const auto pg = port::with_canonical_ports(graph::circulant(8, {4}));
+  const auto outcome = run_algorithm(pg, Algorithm::kBoundedDegree, 1);
+  EXPECT_EQ(outcome.solution.size(), 4u);
+  EXPECT_EQ(outcome.stats.rounds, 0u);
 }
 
 TEST(BoundedDegree, ConstructorRejectsDeltaBelowTwo) {

@@ -118,10 +118,15 @@ TEST(Driver, RecommendationMatchesTable1) {
 }
 
 TEST(Driver, FactoryValidation) {
-  EXPECT_THROW((void)make_factory(Algorithm::kOddRegular, 0), InvalidArgument);
-  EXPECT_THROW((void)make_factory(Algorithm::kBoundedDegree, 0),
-               InvalidArgument);
+  // The three algorithms that take d or ∆ refuse 0; the others ignore it.
+  for (const auto a : {Algorithm::kOddRegular, Algorithm::kBoundedDegree,
+                       Algorithm::kDoubleCover}) {
+    EXPECT_THROW((void)make_factory(a, 0), InvalidArgument)
+        << algorithm_token(a);
+    EXPECT_NO_THROW((void)make_factory(a, 3)) << algorithm_token(a);
+  }
   EXPECT_NO_THROW((void)make_factory(Algorithm::kPortOne, 0));
+  EXPECT_NO_THROW((void)make_factory(Algorithm::kAllEdges, 0));
 }
 
 TEST(Driver, OddRegularRejectsIrregularGraphs) {
@@ -131,8 +136,29 @@ TEST(Driver, OddRegularRejectsIrregularGraphs) {
 }
 
 TEST(Driver, NamesAreStable) {
-  EXPECT_EQ(algorithm_name(Algorithm::kPortOne), "port-one (Thm 3)");
-  EXPECT_EQ(algorithm_name(Algorithm::kOddRegular), "odd-regular (Thm 4)");
+  // Each token maps to its algorithm and back (the CLI and wire
+  // vocabulary), and each display name is pinned (sweep rows print it).
+  struct Row {
+    Algorithm algorithm;
+    const char* token;
+    const char* name;
+  };
+  for (const auto& row : {
+           Row{Algorithm::kAllEdges, "all-edges", "all-edges"},
+           Row{Algorithm::kPortOne, "port-one", "port-one (Thm 3)"},
+           Row{Algorithm::kOddRegular, "odd-regular", "odd-regular (Thm 4)"},
+           Row{Algorithm::kBoundedDegree, "bounded-degree",
+               "bounded-degree (Thm 5)"},
+           Row{Algorithm::kDoubleCover, "double-cover",
+               "double-cover 2-matching"},
+       }) {
+    EXPECT_EQ(algorithm_token(row.algorithm), row.token);
+    EXPECT_EQ(algorithm_from_token(row.token), row.algorithm) << row.token;
+    EXPECT_EQ(algorithm_name(row.algorithm), row.name);
+  }
+  EXPECT_EQ(algorithm_from_token("auto"), std::nullopt);
+  EXPECT_EQ(algorithm_from_token("Port-One"), std::nullopt);
+  EXPECT_EQ(algorithm_from_token(""), std::nullopt);
 }
 
 }  // namespace

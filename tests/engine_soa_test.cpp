@@ -83,9 +83,8 @@ TEST(EngineSoa, StarMultigraphDifferentialAcrossLaneCounts) {
 }
 
 TEST(EngineSoa, ProfiledRunsStayBitIdentical) {
-  // Stage profiling drives shards as a receive sweep then a send sweep
-  // instead of the fused per-node pass; the differential bar applies to
-  // that path unchanged.
+  // A sink adds timestamps around each shard's receive and send sweeps;
+  // the differential bar applies to a profiled run unchanged.
   auto rng = test::make_rng(0x50A4);
   const auto pg =
       port::with_random_ports(graph::random_power_law(200, 2.3, rng), rng);

@@ -19,6 +19,7 @@
 #include "runtime/async.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/outputs.hpp"
 #include "runtime/runner.hpp"
 #include "util/rng.hpp"
 #include "invariants.hpp"
@@ -626,7 +627,9 @@ TEST(BatchRunner, StreamingRethrowsCallbackFailures) {
   EXPECT_EQ(calls, 1u) << "delivery stops at the first callback failure";
 }
 
-TEST(AlgoBatch, StreamingMatchesRunBatch) {
+TEST(AlgoBatch, StreamingMatchesBatchRunner) {
+  // run_batch_streaming delivers in item order exactly what a barrier
+  // BatchRunner::run of the same make_job jobs computes.
   auto rng = test::make_rng(0xA1C);
   std::vector<port::PortedGraph> graphs;
   graphs.push_back(test::random_ported_regular(14, 4, rng));
@@ -636,7 +639,19 @@ TEST(AlgoBatch, StreamingMatchesRunBatch) {
   items.push_back({&graphs[1], algo::Algorithm::kOddRegular, 0});
 
   const ExecOptions exec{.threads = 2};
-  const auto expected = algo::run_batch(items, exec);
+  std::vector<algo::Job> built;
+  std::vector<BatchJob> jobs;
+  for (const auto& item : items) {
+    built.push_back(algo::make_job(item.graph->ports(), item.algorithm,
+                                   item.param, nullptr));
+    jobs.push_back(built.back().batch);
+  }
+  const auto results = BatchRunner(exec.threads).run(jobs);
+  std::vector<algo::EdsOutcome> expected;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    expected.push_back(
+        {validated_edge_set(*items[i].graph, results[i]), results[i].stats});
+  }
   std::vector<algo::EdsOutcome> streamed(items.size());
   std::vector<std::size_t> order;
   algo::run_batch_streaming(items, exec,
@@ -670,8 +685,11 @@ TEST(AlgoBatch, MatchesRunAlgorithm) {
   };
 
   for (const unsigned threads : {1u, 3u}) {
-    const auto outcomes =
-        algo::run_batch(items, ExecOptions{.threads = threads});
+    std::vector<algo::EdsOutcome> outcomes;
+    algo::run_batch_streaming(items, ExecOptions{.threads = threads},
+                              [&](std::size_t, algo::EdsOutcome&& outcome) {
+                                outcomes.push_back(std::move(outcome));
+                              });
     ASSERT_EQ(outcomes.size(), items.size());
     std::size_t i = 0;
     for (const auto& expected : solo) {

@@ -25,6 +25,7 @@
 #include "runtime/fault.hpp"
 #include "runtime/outputs.hpp"
 #include "runtime/runner.hpp"
+#include "runtime/shard.hpp"
 #include "util/rng.hpp"
 #include "invariants.hpp"
 #include "test_util.hpp"
@@ -304,6 +305,93 @@ TEST(Fuzz, ReplayDecoderTakesMutatedFilesOrRejectsThemTyped) {
       // A decoded file re-encodes to a text that decodes to the same file.
       ++accepted;
       ASSERT_EQ(replay_verdict(verdict), verdict);
+    }
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
+}
+
+/// The wire codec's verdict on `line` as a job line or as a worker line:
+/// the encoding of the value it decoded, or "!" for a typed rejection.
+/// Anything else it throws escapes and fails the test.
+std::string wire_verdict(const std::string& line, bool job_line) {
+  try {
+    if (job_line) {
+      return runtime::encode_wire_job(runtime::decode_wire_job(line));
+    }
+    const auto w = runtime::decode_worker_line(line);
+    switch (w.kind) {
+      case runtime::WorkerLine::Kind::kResult:
+        return runtime::encode_wire_result(w.index, w.result);
+      case runtime::WorkerLine::Kind::kError:
+        return runtime::encode_wire_error(w.index, w.message);
+      case runtime::WorkerLine::Kind::kSummary:
+        return runtime::encode_worker_summary(w.summary);
+    }
+    ADD_FAILURE() << "decode_worker_line returned an unknown kind";
+    return "?";
+  } catch (const InvalidArgument&) {
+    return "!";
+  }
+}
+
+TEST(Fuzz, WireCodecTakesMutatedLinesOrRejectsThemTyped) {
+  // Valid lines to start from: sync and async job lines (every delay
+  // model, faults, a multigraph's text with loops), the result of a real
+  // run, an error whose message needs escapes, and a summary.
+  auto rng = test::make_rng(13);
+  std::vector<std::string> seeds;
+  runtime::WireJob job;
+  job.index = 7;
+  job.algorithm = "bounded-degree";
+  job.param = 4;
+  job.threads = 2;
+  job.max_rounds = 100000;
+  const auto g = port::random_port_graph(random_degrees(rng, 5, 3), rng, 0.3);
+  job.graph_text = port::to_port_graph_string(g);
+  seeds.push_back(runtime::encode_wire_job(job));
+  for (const char* delay : {"fixed:2", "uniform:1:9", "geometric:3:40"}) {
+    runtime::AsyncOptions async;
+    async.synchronizer = false;
+    async.delay = runtime::parse_delay_model(delay);
+    async.seed = rng.next_u64();
+    async.round_timeout = 11;
+    async.faults.loss = 0.1;
+    async.faults.duplicate = 0.0625;
+    async.faults.crashes = {{2, 9}, {4, 17}};
+    job.async = async;
+    seeds.push_back(runtime::encode_wire_job(job));
+  }
+  const auto factory = algo::make_factory(algo::Algorithm::kPortOne);
+  seeds.push_back(runtime::encode_wire_result(
+      3, runtime::run_synchronous(g, *factory)));
+  seeds.push_back(runtime::encode_wire_error(
+      5, "run failed: \"quoted\"\tand\\escaped\nacross lines"));
+  seeds.push_back(runtime::encode_worker_summary({12, 4, 8}));
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string line = seeds[rng.below(seeds.size())];
+    const auto edits = 1 + rng.below(4);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      mutate(line, rng, "0123456789 {}[]\":,.-+eE\\nschemajobresult");
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", line \"" + line +
+                 "\"");
+    // Every line goes to both decoders: each either takes it or rejects
+    // it typed, whatever kind of line it was made from.
+    for (const bool job_line : {true, false}) {
+      const std::string verdict = wire_verdict(line, job_line);
+      if (verdict == "!") {
+        ++rejected;
+      } else {
+        // A decoded value re-encodes to a line that decodes to the same
+        // value.
+        ++accepted;
+        ASSERT_EQ(wire_verdict(verdict, job_line), verdict);
+      }
     }
   }
   // Both outcomes occur, so neither branch is vacuous.

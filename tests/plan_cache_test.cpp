@@ -190,8 +190,13 @@ TEST(PlanCache, ThousandJobSweepCompilesExactlyOnePlan) {
 
   PlanCache cache;
   const auto baseline = ExecutionPlan::constructed_count();
-  const auto outcomes =
-      algo::run_batch(items, ExecOptions{.threads = 4}, &cache);
+  std::vector<algo::EdsOutcome> outcomes;
+  algo::run_batch_streaming(
+      items, ExecOptions{.threads = 4},
+      [&](std::size_t, algo::EdsOutcome&& outcome) {
+        outcomes.push_back(std::move(outcome));
+      },
+      &cache);
 
   EXPECT_EQ(ExecutionPlan::constructed_count() - baseline, 1u);
   const auto stats = cache.stats();
