@@ -441,7 +441,6 @@ void BM_ShardedSweep(benchmark::State& state) {
     eds::runtime::JobSpec spec;
     spec.algorithm = "bounded-degree";
     spec.param = 4;
-    spec.group = eds::runtime::structural_hash(pg.ports());
     job.spec = spec;
     for (int r = 0; r < 4; ++r) jobs.push_back(job);
   }

@@ -124,8 +124,7 @@ port::Port resolved_param(const port::PortedGraph& pg, Algorithm algorithm,
 }
 
 Job make_job(const port::PortGraph& g, Algorithm algorithm, port::Port param,
-             runtime::PlanCache* plan_cache,
-             runtime::StructuralHashMemo* hashes) {
+             runtime::PlanCache* plan_cache) {
   param = resolved_param(g, algorithm, param);
   Job job{make_factory(algorithm, param), {}};
   auto& options = job.batch.options;
@@ -135,9 +134,7 @@ Job make_job(const port::PortGraph& g, Algorithm algorithm, port::Port param,
       plan_cache != nullptr ? plan_cache : &runtime::PlanCache::global();
   job.batch.graph = &g;
   job.batch.factory = job.factory.get();
-  job.batch.spec = runtime::JobSpec{
-      algorithm_token(algorithm), param,
-      hashes != nullptr ? hashes->get(g) : runtime::structural_hash(g)};
+  job.batch.spec = runtime::JobSpec{algorithm_token(algorithm), param};
   return job;
 }
 
@@ -157,9 +154,6 @@ void run_batch_streaming(
     const std::function<void(std::size_t index, EdsOutcome&& outcome)>&
         on_outcome,
     runtime::PlanCache* plan_cache) {
-  // Sweeps with --repeat enqueue the same instance many times; the memo
-  // pays the O(ports) structural-hash walk once per distinct graph.
-  runtime::StructuralHashMemo hashes;
   std::vector<Job> built;
   std::vector<runtime::BatchJob> jobs;
   built.reserve(items.size());
@@ -169,7 +163,7 @@ void run_batch_streaming(
       throw InvalidArgument("run_batch_streaming: item requires a graph");
     }
     built.push_back(make_job(item.graph->ports(), item.algorithm, item.param,
-                             plan_cache, &hashes));
+                             plan_cache));
     jobs.push_back(built.back().batch);
   }
   // `exec.threads` sizes the in-process pool; `exec.executor` replaces it

@@ -24,7 +24,6 @@
 
 namespace eds::runtime {
 class PlanCache;
-class StructuralHashMemo;
 }  // namespace eds::runtime
 
 namespace eds::algo {
@@ -98,12 +97,12 @@ struct Job {
 /// The job builder: resolves `param` on `g`, builds the factory and a
 /// one-lane synchronous BatchJob on `g` with max_rounds = max(default
 /// cap, schedule_length), plans from `plan_cache` (null =
-/// PlanCache::global()), and a JobSpec of the token, the resolved param
-/// and `g`'s structural hash as shard group (through `hashes` when set,
-/// so a batch that repeats a graph walks it once).
+/// PlanCache::global()), and a JobSpec of the token and the resolved
+/// param.  It reads no port of `g` (only its degrees, and only to resolve
+/// a zero `param`): the plan cache and shard routing recognise `g` by
+/// PortGraph::id().
 [[nodiscard]] Job make_job(const port::PortGraph& g, Algorithm algorithm,
-                           port::Port param, runtime::PlanCache* plan_cache,
-                           runtime::StructuralHashMemo* hashes = nullptr);
+                           port::Port param, runtime::PlanCache* plan_cache);
 
 /// Runs `algorithm` on `pg` and returns the validated solution.
 /// `param` defaults (0) resolve from the graph (resolved_param).  `exec`

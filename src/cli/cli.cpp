@@ -805,8 +805,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   // omit the field rather than hardcode a claim nobody computed.
   // Under --shards the parent-side cache is idle; the workers' per-shard
   // caches report their counters through the wire summaries instead, and
-  // group-affinity routing keeps the aggregated numbers identical to the
-  // single-cache run.
+  // routing each graph's jobs to one worker keeps the aggregated numbers
+  // identical to the single-cache run.
   runtime::PlanCache plan_cache;
   const auto summarize = [&](std::size_t jobs,
                              std::optional<bool> all_feasible) {
@@ -1057,9 +1057,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
         // Multigraphs have no Table 1 row: `auto` means A(∆).
         inst.algorithm = fixed.value_or(algo::Algorithm::kBoundedDegree);
       }
-      // One job, so one O(ports) hash walk, per instance, shared by its
-      // --repeat jobs: group routing keeps the per-shard caches equivalent
-      // to one cache.
+      // One job per instance, copied for its --repeat jobs: they share the
+      // instance's graph, so its plan, and under --shards its worker.
       inst.job =
           algo::make_job(inst.ports(), inst.algorithm, wanted, &plan_cache);
     }
@@ -1197,9 +1196,11 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
 /// ProcessShardExecutor pass.  Speaks the schema-2 NDJSON protocol of
 /// runtime/shard.hpp on stdin/stdout: each job line answers with one
 /// result (or error) line, flushed per job so the parent can stream, all
-/// under one PlanCache (the per-shard cache of the design).  At stdin EOF
-/// the worker writes one worker_summary with its job and cache counters
-/// and exits 0.
+/// under one PlanCache (the per-shard cache of the design).  A job line
+/// whose graph text equals the last one's reuses that parsed graph, so its
+/// PortGraph::id() and plan (the parent sends a graph's jobs back to back).
+/// At stdin EOF the worker writes one worker_summary with its job and
+/// cache counters and exits 0.
 ///
 /// A job that fails its run produces an error line and the worker carries
 /// on: draining the batch is the parent's prefix-rule contract.  Any line
@@ -1226,12 +1227,15 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
 
   runtime::PlanCache cache;
   std::uint64_t jobs = 0;
+  // The last job's graph and its text, moved out of that job.
+  std::string graph_text;
+  std::optional<port::PortGraph> graph;
 
   // Runs one job under the shared cache.  Returns 0 to keep serving, or
   // the exit code a chaos action demands.
   // Chaos actions *return* instead of _exit so the in-process run_cli
   // tests observe them exactly like a forked worker's exit status.
-  const auto run_job = [&](const runtime::WireJob& job) -> int {
+  const auto run_job = [&](runtime::WireJob& job) -> int {
     const auto action = runtime::chaos_action(chaos, jobs + 1, job.index);
     if (action.mode == runtime::ChaosSpec::Mode::kPoison) {
       return 13;  // die on sight: no answer, no summary, every time
@@ -1241,7 +1245,13 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
     }
     std::string answer;
     try {
-      const auto g = port::from_port_graph_string(job.graph_text);
+      if (!graph || job.graph_text != graph_text) {
+        // No later job can hit the old graph's plan: its id dies with it.
+        graph.reset();
+        cache.clear();
+        graph_text = std::move(job.graph_text);
+        graph = port::from_port_graph_string(graph_text);
+      }
       const auto algorithm = algo::algorithm_from_token(job.algorithm);
       if (!algorithm) {
         throw InvalidArgument("worker: unknown algorithm token '" +
@@ -1253,7 +1263,7 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
       options.exec.threads = job.threads;
       options.exec.plan_cache = &cache;
       options.exec.async = job.async;
-      const auto result = runtime::run_synchronous(g, *factory, options);
+      const auto result = runtime::run_synchronous(*graph, *factory, options);
       answer = runtime::encode_wire_result(job.index, result);
     } catch (const std::exception& e) {
       // Any job failure — eds::Error or std::bad_alloc alike — becomes an

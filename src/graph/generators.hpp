@@ -82,9 +82,11 @@ namespace eds::graph {
 /// Uniform random labelled tree on n nodes (Prufer-style attachment).
 [[nodiscard]] SimpleGraph random_tree(std::size_t n, Rng& rng);
 
-/// Random d-regular simple graph via the configuration model with rejection.
-/// Requires n*d even, d < n.  Throws InternalError if no simple pairing is
-/// found after many attempts (practically impossible for d << n).
+/// Random d-regular simple graph: a circulant (offsets 1..⌊d/2⌋, plus n/2 for
+/// odd d) mixed by 12·m double-edge-swap attempts that reject loops and
+/// parallel edges.  Approximately uniform over labelled d-regular graphs,
+/// not exactly: the finite chain keeps some bias towards its start.
+/// Requires n*d even and d < n.
 [[nodiscard]] SimpleGraph random_regular(std::size_t n, std::size_t d,
                                          Rng& rng);
 
@@ -106,8 +108,10 @@ namespace eds::graph {
                                            Rng& rng,
                                            std::size_t max_degree = 0);
 
-/// Random bipartite d-regular graph on two sides of `side` nodes each,
-/// built from d random permutations (parallel edges rejected, retried).
+/// Random bipartite d-regular graph on two sides of `side` nodes each: d
+/// disjoint cyclic-shift perfect matchings mixed by 12·m double-edge-swap
+/// attempts that keep the bipartition and reject parallel edges.
+/// Approximately uniform, not exactly (as random_regular).
 [[nodiscard]] SimpleGraph random_bipartite_regular(std::size_t side,
                                                    std::size_t d, Rng& rng);
 

@@ -1,10 +1,27 @@
 #include "port/port_graph.hpp"
 
+#include <atomic>
 #include <numeric>
 #include <sstream>
 #include <utility>
 
 namespace eds::port {
+
+PortGraph::PortGraph(PortGraph&& other) noexcept
+    : degrees_(std::exchange(other.degrees_, {})),
+      offsets_(std::exchange(other.offsets_, {})),
+      partner_(std::exchange(other.partner_, {})),
+      id_(std::exchange(other.id_, 0)) {}
+
+PortGraph& PortGraph::operator=(PortGraph&& other) noexcept {
+  if (this != &other) {
+    degrees_ = std::exchange(other.degrees_, {});
+    offsets_ = std::exchange(other.offsets_, {});
+    partner_ = std::exchange(other.partner_, {});
+    id_ = std::exchange(other.id_, 0);
+  }
+  return *this;
+}
 
 std::vector<PortEdge> PortGraph::port_edges() const {
   std::vector<PortEdge> out;
@@ -129,6 +146,8 @@ PortGraph PortGraphBuilder::build() && {
     }
   }
   g_.validate();
+  static std::atomic<std::uint64_t> next_id{1};
+  g_.id_ = next_id.fetch_add(1, std::memory_order_relaxed);
   return std::move(g_);
 }
 

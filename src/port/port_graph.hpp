@@ -47,6 +47,20 @@ struct PortEdge {
 class PortGraph {
  public:
   PortGraph() = default;
+  PortGraph(const PortGraph&) = default;
+  PortGraph& operator=(const PortGraph&) = default;
+  /// A move leaves `other` with no nodes and id 0, so an id never names
+  /// two different structures.
+  PortGraph(PortGraph&& other) noexcept;
+  PortGraph& operator=(PortGraph&& other) noexcept;
+
+  /// The identity of the PortGraphBuilder::build() call that made this
+  /// graph: unique within the process, shared by copies, held by no other
+  /// graph.  A default-constructed or moved-from graph has no nodes and
+  /// id 0.  PlanCache keys plans by it, so recognising a repeated graph
+  /// reads none of its ports; a separately built graph of equal structure
+  /// has a different id.
+  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return degrees_.size();
@@ -73,9 +87,8 @@ class PortGraph {
   }
 
   /// The degree sequence as a flat array (d(v) = degree_sequence()[v]).
-  /// Hot-path view for the engine layer: plan compilation, structural
-  /// hashing and cache verification scan these contiguously instead of
-  /// paying a bounds-checked lookup per port.
+  /// Hot-path view for the engine layer: plan compilation scans these
+  /// contiguously instead of paying a bounds-checked lookup per port.
   [[nodiscard]] const std::vector<Port>& degree_sequence() const noexcept {
     return degrees_;
   }
@@ -116,6 +129,7 @@ class PortGraph {
   std::vector<Port> degrees_;
   std::vector<std::size_t> offsets_;  // prefix sums of degrees
   std::vector<PortRef> partner_;      // involution, indexed by flat port index
+  std::uint64_t id_ = 0;              // set by PortGraphBuilder::build
 };
 
 /// Incremental construction of a PortGraph.  Every port must be assigned
@@ -133,8 +147,9 @@ class PortGraphBuilder {
   /// Declares the fixed point p(a) = a (a directed loop).
   PortGraphBuilder& fix(PortRef a);
 
-  /// Validates that every port was assigned and returns the graph.  The
-  /// builder stays usable, so build() may be called again.
+  /// Validates that every port was assigned and returns the graph with a
+  /// fresh PortGraph::id().  The builder stays usable, so build() may be
+  /// called again; each call's graph has its own id.
   [[nodiscard]] PortGraph build() const&;
 
   /// The same for a builder that is done with: the graph is moved out

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,7 +41,8 @@ namespace eds::runtime {
 /// this process.  In-process backends ignore it entirely; the
 /// ProcessShardExecutor *requires* it (the graph/factory pointers cannot
 /// cross a process boundary, so a worker rebuilds the factory from the
-/// algorithm token and the graph from its text form).
+/// algorithm token and the graph from its text form).  Shard routing needs
+/// no field here: it keys on the job's graph, BatchJob::graph->id().
 struct JobSpec {
   /// Opaque algorithm token a worker maps back to a factory (the runtime
   /// layer never interprets it; `edsim worker` resolves it through
@@ -53,12 +53,6 @@ struct JobSpec {
   /// takes no parameter).  Defaults are resolved *before* serialization so
   /// every process computes from the same inputs.
   Port param = 0;
-
-  /// Shard-affinity key: jobs with equal `group` are routed to the same
-  /// worker process.  Callers set it to the graph's structural hash so
-  /// repeated runs on one structure share a single per-worker plan cache
-  /// entry, keeping aggregate plan counters identical to a one-process run.
-  std::uint64_t group = 0;
 };
 
 /// One unit of batch work.  `graph` and `factory` are non-owning and must

@@ -13,7 +13,6 @@ namespace eds::runtime {
 
 ExecutionPlan::ExecutionPlan(const port::PortGraph& g)
     : degrees_(g.degree_sequence()), partner_ref_(g.partner_table()) {
-  constructed_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t n = degrees_.size();
   offsets_.resize(n);
   std::size_t total = 0;
@@ -27,13 +26,6 @@ ExecutionPlan::ExecutionPlan(const port::PortGraph& g)
     partner_flat_[q] =
         static_cast<std::uint32_t>(offsets_[dst.node] + dst.port - 1);
   }
-}
-
-bool ExecutionPlan::matches(const port::PortGraph& g) const {
-  // Two contiguous scans: the flat degree sequence and the flat involution
-  // table are exactly what the constructor consumed, in the same order.
-  return degrees_ == g.degree_sequence() &&
-         partner_ref_ == g.partner_table();
 }
 
 std::unique_ptr<ThreadPool> make_policy(const ExecOptions& exec) {

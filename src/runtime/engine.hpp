@@ -47,7 +47,6 @@
 // sequential order; see ARCHITECTURE.md for the full determinism argument.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -96,12 +95,6 @@ class ExecutionPlan {
     return partner_ref_[q];
   }
 
-  /// True when this plan was compiled from a graph with exactly the same
-  /// structure as `g` (degree sequence and involution).  This is the
-  /// PlanCache's collision guard: a 64-bit structural hash narrows the
-  /// candidates, matches() proves the identification.
-  [[nodiscard]] bool matches(const port::PortGraph& g) const;
-
   /// Heap footprint of the flat arrays, for cache accounting.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return degrees_.capacity() * sizeof(Port) +
@@ -110,16 +103,7 @@ class ExecutionPlan {
            partner_ref_.capacity() * sizeof(port::PortRef);
   }
 
-  /// Process-wide count of plan compilations (the graph-converting
-  /// constructor only).  Tests assert cache effectiveness through deltas
-  /// of this counter: a 1000-job sweep over one graph must raise it by 1.
-  [[nodiscard]] static std::uint64_t constructed_count() noexcept {
-    return constructed_.load(std::memory_order_relaxed);
-  }
-
  private:
-  static inline std::atomic<std::uint64_t> constructed_{0};
-
   std::vector<Port> degrees_;
   std::vector<std::size_t> offsets_;        // prefix sums of degrees
   std::vector<std::uint32_t> partner_flat_; // involution over flat indices

@@ -2,69 +2,33 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
-#include "util/rng.hpp"
-
 namespace eds::runtime {
-
-std::uint64_t structural_hash(const port::PortGraph& g) {
-  // splitmix64 as a mixing function over the canonical structure walk:
-  // node count, then the flat degree sequence, then the flat involution
-  // table.  Equal structures produce equal walks by definition; the walk
-  // reads the graph's contiguous arrays, so hashing costs one linear scan
-  // (the cache's hit path must stay well under a plan compilation).
-  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
-  auto mix = [&state](std::uint64_t value) {
-    state ^= value + 0x9e3779b97f4a7c15ULL + (state << 6) + (state >> 2);
-    std::uint64_t sm = state;
-    state = splitmix64(sm);
-  };
-  mix(g.num_nodes());
-  for (const auto deg : g.degree_sequence()) mix(deg);
-  for (const auto& dst : g.partner_table()) {
-    mix((static_cast<std::uint64_t>(dst.node) << 32) | dst.port);
-  }
-  return state;
-}
-
-std::uint64_t StructuralHashMemo::get(const port::PortGraph& g) {
-  const auto [it, inserted] = hashes_.try_emplace(&g, 0);
-  if (inserted) it->second = structural_hash(g);
-  return it->second;
-}
 
 PlanCache::PlanCache(std::size_t capacity, std::size_t max_bytes)
     : capacity_(std::max<std::size_t>(capacity, 1)), max_bytes_(max_bytes) {}
 
 std::shared_ptr<const ExecutionPlan> PlanCache::get(const port::PortGraph& g) {
-  const std::uint64_t hash = structural_hash(g);
   const std::lock_guard<std::mutex> lock(mutex_);
 
-  if (const auto bucket = index_.find(hash); bucket != index_.end()) {
-    for (const auto it : bucket->second) {
-      if (it->plan->matches(g)) {
-        lru_.splice(lru_.begin(), lru_, it);  // touch: move to front
-        ++stats_.hits;
-        return it->plan;
-      }
-    }
+  if (const auto hit = index_.find(g.id()); hit != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, hit->second);  // touch: move to front
+    ++stats_.hits;
+    return hit->second->plan;
   }
 
   // Miss: compile under the lock, so concurrent get() calls on the same
-  // structure build exactly one plan (the counters are load-bearing for
-  // tests; serializing compilation is cheap next to the runs themselves).
+  // graph build exactly one plan (the counters are load-bearing for tests;
+  // serializing compilation is cheap next to the runs themselves).
   ++stats_.misses;
   auto plan = std::make_shared<const ExecutionPlan>(g);
   stats_.bytes += plan->memory_bytes();
-  lru_.push_front({hash, std::move(plan)});
-  index_[hash].push_back(lru_.begin());
+  lru_.push_front({g.id(), std::move(plan)});
+  index_.emplace(g.id(), lru_.begin());
 
   while (lru_.size() > capacity_ ||
          (stats_.bytes > max_bytes_ && lru_.size() > 1)) {
     const auto victim = std::prev(lru_.end());
-    auto& bucket = index_[victim->hash];
-    bucket.erase(std::find(bucket.begin(), bucket.end(), victim));
-    if (bucket.empty()) index_.erase(victim->hash);
+    index_.erase(victim->graph_id);
     stats_.bytes -= victim->plan->memory_bytes();
     lru_.erase(victim);
     ++stats_.evictions;

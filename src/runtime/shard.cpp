@@ -106,6 +106,20 @@ class Cursor {
     return value;
   }
 
+  /// uint() for a field of type T: a value T cannot hold is rejected,
+  /// naming `field`, never truncated.
+  template <typename T>
+  [[nodiscard]] T uint_for(const char* field) {
+    const std::uint64_t value = uint();
+    if (value > std::numeric_limits<T>::max()) {
+      throw InvalidArgument(
+          "wire: '" + std::string(field) + "' value " + std::to_string(value) +
+          " exceeds its maximum " +
+          std::to_string(std::numeric_limits<T>::max()));
+    }
+    return static_cast<T>(value);
+  }
+
   /// A JSON boolean literal.
   [[nodiscard]] bool boolean() {
     if (try_lit("true")) return true;
@@ -272,7 +286,7 @@ AsyncOptions decode_async(Cursor& c) {
     while (true) {
       CrashEvent crash;
       c.lit("[");
-      crash.node = static_cast<port::NodeId>(c.uint());
+      crash.node = c.uint_for<port::NodeId>("node");
       c.lit(",");
       crash.time = c.uint();
       c.lit("]");
@@ -331,15 +345,15 @@ WireJob decode_wire_job(const std::string& line) {
   consume_prefix(c);
   c.lit("\"job\":{\"index\":");
   WireJob job;
-  job.index = static_cast<std::size_t>(c.uint());
+  job.index = c.uint_for<std::size_t>("index");
   c.lit(",\"algorithm\":");
   job.algorithm = c.str();
   c.lit(",\"param\":");
-  job.param = static_cast<Port>(c.uint());
+  job.param = c.uint_for<Port>("param");
   c.lit(",\"threads\":");
-  job.threads = static_cast<unsigned>(c.uint());
+  job.threads = c.uint_for<unsigned>("threads");
   c.lit(",\"max_rounds\":");
-  job.max_rounds = static_cast<Round>(c.uint());
+  job.max_rounds = c.uint_for<Round>("max_rounds");
   c.lit(",");
   if (c.try_lit("\"async\":{\"synchronizer\":")) {
     job.async = decode_async(c);
@@ -407,9 +421,9 @@ WorkerLine decode_worker_line(const std::string& line) {
   consume_prefix(c);
   if (c.try_lit("\"result\":{\"index\":")) {
     parsed.kind = WorkerLine::Kind::kResult;
-    parsed.index = static_cast<std::size_t>(c.uint());
+    parsed.index = c.uint_for<std::size_t>("index");
     c.lit(",\"rounds\":");
-    parsed.result.stats.rounds = static_cast<Round>(c.uint());
+    parsed.result.stats.rounds = c.uint_for<Round>("rounds");
     c.lit(",\"messages\":");
     parsed.result.stats.messages_sent = c.uint();
     c.lit(",\"ports_served\":");
@@ -421,7 +435,7 @@ WorkerLine decode_worker_line(const std::string& line) {
         std::vector<Port> ports;
         if (!c.peek(']')) {
           while (true) {
-            ports.push_back(static_cast<Port>(c.uint()));
+            ports.push_back(c.uint_for<Port>("outputs"));
             if (c.peek(',')) {
               c.lit(",");
               continue;
@@ -444,7 +458,7 @@ WorkerLine decode_worker_line(const std::string& line) {
   }
   if (c.try_lit("\"error\":{\"index\":")) {
     parsed.kind = WorkerLine::Kind::kError;
-    parsed.index = static_cast<std::size_t>(c.uint());
+    parsed.index = c.uint_for<std::size_t>("index");
     c.lit(",\"message\":");
     parsed.message = c.str();
     c.lit("}}");

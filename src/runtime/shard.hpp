@@ -28,10 +28,13 @@
 //    fleet for the rest of the batch, optionally degrading to in-process
 //    execution.
 //  * Per-shard plan caches — each worker keeps its own PlanCache and
-//    reports compiled/hit counters in its closing summary line; jobs are
-//    routed by JobSpec::group (the graph's structural hash), so one
-//    structure is compiled by exactly one worker and the summed counters
-//    match a single-process sweep (absent cache eviction).
+//    reports compiled/hit counters in its closing summary line.  Jobs are
+//    routed by graph: the batch's distinct graphs (PortGraph::id()) go to
+//    shards in order of first appearance (rank mod shards), and each shard
+//    gets its jobs grouped by graph, ascending within one.  A worker keeps
+//    the last graph it parsed while the job lines repeat its text, so one
+//    graph is parsed and compiled by exactly one worker, once, and the
+//    summed counters match a single-process sweep (absent cache eviction).
 //
 // The wire format (`schema` 2) is NDJSON with a fixed field order — a
 // private protocol between same-version binaries (the parent always forks
@@ -118,7 +121,8 @@ struct WorkerLine {
 
 /// Wire codecs.  Encoders emit exactly one line (no trailing newline);
 /// decoders are strict — any deviation from the fixed shape, including an
-/// unknown schema version, throws InvalidArgument.
+/// unknown schema version or a number larger than its field holds, throws
+/// InvalidArgument.
 [[nodiscard]] std::string encode_wire_job(const WireJob& job);
 [[nodiscard]] WireJob decode_wire_job(const std::string& line);
 [[nodiscard]] std::string encode_wire_result(std::size_t index,

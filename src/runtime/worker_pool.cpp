@@ -6,8 +6,9 @@
 // error line per job, then the worker's summary.  The worker exits after
 // its summary and is reaped before the pass ends, so no process outlives
 // the batch that forked it.  Jobs that a failed worker left unfinished are
-// re-queued to the next pass.  Group routing sends them back to the same
-// slot, where a fresh worker is forked (counted in workers_respawned).
+// re-queued to the next pass.  Graph routing (shard.hpp) sends them back
+// to the same slot, where a fresh worker is forked (counted in
+// workers_respawned).
 //
 // Each worker belongs to its reader thread: the reader enforces the
 // deadlines, kills the worker on a deadline or a protocol violation, and
@@ -44,6 +45,7 @@ void ProcessShardExecutor::run_streaming(const std::vector<BatchJob>&,
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -153,7 +155,7 @@ constexpr std::uint64_t kNoDeadline = UINT64_MAX;
 /// start, the writer owns `in_fd` and the reader owns the pid, `out_fd`
 /// and every field after it; the pass reads them after the joins.
 struct Task {
-  std::vector<std::size_t> assigned;  ///< global job indices, ascending
+  std::vector<std::size_t> assigned;  ///< job indices, grouped by graph
   pid_t pid = -1;
   int in_fd = -1;   ///< worker stdin; the writer closes it after the jobs
   int out_fd = -1;  ///< worker stdout; the reader closes it at EOF
@@ -195,6 +197,18 @@ struct PassOutcome {
   bool batch_expired = false;
 };
 
+/// The rank of each job's graph: distinct PortGraph::id()s numbered 0, 1,
+/// ... in order of first appearance in the batch.
+[[nodiscard]] std::vector<std::size_t> rank_graphs(
+    const std::vector<BatchJob>& jobs) {
+  std::unordered_map<std::uint64_t, std::size_t> ranks;
+  std::vector<std::size_t> out(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    out[i] = ranks.try_emplace(jobs[i].graph->id(), ranks.size()).first->second;
+  }
+  return out;
+}
+
 /// One batch through the fleet: the retry loop over passes, and the
 /// executor's counters, bumped as the batch goes.
 class BatchRun {
@@ -210,7 +224,8 @@ class BatchRun {
         on_result_(on_result),
         stats_mutex_(stats_mutex),
         stats_(stats),
-        buffer_(jobs.size()) {}
+        buffer_(jobs.size()),
+        graph_rank_(rank_graphs(jobs)) {}
 
   void run();
 
@@ -246,6 +261,7 @@ class BatchRun {
   std::mutex& stats_mutex_;
   Stats& stats_;
   detail::ReorderBuffer buffer_;
+  std::vector<std::size_t> graph_rank_;  ///< per job, from rank_graphs
   Clock::time_point start_ = Clock::now();
 };
 
@@ -292,22 +308,20 @@ void BatchRun::spawn(Task& t) const {
 }
 
 void BatchRun::write_jobs(Task& t) const {
-  // Serialize-and-escape each distinct graph lazily, once, right here:
-  // group routing sends every repeat of a structure to one shard, so
-  // per-writer caching never duplicates work across shards — and it
-  // parallelizes the text encoding and frees it when this writer exits,
-  // instead of a serial up-front pass whose escaped copies would live
-  // until the whole batch drained.
-  std::unordered_map<const port::PortGraph*, std::string> escaped;
+  // Serialize-and-escape each graph lazily, once, right here: routing
+  // hands this shard each graph's jobs back to back, so only the current
+  // graph's text is kept.  The writers encode in parallel, and each text
+  // is freed once its jobs are written.
+  std::optional<std::uint64_t> escaped_id;
+  std::string escaped;
   for (const std::size_t idx : t.assigned) {
     const auto& job = jobs_[idx];
-    auto it = escaped.find(job.graph);
-    if (it == escaped.end()) {
+    if (escaped_id != job.graph->id()) {
       const auto text = port::to_port_graph_string(*job.graph);
-      std::string esc;
-      esc.reserve(text.size() + text.size() / 16);
-      detail::wire_escape(esc, text);
-      it = escaped.emplace(job.graph, std::move(esc)).first;
+      escaped.clear();
+      escaped.reserve(text.size() + text.size() / 16);
+      detail::wire_escape(escaped, text);
+      escaped_id = job.graph->id();
     }
     WireJob wire;
     wire.index = idx;
@@ -316,7 +330,7 @@ void BatchRun::write_jobs(Task& t) const {
     wire.threads = job.options.exec.threads;
     wire.max_rounds = job.options.max_rounds;
     wire.async = job.options.exec.async;
-    std::string line = detail::encode_wire_job_preescaped(wire, it->second);
+    std::string line = detail::encode_wire_job_preescaped(wire, escaped);
     line += '\n';
     if (!write_all(t.in_fd, line)) return;
   }
@@ -425,12 +439,17 @@ void BatchRun::read_results(Task& t) {
 
 PassOutcome BatchRun::run_pass(const std::vector<std::size_t>& runnable,
                                bool retry) {
-  // Group-affinity routing: equal groups share a worker (and therefore a
-  // plan-cache entry); within a shard, jobs keep ascending index order —
-  // `runnable` is sorted, so retries preserve the deterministic order too.
+  // Graph routing (shard.hpp): `runnable` is ascending, so a stable sort
+  // by rank groups each shard's jobs by graph, ascending within one.
   std::vector<std::vector<std::size_t>> assigned(shards_);
   for (const std::size_t i : runnable) {
-    assigned[jobs_[i].spec->group % shards_].push_back(i);
+    assigned[graph_rank_[i] % shards_].push_back(i);
+  }
+  for (auto& shard : assigned) {
+    std::stable_sort(shard.begin(), shard.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return graph_rank_[a] < graph_rank_[b];
+                     });
   }
 
   PassOutcome outcome;

@@ -79,15 +79,11 @@ TEST(JobBuilder, SetsBudgetSpecAndPlanCache) {
   ASSERT_TRUE(job.batch.spec.has_value());
   EXPECT_EQ(job.batch.spec->algorithm, "odd-regular");
   EXPECT_EQ(job.batch.spec->param, 3u);
-  EXPECT_EQ(job.batch.spec->group, runtime::structural_hash(pg.ports()));
 
-  // A memo gives the same group; no cache means the process-wide one.
-  runtime::StructuralHashMemo hashes;
-  const auto memoized =
-      make_job(pg.ports(), Algorithm::kPortOne, 0, nullptr, &hashes);
-  EXPECT_EQ(memoized.batch.spec->group, job.batch.spec->group);
-  EXPECT_EQ(memoized.batch.spec->param, 0u);
-  EXPECT_EQ(memoized.batch.options.exec.plan_cache,
+  // No cache means the process-wide one.
+  const auto port_one = make_job(pg.ports(), Algorithm::kPortOne, 0, nullptr);
+  EXPECT_EQ(port_one.batch.spec->param, 0u);
+  EXPECT_EQ(port_one.batch.options.exec.plan_cache,
             &runtime::PlanCache::global());
 
   // The budget follows a schedule longer than the default cap.

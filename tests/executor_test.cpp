@@ -46,7 +46,6 @@ BatchJob shippable_job(const port::PortGraph& g, const ProgramFactory& factory,
   JobSpec spec;
   spec.algorithm = token;
   spec.param = param;
-  spec.group = structural_hash(g);
   job.spec = spec;
   return job;
 }
@@ -79,7 +78,8 @@ TEST(WireCodec, JobRoundTripsIncludingGraphText) {
   // The text form still parses into the same structure.
   const auto g = port::from_port_graph_string(back.graph_text);
   EXPECT_EQ(g.num_nodes(), pg.ports().num_nodes());
-  EXPECT_EQ(structural_hash(g), structural_hash(pg.ports()));
+  EXPECT_EQ(g.degree_sequence(), pg.ports().degree_sequence());
+  EXPECT_EQ(g.partner_table(), pg.ports().partner_table());
 }
 
 TEST(WireCodec, ResultRoundTripsOutputsAndStats) {
@@ -153,6 +153,77 @@ TEST(WireCodec, RejectsForeignSchemaAndMalformedLines) {
   EXPECT_THROW(
       (void)decode_worker_line(encode_wire_result(0, {}) + "trailing"),
       InvalidArgument);
+}
+
+/// `line` with the first `from` replaced by `to`.
+std::string replaced(std::string line, const std::string& from,
+                     const std::string& to) {
+  const auto pos = line.find(from);
+  EXPECT_NE(pos, std::string::npos) << from << " in " << line;
+  if (pos != std::string::npos) line.replace(pos, from.size(), to);
+  return line;
+}
+
+/// `decode(line)` throws InvalidArgument naming `field`.
+template <typename Decode>
+void expect_field_rejected(const Decode& decode, const std::string& line,
+                           const std::string& field) {
+  try {
+    (void)decode(line);
+    ADD_FAILURE() << "accepted " << line;
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + field + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WireCodec, RejectsNumbersTheirFieldsCannotHold) {
+  // Each narrow field refuses a value past its maximum instead of keeping
+  // its low bits ("param":4294967299 would otherwise decode to 3).
+  WireJob job;
+  job.index = 1;
+  job.algorithm = "bounded-degree";
+  job.param = 7;
+  job.threads = 2;
+  job.max_rounds = 9;
+  job.async = AsyncOptions{};
+  job.async->faults.crashes = {CrashEvent{5, 3}};
+  job.graph_text = "ports 0\n";
+  const auto line = encode_wire_job(job);
+  const auto decode_job = [](const std::string& l) {
+    return decode_wire_job(l);
+  };
+  expect_field_rejected(decode_job,
+                        replaced(line, "\"param\":7", "\"param\":4294967299"),
+                        "param");
+  expect_field_rejected(
+      decode_job, replaced(line, "\"threads\":2", "\"threads\":4294967298"),
+      "threads");
+  expect_field_rejected(
+      decode_job,
+      replaced(line, "\"max_rounds\":9", "\"max_rounds\":4294967305"),
+      "max_rounds");
+  expect_field_rejected(decode_job, replaced(line, "[[5,3]]", "[[4294967301,3]]"),
+                        "node");
+  // The largest value a field holds still decodes.
+  EXPECT_EQ(decode_wire_job(replaced(line, "\"param\":7",
+                                     "\"param\":4294967295"))
+                .param,
+            4294967295u);
+
+  RunResult result;
+  result.outputs = {{1, 2}};
+  result.stats.rounds = 7;
+  const auto answer = encode_wire_result(0, result);
+  const auto decode_line = [](const std::string& l) {
+    return decode_worker_line(l);
+  };
+  expect_field_rejected(
+      decode_line, replaced(answer, "\"rounds\":7", "\"rounds\":4294967303"),
+      "rounds");
+  expect_field_rejected(decode_line,
+                        replaced(answer, "[[1,2]]", "[[4294967297,2]]"),
+                        "outputs");
 }
 
 // ---------------------------------------------------------------------------
@@ -274,9 +345,9 @@ TEST(ProcessShardExecutor, GroupAffinityKeepsPlanCountersExact) {
     jobs.push_back(shippable_job(b.ports(), *bounded, "bounded-degree", 3));
   }
 
-  // More shards than structures: affinity must still send every repeat of
-  // one structure to one worker, so exactly two plans are compiled overall
-  // — the same counters a single in-process cache would report.
+  // More shards than graphs: routing must still send every job on one
+  // graph to one worker, so exactly two plans are compiled overall — the
+  // same counters a single in-process cache would report.
   const ProcessShardExecutor executor({bin, "worker"}, 4);
   (void)executor.run(jobs);
   const auto stats = executor.stats();
@@ -285,6 +356,42 @@ TEST(ProcessShardExecutor, GroupAffinityKeepsPlanCountersExact) {
   EXPECT_EQ(stats.plan_hits, jobs.size() - 2);
   EXPECT_GE(stats.workers_spawned, 1u);
   EXPECT_LE(stats.workers_spawned, 2u) << "only non-empty shards are forked";
+}
+
+TEST(ProcessShardExecutor, OneShardGetsEachGraphsJobsBackToBack) {
+  REQUIRE_EDSIM_OR_SKIP(bin);
+  auto rng = test::make_rng(0x6A10);
+  const auto a = test::random_ported_regular(12, 3, rng);
+  const auto b = test::random_ported_regular(16, 3, rng);
+  const auto bounded = algo::make_factory(algo::Algorithm::kBoundedDegree, 3);
+
+  std::vector<BatchJob> jobs;
+  for (int r = 0; r < 3; ++r) {
+    jobs.push_back(shippable_job(a.ports(), *bounded, "bounded-degree", 3));
+    jobs.push_back(shippable_job(b.ports(), *bounded, "bounded-degree", 3));
+  }
+
+  // In process, one cache over a, b, a, b, a, b: 2 compiled, 4 hits.
+  PlanCache cache;
+  auto cached = jobs;
+  for (auto& job : cached) job.options.exec.plan_cache = &cache;
+  const auto expected = BatchRunner(1u).run(cached);
+  ASSERT_EQ(cache.stats().misses, 2u);
+  ASSERT_EQ(cache.stats().hits, 4u);
+
+  // One worker: it must be sent a, a, a, b, b, b.  In index order every
+  // line would carry a different graph than the last, and the worker
+  // would parse and compile 6 times.
+  const ProcessShardExecutor executor({bin, "worker"}, 1);
+  const auto got = executor.run(jobs);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i] == expected[i]) << "job " << i;
+  }
+  const auto stats = executor.stats();
+  EXPECT_EQ(stats.workers_spawned, 1u);
+  EXPECT_EQ(stats.plans_compiled, 2u);
+  EXPECT_EQ(stats.plan_hits, 4u);
 }
 
 TEST(ProcessShardExecutor, JobErrorInsideAWorkerFollowsThePrefixRule) {

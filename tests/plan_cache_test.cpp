@@ -1,10 +1,10 @@
-// PlanCache contract: plans are shared exactly when port structures are
-// identical, the LRU bound holds, concurrent lookups build one plan per
-// structure, and cached plans are bit-identical to fresh ones under every
-// policy — the cache must be invisible except in its own counters.
+// PlanCache contract: plans are shared exactly among a graph and its
+// copies (one PortGraph::id()), the LRU bound holds, concurrent lookups
+// build one plan per graph, and cached plans are bit-identical to fresh
+// ones under every policy — the cache must be invisible except in its own
+// counters.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -42,8 +42,6 @@ TEST(PlanCache, HitsOnIdenticalStructureMissesOnDifferent) {
   const auto plan_b = cache.get(b.ports());
   EXPECT_NE(plan_a1.get(), plan_b.get())
       << "a different port numbering is a different structure";
-  EXPECT_TRUE(plan_b->matches(b.ports()));
-  EXPECT_FALSE(plan_b->matches(a.ports()));
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -52,14 +50,25 @@ TEST(PlanCache, HitsOnIdenticalStructureMissesOnDifferent) {
   EXPECT_GT(stats.bytes, 0u);
 }
 
-TEST(PlanCache, StructurallyEqualGraphsShareAcrossObjects) {
-  // Two *distinct* PortGraph objects with literally the same structure:
-  // canonical ports of the same generator output.
+TEST(PlanCache, CopyHitsAndRebuildMisses) {
+  // A copy is the same graph (same id) and shares its plan.  A separate
+  // build of literally the same structure — canonical ports of the same
+  // generator output — is another graph and compiles its own plan.
   const auto a = port::with_canonical_ports(graph::cycle(10));
-  const auto b = port::with_canonical_ports(graph::cycle(10));
+  const PortGraph copy = a.ports();
+  const auto rebuilt = port::with_canonical_ports(graph::cycle(10));
+  ASSERT_EQ(copy.id(), a.ports().id());
+  ASSERT_NE(rebuilt.ports().id(), a.ports().id());
+  ASSERT_EQ(rebuilt.ports().partner_table(), a.ports().partner_table());
+
   PlanCache cache;
-  EXPECT_EQ(cache.get(a.ports()).get(), cache.get(b.ports()).get());
+  const auto plan = cache.get(a.ports());
+  EXPECT_EQ(cache.get(copy).get(), plan.get());
   EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+
+  EXPECT_NE(cache.get(rebuilt.ports()).get(), plan.get());
+  EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -89,7 +98,8 @@ TEST(PlanCache, LruEvictionUnderCapacity) {
   EXPECT_EQ(stats.evictions, 2u);
 
   // Evicted plans stay usable through their shared_ptr.
-  EXPECT_TRUE(p2->matches(g2.ports()));
+  EXPECT_EQ(p2->num_nodes(), 8u);
+  EXPECT_EQ(p2->total_ports(), 16u);
 }
 
 TEST(PlanCache, ByteAccountingShrinksOnClearAndEviction) {
@@ -148,35 +158,38 @@ TEST(PlanCache, ByteBoundEvictsIndependentlyOfEntryBound) {
 }
 
 TEST(PlanCache, ConcurrentLookupsCompileOnePlanPerStructure) {
-  // 8 threads x 32 lookups over 3 structures: exactly 3 compilations, and
-  // every thread observes the same shared plan per structure.  Run under
-  // TSan (EDS_TSAN=ON) this is the cache's race check.
+  // 8 threads x 32 lookups over 3 graphs: exactly 3 compilations, and
+  // every thread observes the same shared plan per graph.  Run under TSan
+  // (EDS_TSAN=ON) this is the cache's race check.
   const auto g1 = port::with_canonical_ports(graph::cycle(9));
   const auto g2 = port::with_canonical_ports(graph::path(9));
   const auto g3 = port::with_canonical_ports(graph::complete(5));
   const PortGraph* graphs[] = {&g1.ports(), &g2.ports(), &g3.ports()};
 
   PlanCache cache;
-  const auto baseline = ExecutionPlan::constructed_count();
-  std::atomic<int> mismatches{0};
+  std::vector<std::vector<const ExecutionPlan*>> seen(8);
   std::vector<std::thread> threads;
   threads.reserve(8);
   for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&cache, &graphs, &mismatches] {
+    threads.emplace_back([&cache, &graphs, &seen = seen[t]] {
       for (int i = 0; i < 32; ++i) {
-        const auto& g = *graphs[i % 3];
-        const auto plan = cache.get(g);
-        if (!plan->matches(g)) mismatches.fetch_add(1);
+        seen.push_back(cache.get(*graphs[i % 3]).get());
       }
     });
   }
   for (auto& t : threads) t.join();
 
-  EXPECT_EQ(mismatches.load(), 0);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.hits, 8u * 32u - 3u);
-  EXPECT_EQ(ExecutionPlan::constructed_count() - baseline, 3u);
+  for (const auto& plans : seen) {
+    ASSERT_EQ(plans.size(), 32u);
+    for (int i = 0; i < 32; ++i) {
+      const auto& g = *graphs[i % 3];
+      EXPECT_EQ(plans[i], cache.get(g).get());
+      EXPECT_EQ(plans[i]->total_ports(), g.num_ports());
+    }
+  }
 }
 
 TEST(PlanCache, ThousandJobSweepCompilesExactlyOnePlan) {
@@ -189,7 +202,6 @@ TEST(PlanCache, ThousandJobSweepCompilesExactlyOnePlan) {
       1000, algo::BatchItem{&pg, algo::Algorithm::kBoundedDegree, 4});
 
   PlanCache cache;
-  const auto baseline = ExecutionPlan::constructed_count();
   std::vector<algo::EdsOutcome> outcomes;
   algo::run_batch_streaming(
       items, ExecOptions{.threads = 4},
@@ -198,7 +210,6 @@ TEST(PlanCache, ThousandJobSweepCompilesExactlyOnePlan) {
       },
       &cache);
 
-  EXPECT_EQ(ExecutionPlan::constructed_count() - baseline, 1u);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 999u);
@@ -252,17 +263,21 @@ TEST(PlanCache, CachedPlansAreBitIdenticalToFreshOnesUnderEveryPolicy) {
 
 TEST(PlanCache, GlobalCacheServesRunAlgorithm) {
   // run_algorithm defaults a null ExecOptions::plan_cache to the global
-  // cache: back-to-back runs on one graph compile at most one plan (zero
-  // when an earlier test already cached this structure).
+  // cache: back-to-back runs on one graph compile one plan, then hit it.
   auto rng = test::make_rng(0x610B);
   const auto pg = test::random_ported_regular(20, 4, rng);
+  auto& global = PlanCache::global();
+  const auto before = global.stats();
   const auto first =
       algo::run_algorithm(pg, algo::Algorithm::kPortOne);
-  const auto baseline = ExecutionPlan::constructed_count();
+  const auto between = global.stats();
   const auto second =
       algo::run_algorithm(pg, algo::Algorithm::kPortOne);
-  EXPECT_EQ(ExecutionPlan::constructed_count(), baseline)
+  const auto after = global.stats();
+  EXPECT_EQ(between.misses - before.misses, 1u);
+  EXPECT_EQ(after.misses, between.misses)
       << "the second run must reuse the globally cached plan";
+  EXPECT_EQ(after.hits - between.hits, 1u);
   EXPECT_EQ(first.solution, second.solution);
 }
 

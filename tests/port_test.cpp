@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "port/covering.hpp"
 #include "port/labels.hpp"
@@ -374,6 +380,58 @@ TEST(PortGraph, DegreeOutOfRangeThrows) {
   const auto m = figure2_multigraph_m();
   EXPECT_THROW((void)m.degree(5), InvalidArgument);
   EXPECT_THROW((void)m.partner(0, 9), InvalidArgument);
+}
+
+TEST(PortGraph, IdNamesTheBuildNotTheStructure) {
+  PortGraphBuilder builder({1, 1});
+  builder.connect({0, 1}, {1, 1});
+  const PortGraph a = builder.build();
+  const PortGraph b = builder.build();  // same structure, another build
+  EXPECT_NE(a.id(), 0u);
+  EXPECT_NE(a.id(), b.id());
+  EXPECT_EQ(a.partner_table(), b.partner_table());
+
+  PortGraph copy = a;
+  EXPECT_EQ(copy.id(), a.id());
+  const PortGraph moved = std::move(copy);
+  EXPECT_EQ(moved.id(), a.id());
+  // The moved-from graph is empty, so it cannot share an id with `a`.
+  EXPECT_EQ(copy.id(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.num_nodes(), 0u);
+  EXPECT_EQ(copy.num_ports(), 0u);
+  EXPECT_EQ(PortGraph{}.id(), 0u);
+
+  PortGraph assigned;
+  assigned = b;
+  EXPECT_EQ(assigned.id(), b.id());
+  PortGraph target = a;
+  target = std::move(assigned);
+  EXPECT_EQ(target.id(), b.id());
+  EXPECT_EQ(assigned.id(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(assigned.num_ports(), 0u);
+}
+
+TEST(PortGraph, ConcurrentBuildsGetDistinctIds) {
+  // Builders on several threads at once (run under TSan in CI): every
+  // graph gets its own id.
+  constexpr int kThreads = 4;
+  constexpr int kBuilds = 64;
+  std::vector<std::vector<std::uint64_t>> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&out = ids[t]] {
+      for (int i = 0; i < kBuilds; ++i) {
+        out.push_back(with_canonical_ports(graph::cycle(5)).ports().id());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::vector<std::uint64_t> all;
+  for (const auto& part : ids) all.insert(all.end(), part.begin(), part.end());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+  EXPECT_EQ(all.size(), std::size_t{kThreads * kBuilds});
+  EXPECT_NE(all.front(), 0u);
 }
 
 }  // namespace

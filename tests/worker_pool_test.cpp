@@ -44,7 +44,6 @@ BatchJob shippable_job(const port::PortGraph& g, const ProgramFactory& factory,
   JobSpec spec;
   spec.algorithm = token;
   spec.param = param;
-  spec.group = structural_hash(g);
   job.spec = spec;
   return job;
 }
