@@ -36,6 +36,7 @@
 #include "port/ported_graph.hpp"
 #include "runtime/async.hpp"
 #include "runtime/fault.hpp"
+#include "runtime/plan_cache.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sched.hpp"
 #include "util/rng.hpp"
@@ -65,10 +66,12 @@ void export_async(benchmark::State& state,
 
 void BM_AsyncSyncBaseline(benchmark::State& state) {
   const auto pg = bench_instance();
+  eds::runtime::PlanCache cache;
+  const eds::runtime::ExecOptions cached{.plan_cache = &cache};
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     auto outcome = eds::algo::run_algorithm(
-        pg, eds::algo::Algorithm::kDoubleCover, kDegree);
+        pg, eds::algo::Algorithm::kDoubleCover, kDegree, cached);
     rounds = outcome.stats.rounds;
     benchmark::DoNotOptimize(outcome.stats.messages_sent);
   }

@@ -59,15 +59,16 @@ void export_split(benchmark::State& state,
   state.counters["scan_ns"] = per_iteration(metrics.scan_ns);
 }
 
-/// algo::run_algorithm's work (factory, shared plan cache, validated
+/// algo::run_algorithm's work (factory, plan from `cache`, validated
 /// solution) with the run adding into `metrics`.  A run with a sink times
 /// its stages, so it drives the split-sweep round loop.
 eds::algo::EdsOutcome run_measured(const eds::port::PortedGraph& pg,
                                    eds::algo::Algorithm algorithm,
                                    eds::port::Port param,
                                    eds::runtime::RunMetrics& metrics,
+                                   eds::runtime::PlanCache& cache,
                                    unsigned threads = 1) {
-  auto job = eds::algo::make_job(pg.ports(), algorithm, param, nullptr);
+  auto job = eds::algo::make_job(pg.ports(), algorithm, param, &cache);
   auto& options = job.batch.options;
   options.exec.threads = threads;
   options.metrics = &metrics;
@@ -106,9 +107,14 @@ void BM_PortOne(benchmark::State& state) {
   eds::Rng rng(1);
   const auto g = eds::graph::random_regular(n, 4, rng);
   const auto pg = eds::port::with_random_ports(g, rng);
+  // One cache across the timed runs: the first compiles the plan and every
+  // later run hits it.
+  eds::runtime::PlanCache cache;
+  const eds::runtime::ExecOptions cached{.plan_cache = &cache};
   std::uint64_t rounds = 0;
   for (auto _ : state) {
-    auto outcome = eds::algo::run_algorithm(pg, eds::algo::Algorithm::kPortOne);
+    auto outcome = eds::algo::run_algorithm(
+        pg, eds::algo::Algorithm::kPortOne, 0, cached);
     rounds = outcome.stats.rounds;
     benchmark::DoNotOptimize(outcome.solution.size());
   }
@@ -125,10 +131,12 @@ void BM_OddRegular(benchmark::State& state) {
   eds::Rng rng(2);
   const auto g = eds::graph::random_regular(n, d, rng);
   const auto pg = eds::port::with_random_ports(g, rng);
+  eds::runtime::PlanCache cache;
+  const eds::runtime::ExecOptions cached{.plan_cache = &cache};
   std::uint64_t rounds = 0;
   for (auto _ : state) {
-    auto outcome =
-        eds::algo::run_algorithm(pg, eds::algo::Algorithm::kOddRegular, d);
+    auto outcome = eds::algo::run_algorithm(
+        pg, eds::algo::Algorithm::kOddRegular, d, cached);
     rounds = outcome.stats.rounds;
     benchmark::DoNotOptimize(outcome.stats.rounds);
   }
@@ -149,10 +157,12 @@ void BM_BoundedDegree(benchmark::State& state) {
   const auto pg = eds::port::with_random_ports(g, rng);
   const auto delta = static_cast<eds::port::Port>(
       std::max<std::size_t>(g.max_degree(), 2));
+  eds::runtime::PlanCache cache;
+  const eds::runtime::ExecOptions cached{.plan_cache = &cache};
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     auto outcome = eds::algo::run_algorithm(
-        pg, eds::algo::Algorithm::kBoundedDegree, delta);
+        pg, eds::algo::Algorithm::kBoundedDegree, delta, cached);
     rounds = outcome.stats.rounds;
     benchmark::DoNotOptimize(outcome.stats.rounds);
   }
@@ -167,10 +177,12 @@ void BM_RunnerRoundOverhead(benchmark::State& state) {
   eds::Rng rng(4);
   const auto g = eds::graph::torus(side, side);
   const auto pg = eds::port::with_random_ports(g, rng);
+  eds::runtime::PlanCache cache;
+  const eds::runtime::ExecOptions cached{.plan_cache = &cache};
   std::uint64_t rounds = 0;
   for (auto _ : state) {
-    auto outcome =
-        eds::algo::run_algorithm(pg, eds::algo::Algorithm::kDoubleCover, 4);
+    auto outcome = eds::algo::run_algorithm(
+        pg, eds::algo::Algorithm::kDoubleCover, 4, cached);
     rounds = outcome.stats.rounds;
     benchmark::DoNotOptimize(outcome.stats.messages_sent);
   }
@@ -191,9 +203,10 @@ void BM_Engine100k(benchmark::State& state) {
   const auto pg = eds::port::with_random_ports(g, rng);
   std::uint64_t rounds = 0;
   eds::runtime::RunMetrics metrics;
+  eds::runtime::PlanCache cache;
   for (auto _ : state) {
     auto outcome = run_measured(pg, eds::algo::Algorithm::kBoundedDegree, 4,
-                                metrics, threads);
+                                metrics, cache, threads);
     rounds = outcome.stats.rounds;
     benchmark::DoNotOptimize(outcome.solution.size());
   }
@@ -221,9 +234,10 @@ void BM_EngineDense(benchmark::State& state) {
   const auto pg = eds::port::with_random_ports(g, rng);
   std::uint64_t rounds = 0;
   eds::runtime::RunMetrics metrics;
+  eds::runtime::PlanCache cache;
   for (auto _ : state) {
-    auto outcome =
-        run_measured(pg, eds::algo::Algorithm::kDoubleCover, d, metrics);
+    auto outcome = run_measured(pg, eds::algo::Algorithm::kDoubleCover, d,
+                                metrics, cache);
     rounds = outcome.stats.rounds;
     benchmark::DoNotOptimize(outcome.stats.messages_sent);
   }
@@ -252,9 +266,11 @@ void BM_EngineSparse(benchmark::State& state) {
       std::max<std::size_t>(g.max_degree(), 2));
   std::uint64_t rounds = 0;
   std::uint64_t messages = 0;
+  eds::runtime::PlanCache cache;
+  const eds::runtime::ExecOptions cached{.plan_cache = &cache};
   for (auto _ : state) {
     auto outcome = eds::algo::run_algorithm(
-        pg, eds::algo::Algorithm::kBoundedDegree, delta);
+        pg, eds::algo::Algorithm::kBoundedDegree, delta, cached);
     rounds = outcome.stats.rounds;
     messages = outcome.stats.messages_sent;
     benchmark::DoNotOptimize(outcome.solution.size());
@@ -264,7 +280,7 @@ void BM_EngineSparse(benchmark::State& state) {
   // timestamps cost about a tenth of the round loop's time.
   eds::runtime::RunMetrics metrics;
   (void)run_measured(pg, eds::algo::Algorithm::kBoundedDegree, delta,
-                     metrics);
+                     metrics, cache);
   export_alloc(state, metrics);
   state.counters["n"] = static_cast<double>(n);
   state.counters["rounds"] = static_cast<double>(rounds);
@@ -358,6 +374,8 @@ void BM_BatchSweep(benchmark::State& state) {
   for (const auto& pg : instances) {
     items.push_back({&pg, eds::algo::Algorithm::kBoundedDegree, 4});
   }
+  // The plans are compiled by the first batch and hit by every later one.
+  eds::runtime::PlanCache cache;
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     eds::algo::run_batch_streaming(
@@ -365,10 +383,10 @@ void BM_BatchSweep(benchmark::State& state) {
         [&](std::size_t, eds::algo::EdsOutcome&& outcome) {
           rounds = outcome.stats.rounds;
           benchmark::DoNotOptimize(outcome.solution.size());
-        });
+        },
+        &cache);
   }
-  export_alloc(state, measure_batch(items, threads,
-                                    eds::runtime::PlanCache::global()));
+  export_alloc(state, measure_batch(items, threads, cache));
   state.counters["n"] = 512.0 * 32.0;
   state.counters["rounds"] = static_cast<double>(rounds);
   state.counters["lanes"] = static_cast<double>(threads);

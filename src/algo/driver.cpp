@@ -130,8 +130,7 @@ Job make_job(const port::PortGraph& g, Algorithm algorithm, port::Port param,
   auto& options = job.batch.options;
   options.max_rounds =
       std::max(options.max_rounds, schedule_length(algorithm, param));
-  options.exec.plan_cache =
-      plan_cache != nullptr ? plan_cache : &runtime::PlanCache::global();
+  options.exec.plan_cache = plan_cache;
   job.batch.graph = &g;
   job.batch.factory = job.factory.get();
   job.batch.spec = runtime::JobSpec{algorithm_token(algorithm), param};
@@ -143,7 +142,6 @@ EdsOutcome run_algorithm(const port::PortedGraph& pg, Algorithm algorithm,
   const auto job = make_job(pg.ports(), algorithm, param, exec.plan_cache);
   auto options = job.batch.options;
   options.exec = exec;
-  options.exec.plan_cache = job.batch.options.exec.plan_cache;
   const auto result = runtime::run_synchronous(pg.ports(), *job.factory,
                                                options);
   return {runtime::validated_edge_set(pg, result), result.stats};
@@ -154,6 +152,10 @@ void run_batch_streaming(
     const std::function<void(std::size_t index, EdsOutcome&& outcome)>&
         on_outcome,
     runtime::PlanCache* plan_cache) {
+  // Without a caller's cache, the batch's repeats still share one plan per
+  // graph, and the plans die with the batch.
+  runtime::PlanCache local;
+  if (plan_cache == nullptr) plan_cache = &local;
   std::vector<Job> built;
   std::vector<runtime::BatchJob> jobs;
   built.reserve(items.size());

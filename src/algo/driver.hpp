@@ -96,8 +96,8 @@ struct Job {
 
 /// The job builder: resolves `param` on `g`, builds the factory and a
 /// one-lane synchronous BatchJob on `g` with max_rounds = max(default
-/// cap, schedule_length), plans from `plan_cache` (null =
-/// PlanCache::global()), and a JobSpec of the token and the resolved
+/// cap, schedule_length), plans from `plan_cache` (null = a plan compiled
+/// for the run), and a JobSpec of the token and the resolved
 /// param.  It reads no port of `g` (only its degrees, and only to resolve
 /// a zero `param`): the plan cache and shard routing recognise `g` by
 /// PortGraph::id().
@@ -107,9 +107,9 @@ struct Job {
 /// Runs `algorithm` on `pg` and returns the validated solution.
 /// `param` defaults (0) resolve from the graph (resolved_param).  `exec`
 /// selects the engine policy (ExecOptions{.threads = N}); the solution is
-/// identical for every policy.  When `exec.plan_cache` is null the
-/// process-wide `runtime::PlanCache::global()` is used, so repeated runs
-/// on one graph compile its ExecutionPlan once.
+/// identical for every policy.  When `exec.plan_cache` is null the run
+/// compiles its own ExecutionPlan and keeps nothing; pass a cache to share
+/// one plan across repeated runs on one graph.
 [[nodiscard]] EdsOutcome run_algorithm(const port::PortedGraph& pg,
                                        Algorithm algorithm,
                                        port::Port param = 0,
@@ -132,8 +132,8 @@ struct BatchItem {
 /// runtime::ProcessShardExecutor fans the items across worker
 /// subprocesses — while `exec.threads` sizes the in-process BatchRunner
 /// pool otherwise (0 = one lane per hardware thread).  Plans are shared
-/// through `plan_cache` (null = PlanCache::global()), so repeated items on
-/// one graph compile a single ExecutionPlan.  Blocks until the batch
+/// through `plan_cache` (null = a cache local to this call), so repeated
+/// items on one graph compile a single ExecutionPlan.  Blocks until the batch
 /// drains; rethrows the lowest-indexed failure after withholding outcomes
 /// from it onward.
 void run_batch_streaming(

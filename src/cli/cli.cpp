@@ -677,17 +677,14 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
       err << "sweep: " << e.what() << '\n';
       return 2;
     }
-    try {
-      loss = std::stod(args.get("loss", "0"));
-      dup = std::stod(args.get("dup", "0"));
-    } catch (const std::exception&) {
+    const auto parsed_loss = runtime::parse_probability(args.get("loss", "0"));
+    const auto parsed_dup = runtime::parse_probability(args.get("dup", "0"));
+    if (!parsed_loss || !parsed_dup) {
       err << "sweep: --loss/--dup must be numbers in [0, 1]\n";
       return 2;
     }
-    if (loss < 0.0 || loss > 1.0 || dup < 0.0 || dup > 1.0) {
-      err << "sweep: --loss/--dup must be numbers in [0, 1]\n";
-      return 2;
-    }
+    loss = *parsed_loss;
+    dup = *parsed_dup;
     crash_k = args.number<std::size_t>("crash", 0);
     async_base.round_timeout = args.number<std::uint64_t>("timeout", 0);
     if (args.has("adversary")) {
@@ -1196,15 +1193,17 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
 /// ProcessShardExecutor pass.  Speaks the schema-2 NDJSON protocol of
 /// runtime/shard.hpp on stdin/stdout: each job line answers with one
 /// result (or error) line, flushed per job so the parent can stream, all
-/// under one PlanCache (the per-shard cache of the design).  A job line
-/// whose graph text equals the last one's reuses that parsed graph, so its
-/// PortGraph::id() and plan (the parent sends a graph's jobs back to back).
-/// At stdin EOF the worker writes one worker_summary with its job and
-/// cache counters and exits 0.
+/// under one PlanCache (the per-shard cache of the design).  Each job runs
+/// on the graph of the last graph line, so every job on one graph shares
+/// its PortGraph::id() and plan; a graph line swaps the graph and clears
+/// the cache, whose plans no later job can hit.  At stdin EOF the worker
+/// writes one worker_summary with its job and cache counters and exits 0.
 ///
 /// A job that fails its run produces an error line and the worker carries
-/// on: draining the batch is the parent's prefix-rule contract.  Any line
-/// that is not a job line is a protocol failure: exit 2, loudly.
+/// on: draining the batch is the parent's prefix-rule contract.  So does
+/// every job on a graph that failed to parse, with the parse message.  A
+/// job line before any graph line, and any line that is neither kind, is a
+/// protocol failure: exit 2, loudly.
 ///
 /// Chaos hooks (the deterministic misbehaviour injectors behind the
 /// resilience layer's tests): `--chaos SPEC` wins, then the
@@ -1227,15 +1226,16 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
 
   runtime::PlanCache cache;
   std::uint64_t jobs = 0;
-  // The last job's graph and its text, moved out of that job.
-  std::string graph_text;
+  // What the last graph line left: its graph, or the message its parse
+  // failed with.  Both are empty before the first graph line.
   std::optional<port::PortGraph> graph;
+  std::optional<std::string> graph_error;
 
   // Runs one job under the shared cache.  Returns 0 to keep serving, or
   // the exit code a chaos action demands.
   // Chaos actions *return* instead of _exit so the in-process run_cli
   // tests observe them exactly like a forked worker's exit status.
-  const auto run_job = [&](runtime::WireJob& job) -> int {
+  const auto run_job = [&](const runtime::WireJob& job) -> int {
     const auto action = runtime::chaos_action(chaos, jobs + 1, job.index);
     if (action.mode == runtime::ChaosSpec::Mode::kPoison) {
       return 13;  // die on sight: no answer, no summary, every time
@@ -1245,13 +1245,7 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
     }
     std::string answer;
     try {
-      if (!graph || job.graph_text != graph_text) {
-        // No later job can hit the old graph's plan: its id dies with it.
-        graph.reset();
-        cache.clear();
-        graph_text = std::move(job.graph_text);
-        graph = port::from_port_graph_string(graph_text);
-      }
+      if (!graph) throw InvalidArgument(*graph_error);
       const auto algorithm = algo::algorithm_from_token(job.algorithm);
       if (!algorithm) {
         throw InvalidArgument("worker: unknown algorithm token '" +
@@ -1312,9 +1306,13 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    runtime::WireJob job;
+    runtime::ParentLine parsed;
     try {
-      job = runtime::decode_wire_job(line);
+      parsed = runtime::decode_parent_line(line);
+      if (std::holds_alternative<runtime::WireJob>(parsed) && !graph &&
+          !graph_error) {
+        throw InvalidArgument("wire: job line before any graph line");
+      }
     } catch (const Error& e) {
       // A malformed line is a protocol failure, not a job failure: die
       // loudly — naming the line and a snippet of what arrived — and let
@@ -1324,7 +1322,19 @@ int cmd_worker(const Args& args, std::istream& in, std::ostream& out,
           << e.what() << '\n';
       return 2;
     }
-    if (const int rc = run_job(job); rc != 0) {
+    if (auto* text = std::get_if<std::string>(&parsed)) {
+      // No later job can hit the old graph's plan: its id dies with it.
+      graph.reset();
+      cache.clear();
+      graph_error.reset();
+      try {
+        graph = port::from_port_graph_string(*text);
+      } catch (const std::exception& e) {
+        graph_error = e.what();
+      }
+      continue;
+    }
+    if (const int rc = run_job(std::get<runtime::WireJob>(parsed)); rc != 0) {
       return rc;  // a chaos action fired: die as instructed
     }
   }

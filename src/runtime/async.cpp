@@ -224,8 +224,9 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     throw InvalidArgument("run_asynchronous: one program per node required");
   }
   const FaultPlan& faults = options_.faults;
-  if (faults.loss < 0.0 || faults.loss > 1.0 || faults.duplicate < 0.0 ||
-      faults.duplicate > 1.0) {
+  // Written to refuse NaN too, which every comparison rejects.
+  if (!(faults.loss >= 0.0 && faults.loss <= 1.0) ||
+      !(faults.duplicate >= 0.0 && faults.duplicate <= 1.0)) {
     throw InvalidArgument(
         "run_asynchronous: fault probabilities must lie in [0, 1]");
   }

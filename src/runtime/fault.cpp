@@ -116,47 +116,104 @@ FaultPlan make_fault_plan(double loss, double duplicate,
 
 namespace {
 
-/// Parses one probability token of a replay file.
+/// One probability token of a replay record: a whole finite decimal in
+/// [0, 1], which NaN, "inf" and trailing bytes are not.
 double parse_prob(const std::string& text, const std::string& key) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(text, &pos);
-    if (pos != text.size() || !(value >= 0.0 && value <= 1.0)) {
-      throw std::invalid_argument(text);
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw InvalidArgument("decode_replay: bad probability '" + text +
+  const auto value = parse_probability(text);
+  if (!value) {
+    throw InvalidArgument("replay codec: bad probability '" + text +
                           "' for '" + key + "'");
   }
+  return *value;
 }
 
-/// One numeric token of a replay file, for a field of type T: an unsigned
-/// decimal no larger than T holds, never truncated or wrapped into it.
+/// One numeric token of a replay record, for a field of type T: an
+/// unsigned decimal no larger than T holds, never truncated or wrapped
+/// into it.
 template <typename T = std::uint64_t>
 T parse_u64(const std::string& text, const std::string& key) {
   const auto value = unsigned_decimal(text);
   if (!value) {
-    throw InvalidArgument("decode_replay: bad number '" + text + "' for '" +
+    throw InvalidArgument("replay codec: bad number '" + text + "' for '" +
                           key + "'");
   }
   if (*value > std::numeric_limits<T>::max()) {
-    throw InvalidArgument("decode_replay: '" + key + "' value " + text +
+    throw InvalidArgument("replay codec: '" + key + "' value " + text +
                           " exceeds its maximum " +
                           std::to_string(std::numeric_limits<T>::max()));
   }
   return static_cast<T>(*value);
 }
 
+/// The next value of the `key value...` record `values` holds after its
+/// key; a record with none left is malformed.
+std::string next_value(std::istream& values, const std::string& key) {
+  std::string token;
+  if (!(values >> token)) {
+    throw InvalidArgument("replay codec: record '" + key +
+                          "' is missing a value");
+  }
+  return token;
+}
+
+/// Applies the record `key` with its `values` to `a` when it is one of
+/// encode_async_options' records; false for any other key.
+bool read_async_record(const std::string& key, std::istream& values,
+                       AsyncOptions& a) {
+  const auto next = [&] { return next_value(values, key); };
+  if (key == "synchronizer") {
+    const auto token = next();
+    if (token != "on" && token != "off") {
+      throw InvalidArgument("replay codec: synchronizer takes on|off");
+    }
+    a.synchronizer = token == "on";
+  } else if (key == "delay") {
+    a.delay = parse_delay_model(next());
+  } else if (key == "loss") {
+    a.faults.loss = parse_prob(next(), key);
+  } else if (key == "dup") {
+    a.faults.duplicate = parse_prob(next(), key);
+  } else if (key == "timeout") {
+    a.round_timeout = parse_u64(next(), key);
+  } else if (key == "seed") {
+    a.seed = parse_u64(next(), key);
+  } else if (key == "crash") {
+    CrashEvent c;
+    c.node = parse_u64<port::NodeId>(next(), key);
+    c.time = parse_u64(next(), key);
+    a.faults.crashes.push_back(c);
+  } else if (key == "prioseed") {
+    a.schedule.prio_seed = parse_u64(next(), key);
+  } else if (key == "demote") {
+    a.schedule.demote_ticks = parse_u64(next(), key);
+  } else if (key == "change") {
+    a.schedule.change_points.push_back(parse_u64(next(), key));
+  } else if (key == "override") {
+    DelayOverride o;
+    o.port = parse_u64<std::uint32_t>(next(), key);
+    o.ticks = parse_u64(next(), key);
+    a.schedule.delay_overrides.push_back(o);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-std::string encode_replay(const ReplayFile& replay) {
+std::optional<double> parse_probability(const std::string& text) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), end, value, std::chars_format::general);
+  if (ec != std::errc() || ptr != end || !(value >= 0.0 && value <= 1.0)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::string encode_async_options(const AsyncOptions& a) {
   std::ostringstream os;
-  os << "edsched " << kReplaySchemaVersion << '\n';
-  os << "strategy " << replay.strategy << '\n';
-  os << "algorithm " << replay.algorithm << '\n';
-  os << "param " << replay.param << '\n';
-  const AsyncOptions& a = replay.options;
   os << "synchronizer " << (a.synchronizer ? "on" : "off") << '\n';
   os << "delay " << format_delay_model(a.delay) << '\n';
   // max_digits10 makes the probabilities round-trip bit-exactly through the
@@ -176,6 +233,32 @@ std::string encode_replay(const ReplayFile& replay) {
   for (const DelayOverride& o : s.delay_overrides) {
     os << "override " << o.port << ' ' << o.ticks << '\n';
   }
+  return os.str();
+}
+
+AsyncOptions decode_async_options(const std::string& text) {
+  AsyncOptions options;
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) {
+    std::istringstream values(line);
+    std::string key;
+    values >> key;
+    if (!read_async_record(key, values, options)) {
+      throw InvalidArgument("replay codec: unknown async record '" + key +
+                            "'");
+    }
+  }
+  return options;
+}
+
+std::string encode_replay(const ReplayFile& replay) {
+  std::ostringstream os;
+  os << "edsched " << kReplaySchemaVersion << '\n';
+  os << "strategy " << replay.strategy << '\n';
+  os << "algorithm " << replay.algorithm << '\n';
+  os << "param " << replay.param << '\n';
+  os << encode_async_options(replay.options);
   for (const auto& [name, value] : replay.metrics) {
     os << "metric " << name << ' ' << value << '\n';
   }
@@ -214,59 +297,20 @@ ReplayFile decode_replay(const std::string& text) {
       saw_graph = true;
       break;
     }
-    std::istringstream record(line);
+    std::istringstream values(line);
     std::string key;
-    record >> key;
-    const auto rest = [&record, &key, &line]() {
-      std::string token;
-      if (!(record >> token)) {
-        throw InvalidArgument("decode_replay: record '" + line +
-                              "' is missing a value for '" + key + "'");
-      }
-      return token;
-    };
+    values >> key;
+    const auto next = [&] { return next_value(values, key); };
     if (key == "strategy") {
-      replay.strategy = rest();
+      replay.strategy = next();
     } else if (key == "algorithm") {
-      replay.algorithm = rest();
+      replay.algorithm = next();
     } else if (key == "param") {
-      replay.param = parse_u64<std::uint32_t>(rest(), key);
-    } else if (key == "synchronizer") {
-      const auto token = rest();
-      if (token != "on" && token != "off") {
-        throw InvalidArgument("decode_replay: synchronizer takes on|off");
-      }
-      replay.options.synchronizer = token == "on";
-    } else if (key == "delay") {
-      replay.options.delay = parse_delay_model(rest());
-    } else if (key == "loss") {
-      replay.options.faults.loss = parse_prob(rest(), key);
-    } else if (key == "dup") {
-      replay.options.faults.duplicate = parse_prob(rest(), key);
-    } else if (key == "timeout") {
-      replay.options.round_timeout = parse_u64(rest(), key);
-    } else if (key == "seed") {
-      replay.options.seed = parse_u64(rest(), key);
-    } else if (key == "crash") {
-      CrashEvent c;
-      c.node = parse_u64<port::NodeId>(rest(), key);
-      c.time = parse_u64(rest(), key);
-      replay.options.faults.crashes.push_back(c);
-    } else if (key == "prioseed") {
-      replay.options.schedule.prio_seed = parse_u64(rest(), key);
-    } else if (key == "demote") {
-      replay.options.schedule.demote_ticks = parse_u64(rest(), key);
-    } else if (key == "change") {
-      replay.options.schedule.change_points.push_back(parse_u64(rest(), key));
-    } else if (key == "override") {
-      DelayOverride o;
-      o.port = parse_u64<std::uint32_t>(rest(), key);
-      o.ticks = parse_u64(rest(), key);
-      replay.options.schedule.delay_overrides.push_back(o);
+      replay.param = parse_u64<std::uint32_t>(next(), key);
     } else if (key == "metric") {
-      const auto name = rest();
-      replay.metrics.emplace_back(name, parse_u64(rest(), key));
-    } else {
+      const auto name = next();
+      replay.metrics.emplace_back(name, parse_u64(next(), key));
+    } else if (!read_async_record(key, values, replay.options)) {
       throw InvalidArgument("decode_replay: unknown record '" + key + "'");
     }
   }

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -241,6 +242,26 @@ struct ReplayFile {
 /// accepts.  Bumped on any incompatible change; a mismatch is a clean
 /// InvalidArgument, never a misparse.
 inline constexpr std::uint32_t kReplaySchemaVersion = 1;
+
+/// The AsyncOptions records of the replay codec, one `key value...` line
+/// each: synchronizer, delay, loss, dup, timeout and seed, one `crash` per
+/// scripted crash, then the Schedule's prioseed, demote, change and
+/// override records (each only when set).  encode_replay writes exactly
+/// these lines, and the shard wire (runtime/shard.hpp) embeds them in an
+/// async job line, so AsyncOptions has one text form.
+[[nodiscard]] std::string encode_async_options(const AsyncOptions& options);
+
+/// Parses encode_async_options text back into the identical AsyncOptions
+/// (the probabilities are written at max_digits10, so they round-trip
+/// bit-exactly).  Records may come in any order; a missing one keeps its
+/// default.  Throws InvalidArgument on an unknown record or a malformed
+/// value, under the same rules decode_replay applies.
+[[nodiscard]] AsyncOptions decode_async_options(const std::string& text);
+
+/// A probability token as the replay codec and `edsim sweep --loss/--dup`
+/// take it: the whole of `text` is one finite decimal in [0, 1].  NaN,
+/// infinities, a '+' sign or trailing bytes give nothing.
+[[nodiscard]] std::optional<double> parse_probability(const std::string& text);
 
 /// Serializes `replay` into the versioned text format.
 [[nodiscard]] std::string encode_replay(const ReplayFile& replay);

@@ -51,9 +51,4 @@ void PlanCache::clear() {
   stats_.bytes = 0;
 }
 
-PlanCache& PlanCache::global() {
-  static PlanCache cache;
-  return cache;
-}
-
 }  // namespace eds::runtime

@@ -80,10 +80,6 @@ class PlanCache {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t max_bytes() const noexcept { return max_bytes_; }
 
-  /// The process-wide cache `algo::make_job` (so `run_algorithm` and
-  /// `run_batch_streaming`) uses when the caller does not supply one.
-  [[nodiscard]] static PlanCache& global();
-
   static constexpr std::size_t kDefaultCapacity = 32;
   static constexpr std::size_t kDefaultMaxBytes = 64u << 20;  // 64 MiB
 

@@ -52,12 +52,10 @@ struct ExecOptions {
   unsigned threads = 1;
 
   /// When set, the ExecutionPlan is fetched from (and shared through) this
-  /// cache instead of being compiled per run; null compiles a fresh plan.
-  /// `algo::make_job` (so `run_algorithm` and `run_batch_streaming`)
-  /// defaults a null pointer to `PlanCache::global()` — pass a cache
-  /// explicitly to isolate or observe its counters.  Plans are immutable,
-  /// so sharing is invisible except in wall-clock time and the cache's
-  /// statistics.
+  /// cache instead of being compiled per run; null compiles a fresh plan
+  /// (`algo::run_batch_streaming` gives a batch without one a cache of its
+  /// own).  Plans are immutable, so sharing is invisible except in
+  /// wall-clock time and the cache's statistics.
   PlanCache* plan_cache = nullptr;
 
   /// Batch-level backend override (non-owning): when set,

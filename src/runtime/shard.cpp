@@ -1,8 +1,6 @@
 #include "runtime/shard.hpp"
 
-#include <iomanip>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "util/error.hpp"
@@ -120,41 +118,6 @@ class Cursor {
     return static_cast<T>(value);
   }
 
-  /// A JSON boolean literal.
-  [[nodiscard]] bool boolean() {
-    if (try_lit("true")) return true;
-    if (try_lit("false")) return false;
-    throw InvalidArgument("wire: expected boolean at offset " +
-                          std::to_string(pos_));
-  }
-
-  /// A non-negative real as std::ostream writes doubles at max_digits10
-  /// (plain or scientific notation) — the loss/duplication probabilities
-  /// round-trip bit-exactly through this.
-  [[nodiscard]] double real() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      const bool numeric = (c >= '0' && c <= '9') || c == '.' || c == 'e' ||
-                           c == 'E' || c == '+' || c == '-';
-      if (!numeric) break;
-      ++pos_;
-    }
-    if (pos_ == start) {
-      throw InvalidArgument("wire: expected number at offset " +
-                            std::to_string(pos_));
-    }
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(s_.substr(start, pos_ - start), &used);
-      if (used != pos_ - start) throw std::invalid_argument("trailing");
-      return value;
-    } catch (const std::exception&) {
-      throw InvalidArgument("wire: malformed number at offset " +
-                            std::to_string(start));
-    }
-  }
-
   [[nodiscard]] std::string str() {
     lit("\"");
     std::string out;
@@ -228,121 +191,8 @@ void consume_prefix(Cursor& c) {
   c.lit(",");
 }
 
-/// Writes a probability exactly as the replay codec does — max_digits10,
-/// so decode's std::stod recovers the identical bits.
-std::string format_prob(double value) {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << value;
-  return os.str();
-}
-
-/// The fixed-order `"async":{…}` segment of a job line.
-void append_async(std::string& out, const AsyncOptions& async) {
-  out += "\"async\":{\"synchronizer\":";
-  out += async.synchronizer ? "true" : "false";
-  out += ",\"delay\":\"";
-  append_escaped(out, format_delay_model(async.delay));
-  out += "\",\"seed\":";
-  out += std::to_string(async.seed);
-  out += ",\"timeout\":";
-  out += std::to_string(async.round_timeout);
-  out += ",\"loss\":";
-  out += format_prob(async.faults.loss);
-  out += ",\"dup\":";
-  out += format_prob(async.faults.duplicate);
-  out += ",\"crashes\":[";
-  for (std::size_t k = 0; k < async.faults.crashes.size(); ++k) {
-    if (k != 0) out += ',';
-    out += '[';
-    out += std::to_string(async.faults.crashes[k].node);
-    out += ',';
-    out += std::to_string(async.faults.crashes[k].time);
-    out += ']';
-  }
-  out += "]},";
-}
-
-/// Parses the async segment after its `"synchronizer":` key literal.
-AsyncOptions decode_async(Cursor& c) {
-  AsyncOptions async;
-  async.synchronizer = c.boolean();
-  c.lit(",\"delay\":");
-  async.delay = parse_delay_model(c.str());
-  c.lit(",\"seed\":");
-  async.seed = c.uint();
-  c.lit(",\"timeout\":");
-  async.round_timeout = c.uint();
-  c.lit(",\"loss\":");
-  async.faults.loss = c.real();
-  c.lit(",\"dup\":");
-  async.faults.duplicate = c.real();
-  for (const double p : {async.faults.loss, async.faults.duplicate}) {
-    if (p < 0.0 || p > 1.0) {
-      throw InvalidArgument("wire: fault probability outside [0, 1]");
-    }
-  }
-  c.lit(",\"crashes\":[");
-  if (!c.peek(']')) {
-    while (true) {
-      CrashEvent crash;
-      c.lit("[");
-      crash.node = c.uint_for<port::NodeId>("node");
-      c.lit(",");
-      crash.time = c.uint();
-      c.lit("]");
-      async.faults.crashes.push_back(crash);
-      if (c.peek(',')) {
-        c.lit(",");
-        continue;
-      }
-      break;
-    }
-  }
-  c.lit("]},");
-  return async;
-}
-
-/// Job-line body with the graph segment already escaped — the writer
-/// threads escape each distinct graph once and reuse it across every
-/// repeat, instead of re-scanning the (potentially large) text per job.
-std::string encode_job_line(std::size_t index, const std::string& algorithm,
-                            Port param, unsigned threads, Round max_rounds,
-                            const std::optional<AsyncOptions>& async,
-                            const std::string& escaped_graph) {
-  std::string out;
-  out.reserve(escaped_graph.size() + algorithm.size() + 160);
-  append_prefix(out);
-  out += "\"job\":{\"index\":";
-  out += std::to_string(index);
-  out += ",\"algorithm\":\"";
-  append_escaped(out, algorithm);
-  out += "\",\"param\":";
-  out += std::to_string(param);
-  out += ",\"threads\":";
-  out += std::to_string(threads);
-  out += ",\"max_rounds\":";
-  out += std::to_string(max_rounds);
-  out += ',';
-  if (async.has_value()) append_async(out, *async);
-  out += "\"graph\":\"";
-  out += escaped_graph;
-  out += "\"}}";
-  return out;
-}
-
-}  // namespace
-
-std::string encode_wire_job(const WireJob& job) {
-  std::string escaped;
-  escaped.reserve(job.graph_text.size());
-  append_escaped(escaped, job.graph_text);
-  return encode_job_line(job.index, job.algorithm, job.param, job.threads,
-                         job.max_rounds, job.async, escaped);
-}
-
-WireJob decode_wire_job(const std::string& line) {
-  Cursor c(line);
-  consume_prefix(c);
+/// Parses a job line's body after the versioned prefix.
+WireJob decode_job(Cursor& c) {
   c.lit("\"job\":{\"index\":");
   WireJob job;
   job.index = c.uint_for<std::size_t>("index");
@@ -354,15 +204,67 @@ WireJob decode_wire_job(const std::string& line) {
   job.threads = c.uint_for<unsigned>("threads");
   c.lit(",\"max_rounds\":");
   job.max_rounds = c.uint_for<Round>("max_rounds");
-  c.lit(",");
-  if (c.try_lit("\"async\":{\"synchronizer\":")) {
-    job.async = decode_async(c);
+  if (c.try_lit(",\"async\":")) {
+    job.async = decode_async_options(c.str());
+    if (!job.async->schedule.empty()) {
+      throw InvalidArgument("wire: adversarial schedules do not cross");
+    }
   }
-  c.lit("\"graph\":");
-  job.graph_text = c.str();
   c.lit("}}");
   c.end();
   return job;
+}
+
+}  // namespace
+
+std::string encode_wire_graph(const std::string& graph_text) {
+  std::string out;
+  // Room for the escapes and the newline a writer appends, so neither
+  // reallocates a large graph's line.
+  out.reserve(graph_text.size() + graph_text.size() / 8 + 32);
+  append_prefix(out);
+  out += "\"graph\":\"";
+  append_escaped(out, graph_text);
+  out += "\"}";
+  return out;
+}
+
+std::string encode_wire_job(const WireJob& job) {
+  std::string out;
+  append_prefix(out);
+  out += "\"job\":{\"index\":";
+  out += std::to_string(job.index);
+  out += ",\"algorithm\":\"";
+  append_escaped(out, job.algorithm);
+  out += "\",\"param\":";
+  out += std::to_string(job.param);
+  out += ",\"threads\":";
+  out += std::to_string(job.threads);
+  out += ",\"max_rounds\":";
+  out += std::to_string(job.max_rounds);
+  if (job.async.has_value()) {
+    out += ",\"async\":\"";
+    append_escaped(out, encode_async_options(*job.async));
+    out += '"';
+  }
+  out += "}}";
+  return out;
+}
+
+WireJob decode_wire_job(const std::string& line) {
+  Cursor c(line);
+  consume_prefix(c);
+  return decode_job(c);
+}
+
+ParentLine decode_parent_line(const std::string& line) {
+  Cursor c(line);
+  consume_prefix(c);
+  if (!c.try_lit("\"graph\":")) return decode_job(c);
+  std::string graph_text = c.str();
+  c.lit("}");
+  c.end();
+  return graph_text;
 }
 
 std::string encode_wire_result(std::size_t index, const RunResult& result) {
@@ -478,18 +380,6 @@ WorkerLine decode_worker_line(const std::string& line) {
 }
 
 namespace detail {
-
-// Writer-thread fast path shared with worker_pool.cpp: escape each
-// distinct graph once, then stamp job lines around the cached segment.
-void wire_escape(std::string& out, const std::string& text) {
-  append_escaped(out, text);
-}
-
-std::string encode_wire_job_preescaped(const WireJob& job,
-                                       const std::string& escaped_graph) {
-  return encode_job_line(job.index, job.algorithm, job.param, job.threads,
-                         job.max_rounds, job.async, escaped_graph);
-}
 
 std::string describe_wire_line(std::size_t line_no, const std::string& line) {
   // Keep the snippet one error-message-sized line no matter what arrived:

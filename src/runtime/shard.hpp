@@ -2,8 +2,9 @@
 //
 // A thread pool stops scaling at one machine's cores and shares one address
 // space; process shards are the next rung.  This backend streams each job to
-// a worker process (normally `edsim worker`) as one NDJSON line on stdin and
-// reads one NDJSON result line per job from its stdout.  Each batch brings
+// a worker process (normally `edsim worker`) as one NDJSON line on stdin,
+// after one line with the job's graph unless that worker has it already,
+// and reads one NDJSON result line per job from its stdout.  Each batch brings
 // its own fleet: run_streaming forks one worker per shard that has jobs,
 // closes the worker's stdin after its last job line, and reaps it at EOF,
 // so no worker outlives the call that forked it.  The Executor contract is
@@ -31,43 +32,49 @@
 //    reports compiled/hit counters in its closing summary line.  Jobs are
 //    routed by graph: the batch's distinct graphs (PortGraph::id()) go to
 //    shards in order of first appearance (rank mod shards), and each shard
-//    gets its jobs grouped by graph, ascending within one.  A worker keeps
-//    the last graph it parsed while the job lines repeat its text, so one
-//    graph is parsed and compiled by exactly one worker, once, and the
-//    summed counters match a single-process sweep (absent cache eviction).
+//    gets its jobs grouped by graph, ascending within one.  A writer sends
+//    a graph line before the first job on each graph, so one graph crosses
+//    to, and is parsed and compiled by, exactly one worker, once per pass,
+//    and the summed counters match a single-process sweep (absent cache
+//    eviction).
 //
 // The wire format (`schema` 2) is NDJSON with a fixed field order — a
 // private protocol between same-version binaries (the parent always forks
 // its own `edsim`), versioned so a foreign schema is rejected loudly
-// instead of misparsed.  Three line kinds:
+// instead of misparsed.  Two parent line kinds and three worker line
+// kinds:
 //
-//   parent -> worker:  {"schema":2,"job":{"index":I,"algorithm":"T",
-//                       "param":P,"threads":N,"max_rounds":R,
-//                       ["async":{…},]"graph":"…"}}
+//   parent -> worker:  {"schema":2,"graph":"…"}
+//                      {"schema":2,"job":{"index":I,"algorithm":"T",
+//                       "param":P,"threads":N,"max_rounds":R[,"async":"…"]}}
 //   worker -> parent:  {"schema":2,"result":{"index":I,"rounds":R,
 //                       "messages":M,"ports_served":S,"outputs":[[…],…]}}
 //                      {"schema":2,"error":{"index":I,"message":"…"}}
 //                      {"schema":2,"worker_summary":{"jobs":J,
 //                       "plans_compiled":C,"plan_hits":H}}
 //
-// The optional `async` object serializes AsyncOptions (canonical delay
-// spec, seed, loss/duplication probabilities at max_digits10 so they
-// round-trip bit-exactly, round timeout, scripted crashes), which is what
-// lets `--model async` jobs cross the wire.  Adversarial Schedules do NOT
-// cross: they are an in-process search artifact (validate rejects them).
+// A graph line carries the port/io.hpp text of the graph that every job
+// line after it runs on, until the next graph line.  The optional `async`
+// string holds AsyncOptions in the replay codec's records
+// (encode_async_options in runtime/fault.hpp: delay spec, seed,
+// loss/duplication probabilities at max_digits10 so they round-trip
+// bit-exactly, round timeout, scripted crashes), which is what lets
+// `--model async` jobs cross the wire.  Adversarial Schedules do NOT
+// cross: they are an in-process search artifact (validate rejects them,
+// and so does decode_wire_job).
 //
 // Workers process jobs sequentially in arrival order and flush after every
 // line, so the parent can interleave writing and reading without deadlock.
 // `edsim` runs its standard streams unsynced from C stdio
 // (std::ios::sync_with_stdio(false) in main), so a worker's std::getline
-// copies a job line out of its stream buffer in blocks instead of taking
-// it from C stdio a character at a time.  The graph segment is the
-// port/io.hpp text, escaped and unescaped a run of plain bytes at a time,
-// so every stage of the path costs time in proportion to the line's bytes.
-// At stdin EOF a worker writes one `worker_summary` with its cache
-// counters and exits 0.  Any other schema or line kind is a protocol
-// failure (exit 2), which is also how a parent and worker of different
-// versions fail loudly on each other's first line.
+// copies a line out of its stream buffer in blocks instead of taking it
+// from C stdio a character at a time.  The graph text is escaped and
+// unescaped a run of plain bytes at a time, so every stage of the path
+// costs time in proportion to the line's bytes.  At stdin EOF a worker
+// writes one `worker_summary` with its cache counters and exits 0.  A job
+// line before any graph line, or any other schema or line kind, is a
+// protocol failure (exit 2), which is also how a parent and worker of
+// different versions fail loudly on each other's first line.
 #pragma once
 
 #include <cstddef>
@@ -75,6 +82,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "runtime/batch.hpp"
@@ -98,8 +106,11 @@ struct WireJob {
   /// Asynchronous execution model, if any.  The embedded Schedule must be
   /// empty: adversarial schedules never cross.
   std::optional<AsyncOptions> async;
-  std::string graph_text;    ///< port::write_port_graph text form
 };
+
+/// One decoded parent line: the port::write_port_graph text of a graph
+/// line, or the job of a job line.
+using ParentLine = std::variant<std::string, WireJob>;
 
 /// Worker-side counters reported in the summary line a worker writes at
 /// stdin EOF, just before it exits.
@@ -123,8 +134,11 @@ struct WorkerLine {
 /// decoders are strict — any deviation from the fixed shape, including an
 /// unknown schema version or a number larger than its field holds, throws
 /// InvalidArgument.
+[[nodiscard]] std::string encode_wire_graph(const std::string& graph_text);
 [[nodiscard]] std::string encode_wire_job(const WireJob& job);
+/// A job line only; a graph line is rejected.
 [[nodiscard]] WireJob decode_wire_job(const std::string& line);
+[[nodiscard]] ParentLine decode_parent_line(const std::string& line);
 [[nodiscard]] std::string encode_wire_result(std::size_t index,
                                              const RunResult& result);
 [[nodiscard]] std::string encode_wire_error(std::size_t index,
@@ -133,12 +147,6 @@ struct WorkerLine {
 [[nodiscard]] WorkerLine decode_worker_line(const std::string& line);
 
 namespace detail {
-/// Writer-thread fast path (worker_pool.cpp): escape each distinct graph
-/// text once, then stamp job lines around the cached segment instead of
-/// re-scanning the (potentially large) text per repeat.
-void wire_escape(std::string& out, const std::string& text);
-[[nodiscard]] std::string encode_wire_job_preescaped(
-    const WireJob& job, const std::string& escaped_graph);
 /// Diagnostic context for a protocol failure: `line 17 ("{"schema":2,…")`
 /// — 1-based line number plus a truncated, escape-sanitized snippet of the
 /// raw line, so a chaos-garbled frame is debuggable from the error alone.

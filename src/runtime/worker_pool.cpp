@@ -308,20 +308,18 @@ void BatchRun::spawn(Task& t) const {
 }
 
 void BatchRun::write_jobs(Task& t) const {
-  // Serialize-and-escape each graph lazily, once, right here: routing
-  // hands this shard each graph's jobs back to back, so only the current
-  // graph's text is kept.  The writers encode in parallel, and each text
-  // is freed once its jobs are written.
-  std::optional<std::uint64_t> escaped_id;
-  std::string escaped;
+  // Routing hands this shard each graph's jobs back to back, so a graph
+  // line goes out whenever the graph changes: each graph crosses once.
+  // The writers serialize their graphs in parallel, one at a time each.
+  std::optional<std::uint64_t> sent_id;
   for (const std::size_t idx : t.assigned) {
     const auto& job = jobs_[idx];
-    if (escaped_id != job.graph->id()) {
-      const auto text = port::to_port_graph_string(*job.graph);
-      escaped.clear();
-      escaped.reserve(text.size() + text.size() / 16);
-      detail::wire_escape(escaped, text);
-      escaped_id = job.graph->id();
+    if (sent_id != job.graph->id()) {
+      std::string line =
+          encode_wire_graph(port::to_port_graph_string(*job.graph));
+      line += '\n';
+      if (!write_all(t.in_fd, line)) return;
+      sent_id = job.graph->id();
     }
     WireJob wire;
     wire.index = idx;
@@ -330,7 +328,7 @@ void BatchRun::write_jobs(Task& t) const {
     wire.threads = job.options.exec.threads;
     wire.max_rounds = job.options.max_rounds;
     wire.async = job.options.exec.async;
-    std::string line = detail::encode_wire_job_preescaped(wire, escaped);
+    std::string line = encode_wire_job(wire);
     line += '\n';
     if (!write_all(t.in_fd, line)) return;
   }

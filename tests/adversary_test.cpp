@@ -132,6 +132,36 @@ TEST(ReplayCodec, RoundTripsAllFields) {
   EXPECT_EQ(decoded, file);
 }
 
+// Golden pin: the bytes encode_replay writes for a file with every record
+// kind, so a change to the AsyncOptions records it shares with the shard
+// wire cannot alter a replay file unnoticed.
+TEST(ReplayCodec, EncodingIsByteStable) {
+  ReplayFile file;
+  file.strategy = "climb";
+  file.algorithm = "odd-regular";
+  file.param = 3;
+  file.options.synchronizer = false;
+  file.options.delay = {DelayKind::kGeometric, 3, 24};
+  file.options.faults.loss = 0.1;
+  file.options.faults.duplicate = 1e-5;
+  file.options.faults.crashes = {{4, 6}, {0, 13}};
+  file.options.round_timeout = 0;
+  file.options.seed = 18446744073709551615ull;
+  file.options.schedule.prio_seed = 77;
+  file.options.schedule.demote_ticks = 9;
+  file.options.schedule.change_points = {5, 40};
+  file.options.schedule.delay_overrides = {{1, 3}};
+  file.metrics = {{"selected", 4}};
+  file.graph_text = "ports 2\ndeg 1 1\nconn 0 1 1 1\n";
+  const auto text = encode_replay(file);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (const unsigned char c : text) {
+    hash = (hash ^ c) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, 0x68a61985cf20d80eULL) << text;
+  EXPECT_EQ(decode_replay(text), file);
+}
+
 TEST(ReplayCodec, RejectsGarbageAndWrongSchema) {
   EXPECT_THROW((void)decode_replay(""), InvalidArgument);
   EXPECT_THROW((void)decode_replay("not a replay\n"), InvalidArgument);

@@ -80,11 +80,10 @@ TEST(JobBuilder, SetsBudgetSpecAndPlanCache) {
   EXPECT_EQ(job.batch.spec->algorithm, "odd-regular");
   EXPECT_EQ(job.batch.spec->param, 3u);
 
-  // No cache means the process-wide one.
+  // No cache means none: the run compiles its own plan and keeps none.
   const auto port_one = make_job(pg.ports(), Algorithm::kPortOne, 0, nullptr);
   EXPECT_EQ(port_one.batch.spec->param, 0u);
-  EXPECT_EQ(port_one.batch.options.exec.plan_cache,
-            &runtime::PlanCache::global());
+  EXPECT_EQ(port_one.batch.options.exec.plan_cache, nullptr);
 
   // The budget follows a schedule longer than the default cap.
   const auto star = port::with_canonical_ports(graph::star(200));

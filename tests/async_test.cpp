@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -695,6 +696,22 @@ TEST(AsyncValidation, OptionCombinationsAreRejected) {
   tight.max_rounds = 3;
   EXPECT_THROW((void)run_asynchronous(g, EchoFactory(10), tight, defaults),
                ExecutionError);  // round limit, mirroring the sync engine
+}
+
+TEST(AsyncValidation, NanProbabilitiesAreRejected) {
+  // NaN fails every comparison, so a range check written as "below 0 or
+  // above 1" would let it through to run as no fault at all.
+  const auto g = test::figure2_multigraph_m();
+  const EchoFactory factory(2);
+  for (const bool loss : {true, false}) {
+    AsyncOptions options;
+    options.synchronizer = false;
+    (loss ? options.faults.loss : options.faults.duplicate) =
+        std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW((void)run_asynchronous(g, factory, {}, options),
+                 InvalidArgument)
+        << (loss ? "loss" : "dup");
+  }
 }
 
 TEST(AsyncValidation, DelaySpecsParseAndRoundTrip) {

@@ -477,15 +477,30 @@ TEST(Cli, Table1IsTight) {
   EXPECT_EQ(fnv1a(run.out), 0x8932e524b3a0cd96ULL) << run.out;
 }
 
-/// `jobs` as the worker's stdin: one job line each.
-std::string job_lines(const std::vector<std::string>& jobs) {
+/// `lines` as the worker's stdin, one line each.
+std::string job_lines(const std::vector<std::string>& lines) {
   std::string text;
-  for (const auto& job : jobs) text += job + "\n";
+  for (const auto& line : lines) text += line + "\n";
   return text;
 }
 
+/// The graph line of the 2-node, 1-edge port graph.
+const std::string kEdgeGraphLine =
+    runtime::encode_wire_graph("ports 2\ndeg 1 1\nconn 0 1 1 1\n");
+
+/// Every line of a worker's stdout, decoded.
+std::vector<runtime::WorkerLine> worker_lines(const std::string& out) {
+  std::istringstream lines(out);
+  std::string line;
+  std::vector<runtime::WorkerLine> parsed;
+  while (std::getline(lines, line)) {
+    parsed.push_back(runtime::decode_worker_line(line));
+  }
+  return parsed;
+}
+
 TEST(Cli, WorkerSpeaksTheWireProtocol) {
-  // Two jobs on the same 2-node structure: two result lines (flushed in
+  // One graph line, then two jobs on it: two result lines (flushed in
   // order) plus, at EOF, a summary showing one compiled plan and one
   // cache hit.
   runtime::WireJob job;
@@ -493,20 +508,14 @@ TEST(Cli, WorkerSpeaksTheWireProtocol) {
   job.param = 0;
   job.threads = 1;
   job.max_rounds = 100;
-  job.graph_text = "ports 2\ndeg 1 1\nconn 0 1 1 1\n";
   job.index = 0;
   const auto line0 = runtime::encode_wire_job(job);
   job.index = 1;
   const auto line1 = runtime::encode_wire_job(job);
 
-  const auto run = invoke({"worker"}, job_lines({line0, line1}));
+  const auto run = invoke({"worker"}, job_lines({kEdgeGraphLine, line0, line1}));
   ASSERT_EQ(run.code, 0) << run.err;
-  std::istringstream lines(run.out);
-  std::string line;
-  std::vector<runtime::WorkerLine> parsed;
-  while (std::getline(lines, line)) {
-    parsed.push_back(runtime::decode_worker_line(line));
-  }
+  const auto parsed = worker_lines(run.out);
   ASSERT_EQ(parsed.size(), 3u) << run.out;
   ASSERT_EQ(parsed[0].kind, runtime::WorkerLine::Kind::kResult);
   EXPECT_EQ(parsed[0].index, 0u);
@@ -520,11 +529,33 @@ TEST(Cli, WorkerSpeaksTheWireProtocol) {
   EXPECT_EQ(parsed[2].summary.plans_compiled, 1u);
   EXPECT_EQ(parsed[2].summary.plan_hits, 1u);
 
-  // A batch frame from the retired framed protocol is not a job line: a
+  // Each graph line is a new graph, even with the text of the last one:
+  // the worker swaps the graph and clears its cache, so two graphs back
+  // to back compile two plans.
+  const auto swapped = invoke(
+      {"worker"}, job_lines({kEdgeGraphLine, line0, kEdgeGraphLine, line1}));
+  ASSERT_EQ(swapped.code, 0) << swapped.err;
+  const auto swapped_lines = worker_lines(swapped.out);
+  ASSERT_EQ(swapped_lines.size(), 3u) << swapped.out;
+  EXPECT_EQ(swapped_lines[0].result.outputs, want);
+  EXPECT_EQ(swapped_lines[1].result.outputs, want);
+  EXPECT_EQ(swapped_lines[2].summary.jobs, 2u);
+  EXPECT_EQ(swapped_lines[2].summary.plans_compiled, 2u);
+  EXPECT_EQ(swapped_lines[2].summary.plan_hits, 0u);
+
+  // A job line before any graph line has nothing to run on: a protocol
+  // failure, reported before any output.
+  const auto orphan = invoke({"worker"}, job_lines({line0, kEdgeGraphLine}));
+  EXPECT_EQ(orphan.code, 2);
+  EXPECT_NE(orphan.err.find("malformed parent line 1"), std::string::npos)
+      << orphan.err;
+  EXPECT_TRUE(orphan.out.empty()) << orphan.out;
+
+  // A batch frame from the retired framed protocol is not a parent line: a
   // protocol failure, reported before any output.
   const auto framed = invoke(
       {"worker"}, "{\"schema\":2,\"batch_begin\":{\"batch\":1}}\n" +
-                      line0 + "\n");
+                      kEdgeGraphLine + "\n" + line0 + "\n");
   EXPECT_EQ(framed.code, 2);
   EXPECT_NE(framed.err.find("malformed parent line 1"), std::string::npos)
       << framed.err;
@@ -534,10 +565,9 @@ TEST(Cli, WorkerSpeaksTheWireProtocol) {
 TEST(Cli, WorkerReportsJobFailuresAndDiesOnGarbage) {
   runtime::WireJob job;
   job.algorithm = "no-such-algorithm";
-  job.graph_text = "ports 2\ndeg 1 1\nconn 0 1 1 1\n";
   job.max_rounds = 10;
-  const auto run =
-      invoke({"worker"}, job_lines({runtime::encode_wire_job(job)}));
+  const auto run = invoke(
+      {"worker"}, job_lines({kEdgeGraphLine, runtime::encode_wire_job(job)}));
   ASSERT_EQ(run.code, 0) << "a failed job is an error line, not a dead worker";
   EXPECT_NE(run.out.find("\"error\""), std::string::npos) << run.out;
   EXPECT_NE(run.out.find("\"worker_summary\""), std::string::npos);
@@ -549,14 +579,14 @@ TEST(Cli, WorkerReportsJobFailuresAndDiesOnGarbage) {
   runtime::WireJob ok = job;
   ok.algorithm = "all-edges";
   const auto wire = runtime::encode_wire_job(ok);
-  const auto killed =
-      invoke({"worker", "--chaos", "crash:1"}, job_lines({wire, wire}));
+  const auto killed = invoke({"worker", "--chaos", "crash:1"},
+                             job_lines({kEdgeGraphLine, wire, wire}));
   EXPECT_EQ(killed.code, 7);
   EXPECT_EQ(killed.out.find("\"worker_summary\""), std::string::npos);
 
   // The worker accepts --chaos and nothing else.
   const auto unknown = invoke({"worker", "--crash-after", "1"},
-                              job_lines({wire}));
+                              job_lines({kEdgeGraphLine, wire}));
   EXPECT_EQ(unknown.code, 2);
   EXPECT_NE(unknown.err.find("--crash-after"), std::string::npos)
       << unknown.err;
@@ -575,16 +605,28 @@ TEST(Cli, ReadersFailTypedOnOversizedHeaders) {
     EXPECT_EQ(views.code, 1) << text;
     EXPECT_NE(views.err.find("NodeId range"), std::string::npos) << views.err;
   }
-  // The worker decodes a job's graph through the same reader: one error
-  // line for that job, and the worker carries on.
+  // The worker decodes a graph line through the same reader: every job on
+  // that graph answers with one error line naming the parse failure, and
+  // the worker carries on with the next graph.
   runtime::WireJob job;
   job.algorithm = "all-edges";
-  job.graph_text = "ports 5000000000\ndeg 1\n";
   job.max_rounds = 10;
-  const auto worker =
-      invoke({"worker"}, job_lines({runtime::encode_wire_job(job)}));
+  const auto wire = runtime::encode_wire_job(job);
+  const auto worker = invoke(
+      {"worker"},
+      job_lines({runtime::encode_wire_graph("ports 5000000000\ndeg 1\n"), wire,
+                 wire, kEdgeGraphLine, wire}));
   EXPECT_EQ(worker.code, 0) << worker.err;
-  EXPECT_NE(worker.out.find("NodeId range"), std::string::npos) << worker.out;
+  const auto lines = worker_lines(worker.out);
+  ASSERT_EQ(lines.size(), 4u) << worker.out;
+  for (std::size_t k = 0; k < 2; ++k) {
+    ASSERT_EQ(lines[k].kind, runtime::WorkerLine::Kind::kError) << k;
+    EXPECT_NE(lines[k].message.find("NodeId range"), std::string::npos)
+        << lines[k].message;
+  }
+  EXPECT_EQ(lines[2].kind, runtime::WorkerLine::Kind::kResult);
+  EXPECT_EQ(lines[3].summary.jobs, 3u);
+  EXPECT_EQ(lines[3].summary.plans_compiled, 1u);
 }
 
 TEST(Cli, SweepErrors) {
@@ -893,6 +935,38 @@ TEST(Cli, SweepModelAsyncRejections) {
       fails({"--model", "async", "--loss", "0.5", "--synchronizer", "on"}),
       2);
   EXPECT_EQ(fails({"--model", "async", "--synchronizer", "sideways"}), 2);
+}
+
+TEST(Cli, SweepRefusesMalformedProbabilities) {
+  // --loss and --dup take one whole finite number in [0, 1]: NaN, an
+  // infinity or trailing bytes exit 2 before any work, on every backend.
+  const std::vector<std::pair<std::string, std::string>> bad{
+      {"--dup", "nan"}, {"--loss", "nan"},  {"--loss", "0.5abc"},
+      {"--loss", "inf"}, {"--dup", "-nan"}, {"--dup", "0.5 "}};
+  std::vector<std::vector<std::string>> backends{{"--threads", "1"}};
+  if (edsim_available()) backends.push_back({"--shards", "1"});
+  for (const auto& backend : backends) {
+    for (const auto& [flag, value] : bad) {
+      std::vector<std::string> args{"sweep", "regular", "--d", "3",
+                                    "--min", "8", "--max", "8", "--model",
+                                    "async", flag, value, "--synchronizer",
+                                    "off"};
+      args.insert(args.end(), backend.begin(), backend.end());
+      const auto run = invoke(args);
+      EXPECT_EQ(run.code, 2) << flag << ' ' << value << ' ' << backend[0];
+      EXPECT_NE(run.err.find("--loss/--dup"), std::string::npos) << run.err;
+      EXPECT_TRUE(run.out.empty()) << run.out;
+    }
+  }
+  // The whole range still runs, and a lossy run crosses the wire.
+  for (const char* value : {"0", "1", "0.25", "1e-3"}) {
+    EXPECT_EQ(invoke({"sweep", "regular", "--d", "3", "--min", "8", "--max",
+                      "8", "--model", "async", "--loss", value,
+                      "--synchronizer", "off"})
+                  .code,
+              0)
+        << value;
+  }
 }
 
 TEST(Cli, SweepAdversaryEchoesConfigAndEmitsWorstCaseRows) {

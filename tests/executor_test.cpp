@@ -9,9 +9,13 @@
 // executable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <sys/wait.h>
@@ -53,6 +57,15 @@ BatchJob shippable_job(const port::PortGraph& g, const ProgramFactory& factory,
 // ---------------------------------------------------------------------------
 // Wire codecs.
 
+/// `line` with the first `from` replaced by `to`.
+std::string replaced(std::string line, const std::string& from,
+                     const std::string& to) {
+  const auto pos = line.find(from);
+  EXPECT_NE(pos, std::string::npos) << from << " in " << line;
+  if (pos != std::string::npos) line.replace(pos, from.size(), to);
+  return line;
+}
+
 TEST(WireCodec, JobRoundTripsIncludingGraphText) {
   const auto pg = port::with_canonical_ports(graph::cycle(5));
   WireJob job;
@@ -61,25 +74,46 @@ TEST(WireCodec, JobRoundTripsIncludingGraphText) {
   job.param = 3;
   job.threads = 2;
   job.max_rounds = 12345;
-  job.graph_text = port::to_port_graph_string(pg.ports());
-  ASSERT_NE(job.graph_text.find('\n'), std::string::npos)
+  const auto text = port::to_port_graph_string(pg.ports());
+  ASSERT_NE(text.find('\n'), std::string::npos)
       << "the interesting case is multi-line text";
+
+  // The graph travels in its own line, the job in another.
+  const auto graph_line = encode_wire_graph(text);
+  EXPECT_EQ(graph_line.find('\n'), std::string::npos) << "one graph = one line";
+  const auto parsed_graph = decode_parent_line(graph_line);
+  ASSERT_TRUE(std::holds_alternative<std::string>(parsed_graph));
+  EXPECT_EQ(std::get<std::string>(parsed_graph), text);
+  EXPECT_THROW((void)decode_wire_job(graph_line), InvalidArgument);
 
   const auto line = encode_wire_job(job);
   EXPECT_EQ(line.find('\n'), std::string::npos) << "one job = one line";
-  const auto back = decode_wire_job(line);
-  EXPECT_EQ(back.index, job.index);
-  EXPECT_EQ(back.algorithm, job.algorithm);
-  EXPECT_EQ(back.param, job.param);
-  EXPECT_EQ(back.threads, job.threads);
-  EXPECT_EQ(back.max_rounds, job.max_rounds);
-  EXPECT_EQ(back.graph_text, job.graph_text);
+  EXPECT_EQ(line,
+            "{\"schema\":2,\"job\":{\"index\":42,\"algorithm\":"
+            "\"bounded-degree\",\"param\":3,\"threads\":2,"
+            "\"max_rounds\":12345}}");
+  const auto parsed_job = decode_parent_line(line);
+  ASSERT_TRUE(std::holds_alternative<WireJob>(parsed_job));
+  for (const auto& back : {decode_wire_job(line), std::get<WireJob>(parsed_job)}) {
+    EXPECT_EQ(back.index, job.index);
+    EXPECT_EQ(back.algorithm, job.algorithm);
+    EXPECT_EQ(back.param, job.param);
+    EXPECT_EQ(back.threads, job.threads);
+    EXPECT_EQ(back.max_rounds, job.max_rounds);
+    EXPECT_FALSE(back.async.has_value());
+  }
 
   // The text form still parses into the same structure.
-  const auto g = port::from_port_graph_string(back.graph_text);
+  const auto g = port::from_port_graph_string(std::get<std::string>(parsed_graph));
   EXPECT_EQ(g.num_nodes(), pg.ports().num_nodes());
   EXPECT_EQ(g.degree_sequence(), pg.ports().degree_sequence());
   EXPECT_EQ(g.partner_table(), pg.ports().partner_table());
+
+  // A job line of the one-line-per-job wire, graph text inside, is a
+  // foreign line: a worker of this version refuses it.
+  EXPECT_THROW((void)decode_parent_line(replaced(
+                   line, "}}", ",\"graph\":\"ports 0\\n\"}}")),
+               InvalidArgument);
 }
 
 TEST(WireCodec, ResultRoundTripsOutputsAndStats) {
@@ -132,17 +166,17 @@ TEST(WireCodec, ErrorAndSummaryRoundTrip) {
 TEST(WireCodec, RejectsForeignSchemaAndMalformedLines) {
   WireJob job;
   job.algorithm = "port-one";
-  job.graph_text = "ports 0\n";
-  const auto line = encode_wire_job(job);
-  const auto pos = line.find("\"schema\":2");
-  ASSERT_NE(pos, std::string::npos);
   // Schema 2 is the only version spoken: a well-formed line at any other
   // version, older or newer, is rejected.
-  for (const char* foreign : {"\"schema\":1", "\"schema\":9"}) {
-    auto foreign_line = line;
-    foreign_line.replace(pos, 10, foreign);
-    EXPECT_THROW((void)decode_wire_job(foreign_line), InvalidArgument)
-        << foreign;
+  for (const auto& line : {encode_wire_job(job), encode_wire_graph("ports 0\n")}) {
+    const auto pos = line.find("\"schema\":2");
+    ASSERT_NE(pos, std::string::npos);
+    for (const char* foreign : {"\"schema\":1", "\"schema\":9"}) {
+      auto foreign_line = line;
+      foreign_line.replace(pos, 10, foreign);
+      EXPECT_THROW((void)decode_parent_line(foreign_line), InvalidArgument)
+          << foreign;
+    }
   }
 
   EXPECT_THROW((void)decode_wire_job("not json"), InvalidArgument);
@@ -153,15 +187,6 @@ TEST(WireCodec, RejectsForeignSchemaAndMalformedLines) {
   EXPECT_THROW(
       (void)decode_worker_line(encode_wire_result(0, {}) + "trailing"),
       InvalidArgument);
-}
-
-/// `line` with the first `from` replaced by `to`.
-std::string replaced(std::string line, const std::string& from,
-                     const std::string& to) {
-  const auto pos = line.find(from);
-  EXPECT_NE(pos, std::string::npos) << from << " in " << line;
-  if (pos != std::string::npos) line.replace(pos, from.size(), to);
-  return line;
 }
 
 /// `decode(line)` throws InvalidArgument naming `field`.
@@ -188,7 +213,6 @@ TEST(WireCodec, RejectsNumbersTheirFieldsCannotHold) {
   job.max_rounds = 9;
   job.async = AsyncOptions{};
   job.async->faults.crashes = {CrashEvent{5, 3}};
-  job.graph_text = "ports 0\n";
   const auto line = encode_wire_job(job);
   const auto decode_job = [](const std::string& l) {
     return decode_wire_job(l);
@@ -203,8 +227,9 @@ TEST(WireCodec, RejectsNumbersTheirFieldsCannotHold) {
       decode_job,
       replaced(line, "\"max_rounds\":9", "\"max_rounds\":4294967305"),
       "max_rounds");
-  expect_field_rejected(decode_job, replaced(line, "[[5,3]]", "[[4294967301,3]]"),
-                        "node");
+  // The async string holds the replay codec's records, escaped.
+  expect_field_rejected(
+      decode_job, replaced(line, "crash 5 3", "crash 4294967301 3"), "crash");
   // The largest value a field holds still decodes.
   EXPECT_EQ(decode_wire_job(replaced(line, "\"param\":7",
                                      "\"param\":4294967295"))
@@ -394,6 +419,66 @@ TEST(ProcessShardExecutor, OneShardGetsEachGraphsJobsBackToBack) {
   EXPECT_EQ(stats.plan_hits, 4u);
 }
 
+TEST(ProcessShardExecutor, ShipsEachGraphOncePerShard) {
+  REQUIRE_EDSIM_OR_SKIP(bin);
+  auto rng = test::make_rng(0x6A11);
+  const std::vector<port::PortedGraph> graphs{
+      test::random_ported_regular(12, 3, rng),
+      test::random_ported_regular(16, 3, rng),
+      test::random_ported_regular(20, 3, rng)};
+  const auto bounded = algo::make_factory(algo::Algorithm::kBoundedDegree, 3);
+  std::vector<BatchJob> jobs;
+  for (int r = 0; r < 4; ++r) {
+    for (const auto& g : graphs) {
+      jobs.push_back(shippable_job(g.ports(), *bounded, "bounded-degree", 3));
+    }
+  }
+
+  // Each worker's stdin is copied to a file of its own, named by the
+  // shell's pid, before the worker reads it.
+  const auto dir = ::testing::TempDir() + "ships_each_graph_once";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const ProcessShardExecutor executor(
+      {"/bin/sh", "-c", "tee \"" + dir + "/$$.in\" | \"$0\" worker", bin}, 2);
+  const auto got = executor.run(jobs);
+  const auto expected = InProcessExecutor(2).run(jobs);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i] == expected[i]) << "job " << i;
+  }
+  EXPECT_EQ(executor.stats().workers_spawned, 2u);
+
+  std::size_t shards = 0;
+  std::size_t graph_lines = 0;
+  std::size_t job_lines = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    ++shards;
+    std::ifstream in(entry.path());
+    std::vector<std::string> texts;
+    std::string line;
+    while (std::getline(in, line)) {
+      const auto parsed = decode_parent_line(line);
+      if (const auto* text = std::get_if<std::string>(&parsed)) {
+        texts.push_back(*text);
+        continue;
+      }
+      ++job_lines;
+      EXPECT_EQ(line.find("ports"), std::string::npos)
+          << "a job line carries no graph text: " << line;
+    }
+    const std::size_t sent = texts.size();
+    std::sort(texts.begin(), texts.end());
+    texts.erase(std::unique(texts.begin(), texts.end()), texts.end());
+    EXPECT_EQ(texts.size(), sent) << "a graph crossed twice to one shard";
+    graph_lines += sent;
+  }
+  EXPECT_EQ(shards, 2u);
+  EXPECT_EQ(graph_lines, graphs.size()) << "one line per (shard, graph)";
+  EXPECT_EQ(job_lines, jobs.size());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ProcessShardExecutor, JobErrorInsideAWorkerFollowsThePrefixRule) {
   REQUIRE_EDSIM_OR_SKIP(bin);
   const auto pg = port::with_canonical_ports(graph::cycle(6));
@@ -540,22 +625,28 @@ TEST(ProcessShardExecutor, NoWorkerOutlivesItsBatch) {
 TEST(ProcessShardExecutor, JobDeadlineUnblocksAWriterStuckOnAFullPipe) {
   REQUIRE_EDSIM_OR_SKIP(bin);
   ASSERT_TRUE(no_children_left()) << "the test needs a childless process";
-  // Job lines several times the 64 KiB pipe buffer, so a worker that stops
-  // reading leaves the writer blocked in write() partway through a line.
-  const auto pg = port::with_canonical_ports(graph::cycle(16000));
-  ASSERT_GT(port::to_port_graph_string(pg.ports()).size(), 4u * 65536);
+  // One graph per job, each graph line several times the 64 KiB pipe
+  // buffer, so a worker that stops reading leaves the writer blocked in
+  // write() partway through a graph line.
+  std::vector<port::PortedGraph> graphs;
+  for (std::size_t k = 0; k < 3; ++k) {
+    graphs.push_back(port::with_canonical_ports(graph::cycle(16000 + k)));
+  }
+  ASSERT_GT(port::to_port_graph_string(graphs[0].ports()).size(), 4u * 65536);
   const auto port_one = algo::make_factory(algo::Algorithm::kPortOne);
-  const std::vector<BatchJob> jobs(
-      3, shippable_job(pg.ports(), *port_one, "port-one", 0));
+  std::vector<BatchJob> jobs;
+  for (const auto& g : graphs) {
+    jobs.push_back(shippable_job(g.ports(), *port_one, "port-one", 0));
+  }
   const auto expected = InProcessExecutor(1).run(jobs);
 
   // hang:2:60000 makes each worker sleep a minute before answering its
   // second job, reading nothing more meanwhile, so the first worker's
-  // writer blocks on the third job line.  Only the reader's job deadline
-  // ends that: the reader kills its worker, the writer's write() fails
-  // with EPIPE, and the pass joins both threads.  The respawned worker
-  // reads all of its two lines and hangs on the second, so the batch
-  // costs two kills before the third worker completes it.
+  // writer blocks on the third graph line.  Only the reader's job
+  // deadline ends that: the reader kills its worker, the writer's write()
+  // fails with EPIPE, and the pass joins both threads.  The respawned
+  // worker reads all of its four lines and hangs on its second job, so
+  // the batch costs two kills before the third worker completes it.
   ProcessShardExecutor::Options options;
   options.job_timeout_ms = 2000;
   const ProcessShardExecutor executor(

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "algo/double_cover.hpp"
@@ -312,13 +313,24 @@ TEST(Fuzz, ReplayDecoderTakesMutatedFilesOrRejectsThemTyped) {
   EXPECT_GT(rejected, 100u);
 }
 
-/// The wire codec's verdict on `line` as a job line or as a worker line:
-/// the encoding of the value it decoded, or "!" for a typed rejection.
-/// Anything else it throws escapes and fails the test.
-std::string wire_verdict(const std::string& line, bool job_line) {
+/// How wire_verdict decodes a line.
+enum class WireDecoder { kJob, kParent, kWorker };
+
+/// The wire codec's verdict on `line` as a job line, a parent line (graph
+/// or job) or a worker line: the encoding of the value it decoded, or "!"
+/// for a typed rejection.  Anything else it throws escapes and fails the
+/// test.
+std::string wire_verdict(const std::string& line, WireDecoder decoder) {
   try {
-    if (job_line) {
+    if (decoder == WireDecoder::kJob) {
       return runtime::encode_wire_job(runtime::decode_wire_job(line));
+    }
+    if (decoder == WireDecoder::kParent) {
+      const auto parsed = runtime::decode_parent_line(line);
+      if (const auto* text = std::get_if<std::string>(&parsed)) {
+        return runtime::encode_wire_graph(*text);
+      }
+      return runtime::encode_wire_job(std::get<runtime::WireJob>(parsed));
     }
     const auto w = runtime::decode_worker_line(line);
     switch (w.kind) {
@@ -337,19 +349,22 @@ std::string wire_verdict(const std::string& line, bool job_line) {
 }
 
 TEST(Fuzz, WireCodecTakesMutatedLinesOrRejectsThemTyped) {
-  // Valid lines to start from: sync and async job lines (every delay
-  // model, faults, a multigraph's text with loops), the result of a real
-  // run, an error whose message needs escapes, and a summary.
+  // Valid lines to start from: graph lines (a multigraph's text with
+  // loops, a randomly numbered torus), sync and async job lines (every
+  // delay model, faults), the result of a real run, an error whose
+  // message needs escapes, and a summary.
   auto rng = test::make_rng(13);
   std::vector<std::string> seeds;
+  const auto g = port::random_port_graph(random_degrees(rng, 5, 3), rng, 0.3);
+  seeds.push_back(runtime::encode_wire_graph(port::to_port_graph_string(g)));
+  seeds.push_back(runtime::encode_wire_graph(port::to_port_graph_string(
+      port::with_random_ports(graph::torus(3, 3), rng).ports())));
   runtime::WireJob job;
   job.index = 7;
   job.algorithm = "bounded-degree";
   job.param = 4;
   job.threads = 2;
   job.max_rounds = 100000;
-  const auto g = port::random_port_graph(random_degrees(rng, 5, 3), rng, 0.3);
-  job.graph_text = port::to_port_graph_string(g);
   seeds.push_back(runtime::encode_wire_job(job));
   for (const char* delay : {"fixed:2", "uniform:1:9", "geometric:3:40"}) {
     runtime::AsyncOptions async;
@@ -380,17 +395,18 @@ TEST(Fuzz, WireCodecTakesMutatedLinesOrRejectsThemTyped) {
     }
     SCOPED_TRACE("trial " + std::to_string(trial) + ", line \"" + line +
                  "\"");
-    // Every line goes to both decoders: each either takes it or rejects
+    // Every line goes to every decoder: each either takes it or rejects
     // it typed, whatever kind of line it was made from.
-    for (const bool job_line : {true, false}) {
-      const std::string verdict = wire_verdict(line, job_line);
+    for (const auto decoder :
+         {WireDecoder::kJob, WireDecoder::kParent, WireDecoder::kWorker}) {
+      const std::string verdict = wire_verdict(line, decoder);
       if (verdict == "!") {
         ++rejected;
       } else {
         // A decoded value re-encodes to a line that decodes to the same
         // value.
         ++accepted;
-        ASSERT_EQ(wire_verdict(verdict, job_line), verdict);
+        ASSERT_EQ(wire_verdict(verdict, decoder), verdict);
       }
     }
   }

@@ -22,6 +22,10 @@
 #include "util/rng.hpp"
 #include "test_util.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace eds::runtime {
 namespace {
 
@@ -261,24 +265,46 @@ TEST(PlanCache, CachedPlansAreBitIdenticalToFreshOnesUnderEveryPolicy) {
   EXPECT_GT(cache.stats().hits, 0u);
 }
 
-TEST(PlanCache, GlobalCacheServesRunAlgorithm) {
-  // run_algorithm defaults a null ExecOptions::plan_cache to the global
-  // cache: back-to-back runs on one graph compile one plan, then hit it.
+/// Bytes the heap holds right now (glibc), or 0 where that is unknown.
+std::int64_t heap_in_use() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const auto info = mallinfo2();
+  return static_cast<std::int64_t>(info.uordblks + info.hblkhd);
+#else
+  return 0;
+#endif
+}
+
+TEST(PlanCache, RunAlgorithmLeavesNoPlanBehind) {
+  // Without a cache, run_algorithm compiles a plan for its run and frees
+  // it when the run returns: no cache anywhere keeps a plan whose graph
+  // may die next.  A plan kept behind shows as heap still in use after the
+  // run, about its memory_bytes().
   auto rng = test::make_rng(0x610B);
-  const auto pg = test::random_ported_regular(20, 4, rng);
-  auto& global = PlanCache::global();
-  const auto before = global.stats();
+  const auto warm = port::with_random_ports(graph::torus(96, 96), rng);
+  const auto pg = port::with_random_ports(graph::torus(96, 96), rng);
+  const auto plan_bytes =
+      static_cast<std::int64_t>(ExecutionPlan(pg.ports()).memory_bytes());
+  ASSERT_GT(plan_bytes, 100000);
+  // A first run on another graph of the same shape makes whatever a run
+  // allocates once per process.
+  const auto expected = algo::run_algorithm(warm, algo::Algorithm::kPortOne);
+  const auto before = heap_in_use();
+  (void)algo::run_algorithm(pg, algo::Algorithm::kPortOne);
+  const auto kept = heap_in_use() - before;
+  EXPECT_LT(kept, plan_bytes / 2) << "a " << plan_bytes << "-byte plan";
+
+  // With a cache, the plan lives exactly as long as the caller's cache.
+  PlanCache cache;
+  const ExecOptions cached{.plan_cache = &cache};
   const auto first =
-      algo::run_algorithm(pg, algo::Algorithm::kPortOne);
-  const auto between = global.stats();
+      algo::run_algorithm(warm, algo::Algorithm::kPortOne, 0, cached);
   const auto second =
-      algo::run_algorithm(pg, algo::Algorithm::kPortOne);
-  const auto after = global.stats();
-  EXPECT_EQ(between.misses - before.misses, 1u);
-  EXPECT_EQ(after.misses, between.misses)
-      << "the second run must reuse the globally cached plan";
-  EXPECT_EQ(after.hits - between.hits, 1u);
-  EXPECT_EQ(first.solution, second.solution);
+      algo::run_algorithm(warm, algo::Algorithm::kPortOne, 0, cached);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(first.solution, expected.solution);
+  EXPECT_EQ(second.solution, expected.solution);
 }
 
 }  // namespace

@@ -70,7 +70,6 @@ TEST(WireCodecV2, AsyncJobRoundTripsBitExactly) {
   job.param = 0;
   job.threads = 2;
   job.max_rounds = 500;
-  job.graph_text = "ports 2\ndeg 1 1\nconn 0 1 1 1\n";
   AsyncOptions async;
   async.synchronizer = false;
   async.delay = {DelayKind::kUniform, 1, 6};
@@ -97,6 +96,12 @@ TEST(WireCodecV2, AsyncJobRoundTripsBitExactly) {
   EXPECT_EQ(back.async->faults.crashes[0].node, 2u);
   EXPECT_EQ(back.async->faults.crashes[0].time, 17u);
   EXPECT_TRUE(back.async->schedule.empty());
+  EXPECT_EQ(*back.async, async);
+
+  // The async string is the replay codec's records, so a schedule could
+  // be spelled in it; the decoder refuses one all the same.
+  job.async->schedule.prio_seed = 5;
+  EXPECT_THROW((void)decode_wire_job(encode_wire_job(job)), InvalidArgument);
 }
 
 // The summary a worker writes at stdin EOF carries that worker's totals and
